@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -68,32 +68,6 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: one subcommand plus its inputs and overrides."""
-
-    command: str
-    log_path: Path | None = None
-    out_path: Path | None = None
-    series_dir: Path | None = None
-    push_distance_m: float | None = None
-    depth_threshold_m: float = DEFAULT_DEPTH_JUMP_M
-    motion_threshold_m: float = DEFAULT_MOTION_JUMP_M
-    depth_m: float | None = None
-    width_m: float | None = None
-    soil_spec: str | None = None
-    law: str = "active"
-    beta_min_deg: float | None = None
-    beta_max_deg: float | None = None
-    space_path: Path | None = None
-    constraints_path: Path | None = None
-    top: int | None = None
-    design_path: Path | None = None
-    schedule_path: Path | None = None
-    k0: float = 6.0
-    k1: float = 1.0
-
-
 def _fmt(value: float) -> str:
     return format(value, ".6g")
 
@@ -131,12 +105,24 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]])
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def finite(text: str) -> float:
+    """A finite float from text; the type of every float flag and JSON number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _load_json(path: Path, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} file {path}: invalid JSON ({exc})") from exc
+        text = handle.read()
+    try:
+        # NaN/Infinity literals and floats that overflow to inf are rejected.
+        data = json.loads(text, parse_constant=finite, parse_float=finite)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} file {path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} file {path}: expected a JSON object")
     return data
@@ -148,65 +134,44 @@ def _check_keys(data: dict, allowed: set[str], path: Path, what: str) -> None:
         raise ConfigError(f"{what} file {path}: unknown keys {', '.join(unknown)}")
 
 
+def _load_dataclass(cls, path: Path, what: str):
+    """A ``cls`` built from a JSON object whose keys are its field names."""
+    data = _load_json(path, what)
+    _check_keys(data, {f.name for f in fields(cls)}, path, what)
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} file {path}: {exc}") from exc
+
+
 def load_soil(spec: str) -> SoilProperties:
     """Soil from ``preset:dry``, ``preset:moist``, or a JSON file."""
     if spec in _SOIL_PRESETS:
         return _SOIL_PRESETS[spec]
     if spec.startswith("preset:"):
         raise ConfigError(f"unknown soil preset {spec!r}; use preset:dry or preset:moist")
-    path = Path(spec)
-    data = _load_json(path, "soil")
-    allowed = {"bulk_density_kg_m3", "friction_angle_deg", "moisture_label", "gravity_m_s2"}
-    _check_keys(data, allowed, path, "soil")
-    try:
-        return SoilProperties(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"soil file {path}: {exc}") from exc
+    return _load_dataclass(SoilProperties, Path(spec), "soil")
 
 
 def load_design(path: Path) -> SpikeDesign:
-    data = _load_json(path, "design")
-    allowed = {
-        "radius_m",
-        "hinge_height_m",
-        "initial_rake_deg",
-        "diameter_mm",
-        "design_depth_m",
-        "tip_mass_kg",
-    }
-    _check_keys(data, allowed, path, "design")
-    try:
-        return SpikeDesign(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"design file {path}: {exc}") from exc
+    return _load_dataclass(SpikeDesign, path, "design")
 
 
 def load_constraints(path: Path | None) -> DesignConstraints:
     if path is None:
         return DesignConstraints()
-    data = _load_json(path, "constraints")
-    allowed = {
-        "max_thrust_deg",
-        "window_low_deg",
-        "window_high_deg",
-        "require_lateral_at_design_depth",
-    }
-    _check_keys(data, allowed, path, "constraints")
-    try:
-        return DesignConstraints(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"constraints file {path}: {exc}") from exc
+    return _load_dataclass(DesignConstraints, path, "constraints")
 
 
 def load_space(path: Path) -> DesignSpace:
     data = _load_json(path, "design-space")
-    fields = {"radius_m", "hinge_height_m", "initial_rake_deg", "diameter_mm", "design_depth_m"}
-    _check_keys(data, fields, path, "design-space")
-    missing = sorted(fields - set(data))
+    names = [f.name for f in fields(DesignSpace)]
+    _check_keys(data, set(names), path, "design-space")
+    missing = sorted(set(names) - set(data))
     if missing:
         raise ConfigError(f"design-space file {path}: missing keys {', '.join(missing)}")
     ranges = {}
-    for name in fields:
+    for name in names:
         entry = data[name]
         if not isinstance(entry, dict) or set(entry) != {"start", "stop", "step"}:
             raise ConfigError(
@@ -220,7 +185,7 @@ def load_space(path: Path) -> DesignSpace:
 
 
 def load_draft_schedule(path: Path) -> list[float]:
-    """Draft schedule CSV: a ``draft_N`` header then one force per line."""
+    """Draft schedule CSV: a ``draft_N`` header then one non-decreasing force per line."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0].strip() != "draft_N":
@@ -237,6 +202,11 @@ def load_draft_schedule(path: Path) -> list[float]:
             raise ConfigError(
                 f"draft-schedule file {path}: line {number}: draft must be finite and >= 0"
             )
+        if drafts and value < drafts[-1]:
+            raise ConfigError(
+                f"draft-schedule file {path}: line {number}: draft ({value}) decreased "
+                f"(previous {drafts[-1]}); weights are only added"
+            )
         drafts.append(value)
     return drafts
 
@@ -246,7 +216,7 @@ def _build_report(
     series: DerivedSeries,
     filtered: DerivedSeries,
     events: list[int],
-    cfg: RunConfig,
+    push_distance_m: float | None,
 ) -> dict:
     meta = log.metadata
     vehicle = meta.vehicle()
@@ -274,24 +244,16 @@ def _build_report(
         summary["penetration_work_J"] = series.cumulative_work_j[-1]
         summary["stability"]["first_liftoff_step"] = first_liftoff
         summary["kappa_estimate"] = kappa.kappa
-        if cfg.push_distance_m is not None:
+        if push_distance_m is not None:
             try:
                 summary["efficiency_at_push"] = tractive_efficiency(
-                    series.cumulative_work_j[-1], series.draft_n[-1], cfg.push_distance_m
+                    series.cumulative_work_j[-1], series.draft_n[-1], push_distance_m
                 )
             except ValueError:
                 summary["efficiency_at_push"] = None
 
     report = {
-        "metadata": {
-            "site": meta.site,
-            "diameter_mm": meta.diameter_mm,
-            "radius_m": meta.radius_m,
-            "hinge_m": meta.hinge_m,
-            "rake0_deg": meta.rake0_deg,
-            "vehicle_kg": meta.vehicle_kg,
-            "pulley_mu": meta.pulley_mu,
-        },
+        "metadata": asdict(meta),
         "series": {
             "draft_N": series.draft_n,
             "depth_m": series.depth_m,
@@ -351,48 +313,43 @@ def _write_series_csvs(
     )
 
 
-def run_analyze(cfg: RunConfig) -> int:
+def run_analyze(args: argparse.Namespace) -> int:
     try:
-        log = parse_trial_log(cfg.log_path)
+        log = parse_trial_log(args.log)
     except TrialLogError as exc:
-        raise TrialLogError(f"{cfg.log_path}: {exc}") from exc
+        raise TrialLogError(f"{args.log}: {exc}") from exc
     design = log.metadata.spike_design()
     rig = log.metadata.pulley_rig()
     series = derive_series(log, design, rig)
-    events = detect_landslides(series, cfg.depth_threshold_m, cfg.motion_threshold_m)
+    events = detect_landslides(series, args.depth_threshold, args.motion_threshold)
     series.events = events
     filtered = landslide_filter(series, events)
 
-    report = _build_report(log, series, filtered, events, cfg)
-    _atomic_write_text(cfg.out_path, json.dumps(report, indent=2) + "\n")
-    if cfg.series_dir is not None:
-        _write_series_csvs(cfg.series_dir, series, filtered, log.metadata.vehicle().weight_n)
-    print(f"wrote {cfg.out_path}: {len(series)} steps, {len(events)} landslide events")
+    report = _build_report(log, series, filtered, events, args.push_distance)
+    _atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
+    if args.series is not None:
+        _write_series_csvs(args.series, series, filtered, log.metadata.vehicle().weight_n)
+    print(f"wrote {args.out}: {len(series)} steps, {len(events)} landslide events")
     return EXIT_OK
 
 
-def run_crescent(cfg: RunConfig) -> int:
-    if (
-        cfg.beta_min_deg is not None
-        and cfg.beta_max_deg is not None
-        and cfg.beta_min_deg >= cfg.beta_max_deg
-    ):
+def run_crescent(args: argparse.Namespace) -> int:
+    if args.beta_min is not None and args.beta_max is not None and args.beta_min >= args.beta_max:
         raise ConfigError(
-            f"--beta-min ({cfg.beta_min_deg}) must be below --beta-max ({cfg.beta_max_deg})"
+            f"--beta-min ({args.beta_min}) must be below --beta-max ({args.beta_max})"
         )
-    soil = load_soil(cfg.soil_spec)
-    law = ForceLaw.ACTIVE_WEDGE if cfg.law == "active" else ForceLaw.PASSIVE_WEDGE
+    soil = load_soil(args.soil)
     result = max_crescent_force(
-        cfg.depth_m,
-        cfg.width_m,
+        args.depth,
+        args.width,
         soil,
-        law,
-        beta_min_deg=cfg.beta_min_deg,
-        beta_max_deg=cfg.beta_max_deg,
+        ForceLaw(args.law),
+        beta_min_deg=args.beta_min,
+        beta_max_deg=args.beta_max,
     )
-    if cfg.out_path is not None:
+    if args.out is not None:
         _write_csv(
-            cfg.out_path,
+            args.out,
             ["beta_deg", "force_N"],
             [[_fmt(beta), _fmt(force)] for beta, force in result.curve],
         )
@@ -420,12 +377,14 @@ def _design_rows(result: GridSearchResult, top: int | None) -> list[list[str]]:
     return rows
 
 
-def run_design(cfg: RunConfig) -> int:
-    space = load_space(cfg.space_path)
-    constraints = load_constraints(cfg.constraints_path)
-    soil = load_soil(cfg.soil_spec)
-    cd_model = CriticalDepthModel(k0=cfg.k0, k1=cfg.k1)
-    result = grid_search(space, soil, constraints, cd_model)
+def run_design(args: argparse.Namespace) -> int:
+    space = load_space(args.space)
+    constraints = load_constraints(args.constraints)
+    # The soil is validated but does not enter the ranking: the present
+    # feasibility checks are geometric.
+    load_soil(args.soil)
+    cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
+    result = grid_search(space, constraints, cd_model)
     header = [
         "radius_m",
         "hinge_height_m",
@@ -436,9 +395,9 @@ def run_design(cfg: RunConfig) -> int:
         "thrust_deg",
         "window_deg",
     ]
-    rows = _design_rows(result, cfg.top)
-    if cfg.out_path is not None:
-        _write_csv(cfg.out_path, header, rows)
+    rows = _design_rows(result, args.top)
+    if args.out is not None:
+        _write_csv(args.out, header, rows)
     print(
         f"evaluated {result.evaluated} designs ({result.invalid} invalid grid points): "
         f"{len(result.ranked)} feasible"
@@ -447,18 +406,18 @@ def run_design(cfg: RunConfig) -> int:
         worst = result.most_common_violation()
         if worst is not None:
             print(f"no feasible designs; most common violation: {worst}")
-    elif cfg.out_path is None:
+    elif args.out is None:
         print(",".join(header))
         for row in rows:
             print(",".join(row))
     return EXIT_OK
 
 
-def run_simulate(cfg: RunConfig) -> int:
-    design = load_design(cfg.design_path)
-    soil = load_soil(cfg.soil_spec)
-    drafts = load_draft_schedule(cfg.schedule_path)
-    cd_model = CriticalDepthModel(k0=cfg.k0, k1=cfg.k1)
+def run_simulate(args: argparse.Namespace) -> int:
+    design = load_design(args.design)
+    soil = load_soil(args.soil)
+    drafts = load_draft_schedule(args.draft_schedule)
+    cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
     steps = predict_series(design, soil, drafts, cd_model)
     header = ["draft_N", "depth_m", "regime", "sustained", "thrust_deg", "rake_deg", "lift_N"]
     rows = [
@@ -473,8 +432,8 @@ def run_simulate(cfg: RunConfig) -> int:
         ]
         for s in steps
     ]
-    if cfg.out_path is not None:
-        _write_csv(cfg.out_path, header, rows)
+    if args.out is not None:
+        _write_csv(args.out, header, rows)
     if steps:
         final = steps[-1]
         print(
@@ -497,25 +456,25 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--log", required=True, type=Path, help="trial-log CSV")
     analyze.add_argument("--out", required=True, type=Path, help="JSON report path")
     analyze.add_argument("--series", type=Path, help="directory for plot-ready CSVs")
-    analyze.add_argument("--push-distance", type=float, help="push distance for efficiency (m)")
+    analyze.add_argument("--push-distance", type=finite, help="push distance for efficiency (m)")
     analyze.add_argument(
-        "--depth-threshold", type=float, default=DEFAULT_DEPTH_JUMP_M,
+        "--depth-threshold", type=finite, default=DEFAULT_DEPTH_JUMP_M,
         help="landslide depth jump threshold (m)",
     )
     analyze.add_argument(
-        "--motion-threshold", type=float, default=DEFAULT_MOTION_JUMP_M,
+        "--motion-threshold", type=finite, default=DEFAULT_MOTION_JUMP_M,
         help="landslide motion jump threshold (m)",
     )
 
     crescent = sub.add_parser("crescent", help="maximize the crescent force over beta")
-    crescent.add_argument("--depth", required=True, type=float, help="tip depth (m)")
-    crescent.add_argument("--width", required=True, type=float, help="spike width (m)")
+    crescent.add_argument("--depth", required=True, type=finite, help="tip depth (m)")
+    crescent.add_argument("--width", required=True, type=finite, help="spike width (m)")
     crescent.add_argument(
         "--soil", required=True, help="soil JSON file, preset:dry, or preset:moist"
     )
     crescent.add_argument("--law", choices=("active", "passive"), default="active")
-    crescent.add_argument("--beta-min", type=float, help="scan lower bound (deg)")
-    crescent.add_argument("--beta-max", type=float, help="scan upper bound (deg)")
+    crescent.add_argument("--beta-min", type=finite, help="scan lower bound (deg)")
+    crescent.add_argument("--beta-max", type=finite, help="scan upper bound (deg)")
     crescent.add_argument("--out", type=Path, help="curve CSV path")
 
     design = sub.add_parser("design", help="grid-search a design space")
@@ -524,53 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--soil", default="preset:dry", help="soil file or preset")
     design.add_argument("--top", type=int, help="keep only the N best designs")
     design.add_argument("--out", type=Path, help="ranked CSV path")
-    design.add_argument("--k0", type=float, default=6.0, help="critical-depth aspect ratio")
-    design.add_argument("--k1", type=float, default=1.0, help="critical-depth rake sensitivity")
+    design.add_argument("--k0", type=finite, default=6.0, help="critical-depth aspect ratio")
+    design.add_argument("--k1", type=finite, default=1.0, help="critical-depth rake sensitivity")
 
     simulate = sub.add_parser("simulate", help="forward model a draft schedule")
     simulate.add_argument("--design", required=True, type=Path, help="design JSON")
     simulate.add_argument("--soil", required=True, help="soil file or preset")
     simulate.add_argument("--draft-schedule", required=True, type=Path, help="schedule CSV")
     simulate.add_argument("--out", type=Path, help="predicted series CSV path")
-    simulate.add_argument("--k0", type=float, default=6.0, help="critical-depth aspect ratio")
-    simulate.add_argument("--k1", type=float, default=1.0, help="critical-depth rake sensitivity")
+    simulate.add_argument("--k0", type=finite, default=6.0, help="critical-depth aspect ratio")
+    simulate.add_argument("--k1", type=finite, default=1.0, help="critical-depth rake sensitivity")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command == "analyze":
-        cfg.log_path = args.log
-        cfg.out_path = args.out
-        cfg.series_dir = args.series
-        cfg.push_distance_m = args.push_distance
-        cfg.depth_threshold_m = args.depth_threshold
-        cfg.motion_threshold_m = args.motion_threshold
-    elif args.command == "crescent":
-        cfg.depth_m = args.depth
-        cfg.width_m = args.width
-        cfg.soil_spec = args.soil
-        cfg.law = args.law
-        cfg.beta_min_deg = args.beta_min
-        cfg.beta_max_deg = args.beta_max
-        cfg.out_path = args.out
-    elif args.command == "design":
-        cfg.space_path = args.space
-        cfg.constraints_path = args.constraints
-        cfg.soil_spec = args.soil
-        cfg.top = args.top
-        cfg.out_path = args.out
-        cfg.k0 = args.k0
-        cfg.k1 = args.k1
-    elif args.command == "simulate":
-        cfg.design_path = args.design
-        cfg.soil_spec = args.soil
-        cfg.schedule_path = args.draft_schedule
-        cfg.out_path = args.out
-        cfg.k0 = args.k0
-        cfg.k1 = args.k1
-    return cfg
 
 
 _COMMANDS = {
@@ -584,9 +508,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (TrialLogError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

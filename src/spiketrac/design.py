@@ -11,12 +11,13 @@ depth under conservative tip application.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterator
 
-from .geometry import SpikeDesign, penetration_window_margin, thrust_angle
-from .soilmech import CriticalDepthModel, SoilProperties, critical_depth
+from .geometry import SpikeDesign, penetration_window_margin, rake_angle, thrust_angle
+from .soilmech import CriticalDepthModel, critical_depth
 
 
 @dataclass(frozen=True)
@@ -67,29 +68,19 @@ class DesignSpace:
     diameter_mm: ParameterRange
     design_depth_m: ParameterRange
 
-    def size(self) -> int:
-        total = 1
-        for f in fields(self):
-            total *= len(getattr(self, f.name).values())
-        return total
+    def _values(self) -> list[list[float]]:
+        return [getattr(self, f.name).values() for f in fields(self)]
 
-    def candidates(self) -> Iterator[SpikeDesign | None]:
-        """All grid points in field order; None for invalid geometry."""
-        for radius in self.radius_m.values():
-            for hinge in self.hinge_height_m.values():
-                for rake in self.initial_rake_deg.values():
-                    for diameter in self.diameter_mm.values():
-                        for depth in self.design_depth_m.values():
-                            try:
-                                yield SpikeDesign(
-                                    radius_m=radius,
-                                    hinge_height_m=hinge,
-                                    initial_rake_deg=rake,
-                                    diameter_mm=diameter,
-                                    design_depth_m=depth,
-                                )
-                            except ValueError:
-                                yield None
+    def size(self) -> int:
+        return math.prod(len(values) for values in self._values())
+
+    def candidates(self) -> Iterator[tuple[float, ...]]:
+        """All grid points, in field order, as ``SpikeDesign`` positional arguments.
+
+        A point may describe an impossible geometry (for example a design
+        depth beyond ``radius - hinge``); building its design raises.
+        """
+        return itertools.product(*self._values())
 
 
 @dataclass(frozen=True)
@@ -159,17 +150,14 @@ def pull_weight_ratio(
 
 def evaluate_design(
     design: SpikeDesign,
-    soil: SoilProperties,
     constraints: DesignConstraints = DesignConstraints(),
     cd_model: CriticalDepthModel = CriticalDepthModel(),
 ) -> DesignEvaluation:
     """Check a design against the constraints; infeasibility is a result.
 
-    The soil argument is carried for interface parity with force-model
-    extensions; the present checks are purely geometric plus the
-    critical-depth stub.
+    The checks are purely geometric plus the critical-depth stub, so no
+    soil enters them.
     """
-    del soil  # reserved for force-based checks
     violations: list[Violation] = []
 
     thrust = thrust_angle(design, design.design_depth_m)
@@ -204,10 +192,7 @@ def evaluate_design(
 
     zc: float | None = None
     if constraints.require_lateral_at_design_depth:
-        rake = design.initial_rake_deg + (thrust - thrust_angle(design, 0.0))
-        # Deep designs can rotate the spike past vertical; the stub tops
-        # out just below 90 deg and is nondecreasing in rake.
-        zc = critical_depth(design.width_m, min(rake, 90.0 - 1e-9), cd_model)
+        zc = critical_depth(design.width_m, rake_angle(design, design.design_depth_m), cd_model)
         if design.design_depth_m <= zc:
             violations.append(
                 Violation(
@@ -232,7 +217,6 @@ def evaluate_design(
 
 def grid_search(
     space: DesignSpace,
-    soil: SoilProperties,
     constraints: DesignConstraints = DesignConstraints(),
     cd_model: CriticalDepthModel = CriticalDepthModel(),
 ) -> GridSearchResult:
@@ -246,12 +230,14 @@ def grid_search(
     violation_counts: dict[str, int] = {}
     evaluated = 0
     invalid = 0
-    for candidate in space.candidates():
-        if candidate is None:
+    for point in space.candidates():
+        try:
+            candidate = SpikeDesign(*point)
+        except ValueError:
             invalid += 1
             continue
         evaluated += 1
-        evaluation = evaluate_design(candidate, soil, constraints, cd_model)
+        evaluation = evaluate_design(candidate, constraints, cd_model)
         if evaluation.feasible:
             ranked.append(RankedDesign(design=candidate, evaluation=evaluation))
         else:

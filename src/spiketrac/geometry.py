@@ -170,9 +170,11 @@ def rake_angle(design: SpikeDesign, depth_m: float) -> float:
 
 def spike_state(design: SpikeDesign, depth_m: float) -> SpikeState:
     """Full pose (depth, thrust, rake) at a tip depth."""
-    gamma = thrust_angle(design, depth_m)
-    rake = design.initial_rake_deg + (gamma - thrust_angle(design, 0.0))
-    return SpikeState(depth_m=depth_m, thrust_deg=gamma, rake_deg=rake)
+    return SpikeState(
+        depth_m=depth_m,
+        thrust_deg=thrust_angle(design, depth_m),
+        rake_deg=rake_angle(design, depth_m),
+    )
 
 
 def penetration_window_margin(design: SpikeDesign) -> WindowMargin:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import SpikeDesign, lifting_force, spike_state
+from .geometry import SpikeDesign, lifting_force, rake_angle, spike_state
 from .soilmech import (
     CriticalDepthModel,
     FailureMode,
@@ -59,10 +59,7 @@ def lateral_onset_depth(
     width = design.width_m
 
     def excess(z: float) -> float:
-        # Clamp: deep poses can rake the spike past vertical, where the
-        # stub tops out (it is nondecreasing in rake).
-        rake = min(spike_state(design, z).rake_deg, 90.0 - 1e-9)
-        return z - critical_depth(width, rake, cd_model)
+        return z - critical_depth(width, rake_angle(design, z), cd_model)
 
     samples = 1000
     z_max = design.design_depth_m

@@ -110,6 +110,32 @@ def _check_beta(beta_deg: float) -> None:
         raise ValueError(f"beta_deg ({beta_deg}) must lie in (0, 90)")
 
 
+def _volume(depth_m, width_m: float, cot):
+    """Crescent volume from cot(beta); scalar or array."""
+    return 0.5 * width_m * depth_m**2 * cot + (math.pi / 6.0) * depth_m**3 * cot**2
+
+
+def _crescent_forces(
+    depth_m: float, width_m: float, soil: SoilProperties, law: ForceLaw, betas
+):
+    """Horizontal crescent force at each shear angle in ``betas`` (degrees)."""
+    cot = 1.0 / np.tan(np.radians(betas))
+    weight = soil.bulk_density_kg_m3 * soil.gravity_m_s2 * _volume(depth_m, width_m, cot)
+    phi = soil.friction_angle_deg
+    if law is ForceLaw.ACTIVE_WEDGE:
+        factor = np.where(betas > phi, np.tan(np.radians(betas - phi)), 0.0)
+    else:
+        factor = np.tan(np.radians(betas + phi))
+    return weight * factor
+
+
+def _check_depth_width(depth_m: float, width_m: float) -> None:
+    if depth_m < 0:
+        raise ValueError(f"depth_m ({depth_m}) must be >= 0")
+    if width_m <= 0:
+        raise ValueError(f"width_m ({width_m}) must be positive")
+
+
 def crescent_volume(depth_m: float, beta_deg: float, width_m: float) -> float:
     """Volume of the lifted crescent for a shear plane at beta.
 
@@ -117,12 +143,8 @@ def crescent_volume(depth_m: float, beta_deg: float, width_m: float) -> float:
     two quarter-cone side bodies.  Zero at the surface.
     """
     _check_beta(beta_deg)
-    if depth_m < 0:
-        raise ValueError(f"depth_m ({depth_m}) must be >= 0")
-    if width_m <= 0:
-        raise ValueError(f"width_m ({width_m}) must be positive")
-    cot = 1.0 / math.tan(math.radians(beta_deg))
-    return 0.5 * width_m * depth_m**2 * cot + (math.pi / 6.0) * depth_m**3 * cot**2
+    _check_depth_width(depth_m, width_m)
+    return _volume(depth_m, width_m, 1.0 / math.tan(math.radians(beta_deg)))
 
 
 def crescent_force(
@@ -140,23 +162,14 @@ def crescent_force(
     (the wedge jams otherwise).
     """
     _check_beta(beta_deg)
-    if depth_m < 0:
-        raise ValueError(f"depth_m ({depth_m}) must be >= 0")
-    if width_m <= 0:
-        raise ValueError(f"width_m ({width_m}) must be positive")
+    _check_depth_width(depth_m, width_m)
     phi = soil.friction_angle_deg
     if law is ForceLaw.PASSIVE_WEDGE and beta_deg + phi >= 90.0:
         raise ValueError(
             f"passive wedge jams: beta_deg + friction_angle_deg = "
             f"{beta_deg + phi} must stay below 90"
         )
-    if law is ForceLaw.ACTIVE_WEDGE and beta_deg <= phi:
-        return 0.0
-    volume = crescent_volume(depth_m, beta_deg, width_m)
-    weight = soil.bulk_density_kg_m3 * soil.gravity_m_s2 * volume
-    if law is ForceLaw.ACTIVE_WEDGE:
-        return weight * math.tan(math.radians(beta_deg - phi))
-    return weight * math.tan(math.radians(beta_deg + phi))
+    return float(_crescent_forces(depth_m, width_m, soil, law, beta_deg))
 
 
 def _scan_bounds(
@@ -199,23 +212,11 @@ def max_crescent_force(
     """
     if step_deg <= 0:
         raise ValueError(f"step_deg ({step_deg}) must be positive")
-    if depth_m < 0:
-        raise ValueError(f"depth_m ({depth_m}) must be >= 0")
-    if width_m <= 0:
-        raise ValueError(f"width_m ({width_m}) must be positive")
+    _check_depth_width(depth_m, width_m)
     lo, hi = _scan_bounds(soil, law, beta_min_deg, beta_max_deg)
     n = int(math.floor((hi - lo) / step_deg + 1e-9))
     betas = lo + step_deg * np.arange(n + 1)
-
-    cot = 1.0 / np.tan(np.radians(betas))
-    volume = 0.5 * width_m * depth_m**2 * cot + (math.pi / 6.0) * depth_m**3 * cot**2
-    weight = soil.bulk_density_kg_m3 * soil.gravity_m_s2 * volume
-    phi = soil.friction_angle_deg
-    if law is ForceLaw.ACTIVE_WEDGE:
-        factor = np.where(betas > phi, np.tan(np.radians(betas - phi)), 0.0)
-    else:
-        factor = np.tan(np.radians(betas + phi))
-    forces = weight * factor
+    forces = _crescent_forces(depth_m, width_m, soil, law, betas)
 
     best = int(np.argmax(forces))  # first occurrence wins ties: smaller beta
     curve = tuple(zip(betas.tolist(), forces.tolist()))
@@ -235,12 +236,15 @@ def critical_depth(
 
     z_c = k0 * w * (1 + k1 * (rake - 45)/45), clamped at zero.  Increasing
     in rake; proportional to width, so the depth/width ratio at the
-    transition is width-independent.
+    transition is width-independent.  A deep pose can rotate the spike
+    past vertical, so rakes in (0, 180) are accepted; the stub tops out
+    just below 90 degrees and any rake beyond that is evaluated there.
     """
     if width_m <= 0:
         raise ValueError(f"width_m ({width_m}) must be positive")
-    if not 0 < rake_deg < 90:
-        raise ValueError(f"rake_deg ({rake_deg}) must lie in (0, 90)")
+    if not 0 < rake_deg < 180:
+        raise ValueError(f"rake_deg ({rake_deg}) must lie in (0, 180)")
+    rake_deg = min(rake_deg, 90.0 - 1e-9)
     zc = model.k0 * width_m * (1.0 + model.k1 * (rake_deg - 45.0) / 45.0)
     return max(zc, 0.0)
 

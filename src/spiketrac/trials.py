@@ -22,7 +22,7 @@ Steps are strictly increasing, basket mass and motion non-decreasing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -37,15 +37,6 @@ DEFAULT_DEPTH_JUMP_M = 0.01
 DEFAULT_MOTION_JUMP_M = 0.01
 
 _HEADER_COLUMNS = "step,basket_kg,motion_mm,incl_deg"
-_METADATA_KEYS = (
-    "site",
-    "diameter_mm",
-    "radius_m",
-    "hinge_m",
-    "rake0_deg",
-    "vehicle_kg",
-    "pulley_mu",
-)
 
 
 class TrialLogError(ValueError):
@@ -135,6 +126,10 @@ class TrialMetadata:
         return VehicleConfig(total_mass_kg=self.vehicle_kg)
 
 
+# Header keys in file order; every one but ``site`` is a number.
+_METADATA_KEYS = tuple(f.name for f in fields(TrialMetadata))
+
+
 @dataclass(frozen=True)
 class TrialLog:
     metadata: TrialMetadata
@@ -215,15 +210,8 @@ def _parse_metadata(line: str) -> TrialMetadata:
     if site not in ("dry", "moist"):
         raise TrialLogError(f"site ({site!r}) must be 'dry' or 'moist'", line=1)
     try:
-        return TrialMetadata(
-            site=site,
-            diameter_mm=float(pairs["diameter_mm"]),
-            radius_m=float(pairs["radius_m"]),
-            hinge_m=float(pairs["hinge_m"]),
-            rake0_deg=float(pairs["rake0_deg"]),
-            vehicle_kg=float(pairs["vehicle_kg"]),
-            pulley_mu=float(pairs["pulley_mu"]),
-        )
+        numbers = {key: float(pairs[key]) for key in _METADATA_KEYS if key != "site"}
+        return TrialMetadata(site=site, **numbers)
     except ValueError as exc:
         raise TrialLogError(f"bad metadata value: {exc}", line=1) from exc
 
@@ -298,17 +286,11 @@ def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
 
 def write_trial_log(log: TrialLog, target: str | Path | IO[str]) -> None:
     """Write a trial log in the CSV schema; round-trips exactly through parse."""
-    meta = log.metadata
-    header = "# site={} diameter_mm={!r} radius_m={!r} hinge_m={!r} rake0_deg={!r} vehicle_kg={!r} pulley_mu={!r}".format(
-        meta.site,
-        meta.diameter_mm,
-        meta.radius_m,
-        meta.hinge_m,
-        meta.rake0_deg,
-        meta.vehicle_kg,
-        meta.pulley_mu,
+    pairs = (
+        f"{key}={value if key == 'site' else repr(value)}"
+        for key, value in asdict(log.metadata).items()
     )
-    lines = [header, _HEADER_COLUMNS]
+    lines = ["# " + " ".join(pairs), _HEADER_COLUMNS]
     for step in log.steps:
         lines.append(f"{step.index},{step.basket_kg!r},{step.motion_mm!r},{step.incl_deg!r}")
     text = "\n".join(lines) + "\n"

@@ -365,7 +365,7 @@ def _brute_force_ranking(space, constraints):
             invalid += 1
             continue
         evaluated += 1
-        evaluation = evaluate_design(design, DRY_SAND, constraints)
+        evaluation = evaluate_design(design, constraints)
         if evaluation.feasible:
             feasible.append((design, evaluation))
     feasible.sort(key=lambda de: (-de[1].objective, de[0].radius_m, de[0].diameter_mm))
@@ -377,7 +377,7 @@ def _brute_force_ranking(space, constraints):
 def test_criterion_7_grid_search_matches_brute_force(c7_timer, case):
     space, constraints = case
     assert space.size() <= 100
-    result = grid_search(space, DRY_SAND, constraints)
+    result = grid_search(space, constraints)
     expected, evaluated, invalid = _brute_force_ranking(space, constraints)
     assert result.evaluated == evaluated
     assert result.invalid == invalid

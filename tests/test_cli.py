@@ -169,6 +169,15 @@ class TestCrescent:
         code = run("crescent", "--depth", "0.3", "--width", "0.021", "--soil", "preset:mud")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--depth", "--width", "--beta-min"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_exits_2(self, flag, value, capsys):
+        flags = {"--depth": "0.3", "--width": "0.021", "--beta-min": "40", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            run("crescent", "--soil", "preset:dry", *(f"{k}={v}" for k, v in flags.items()))
+        assert exc.value.code == 2
+        assert f"invalid finite value: '{value}'" in capsys.readouterr().err
+
 
 class TestDesign:
     @staticmethod
@@ -235,6 +244,13 @@ class TestDesign:
         assert run("design", "--space", str(space)) == 2
         assert "missing keys" in capsys.readouterr().err
 
+    def test_non_finite_space_step_exits_2(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        self.write_space(space)
+        space.write_text(space.read_text().replace('"step": 0.01', '"step": NaN'))
+        assert run("design", "--space", str(space)) == 2
+        assert "NaN is not a finite number" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_schedule_to_csv(self, tmp_path, capsys):
@@ -272,13 +288,41 @@ class TestSimulate:
             "--draft-schedule", str(schedule),
         ) == 2
 
-    def test_unknown_design_key_exits_2(self, tmp_path, capsys):
-        design = tmp_path / "design.json"
-        design.write_text(json.dumps({"radius_m": 1.34, "length_m": 2.0}))
-        schedule = tmp_path / "drafts.csv"
-        schedule.write_text("draft_N\n")
-        assert run(
-            "simulate", "--design", str(design), "--soil", "preset:dry",
-            "--draft-schedule", str(schedule),
-        ) == 2
-        assert "unknown keys" in capsys.readouterr().err
+    @staticmethod
+    def write_inputs(tmp_path, design=None, schedule="draft_N\n"):
+        design_path = tmp_path / "design.json"
+        design_path.write_text(design or json.dumps({"radius_m": 1.34, "design_depth_m": 0.5}))
+        schedule_path = tmp_path / "drafts.csv"
+        schedule_path.write_text(schedule)
+        return ["--design", str(design_path), "--draft-schedule", str(schedule_path)]
+
+    @pytest.mark.parametrize("kind", ["soil", "design", "constraints"])
+    def test_unknown_design_key_exits_2(self, kind, tmp_path, capsys):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps({"radius_m": 1.34, "length_m": 2.0}))
+        if kind == "constraints":
+            space = tmp_path / "space.json"
+            TestDesign.write_space(space)
+            argv = ["design", "--space", str(space), "--constraints", str(bad)]
+        elif kind == "soil":
+            argv = ["simulate", *self.write_inputs(tmp_path), "--soil", str(bad)]
+        else:
+            inputs = self.write_inputs(tmp_path, design=bad.read_text())
+            argv = ["simulate", *inputs, "--soil", "preset:dry"]
+        assert run(*argv) == 2
+        assert f"{kind} file" in (err := capsys.readouterr().err)
+        assert "unknown keys" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_design_value_exits_2(self, literal, tmp_path, capsys):
+        design = '{"radius_m": 1.34, "design_depth_m": 0.5, "diameter_mm": %s}' % literal
+        argv = self.write_inputs(tmp_path, design=design, schedule="draft_N\n100\n")
+        assert run("simulate", *argv, "--soil", "preset:dry") == 2
+        assert f"{literal} is not a finite number" in capsys.readouterr().err
+
+    def test_decreasing_schedule_exits_2(self, tmp_path, capsys):
+        argv = self.write_inputs(tmp_path, schedule="draft_N\n2000\n1\n")
+        assert run("simulate", *argv, "--soil", "preset:dry") == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err
+        assert "decreased" in err

@@ -5,7 +5,6 @@ import pytest
 from conftest import LARGE_FIELD_DESIGN
 
 from spiketrac import (
-    DRY_SAND,
     CriticalDepthModel,
     DesignConstraints,
     DesignSpace,
@@ -54,7 +53,7 @@ class TestPullWeightRatio:
 
 class TestEvaluateDesign:
     def test_field_design_fails_default_constraints(self):
-        evaluation = evaluate_design(LARGE_FIELD_DESIGN, DRY_SAND)
+        evaluation = evaluate_design(LARGE_FIELD_DESIGN)
         assert not evaluation.feasible
         checks = {v.check: v for v in evaluation.violations}
         assert set(checks) == {"max_thrust", "penetration_window"}
@@ -66,7 +65,7 @@ class TestEvaluateDesign:
             radius_m=1.5, hinge_height_m=0.09, initial_rake_deg=30.0,
             diameter_mm=21.0, design_depth_m=0.40,
         )
-        evaluation = evaluate_design(design, DRY_SAND)
+        evaluation = evaluate_design(design)
         assert evaluation.feasible
         assert evaluation.thrust_deg == pytest.approx(19.06658010065587)
         assert evaluation.window_deg == pytest.approx(26.560187232484804)
@@ -80,7 +79,7 @@ class TestEvaluateDesign:
             radius_m=1.5, hinge_height_m=0.09, initial_rake_deg=30.0,
             diameter_mm=80.0, design_depth_m=0.40,
         )
-        evaluation = evaluate_design(shallow, DRY_SAND, constraints)
+        evaluation = evaluate_design(shallow, constraints)
         assert any(v.check == "critical_depth" for v in evaluation.violations)
         assert evaluation.critical_depth_m is not None
 
@@ -89,8 +88,8 @@ class TestEvaluateDesign:
             SpikeDesign(radius_m=1.0, hinge_height_m=0.09, design_depth_m=0.95)
 
     def test_deterministic(self):
-        first = evaluate_design(LARGE_FIELD_DESIGN, DRY_SAND)
-        second = evaluate_design(LARGE_FIELD_DESIGN, DRY_SAND)
+        first = evaluate_design(LARGE_FIELD_DESIGN)
+        second = evaluate_design(LARGE_FIELD_DESIGN)
         assert first == second
 
 
@@ -115,7 +114,7 @@ class TestGridSearch:
             diameter_mm=point(21.0),
             design_depth_m=point(0.40),
         )
-        result = grid_search(space, DRY_SAND)
+        result = grid_search(space)
         assert result.evaluated == 1
         assert len(result.ranked) == 1
         assert result.ranked[0].design.radius_m == 1.5
@@ -132,7 +131,7 @@ class TestGridSearch:
             diameter_mm=ParameterRange(21.0, 34.0, 13.0),
             design_depth_m=point(0.40),
         )
-        result = grid_search(space, DRY_SAND)
+        result = grid_search(space)
         assert len(result.ranked) == 2
         objectives = [r.evaluation.objective for r in result.ranked]
         assert objectives[0] == objectives[1]
@@ -146,7 +145,7 @@ class TestGridSearch:
             diameter_mm=point(12.0),
             design_depth_m=point(0.15),
         )
-        result = grid_search(space, DRY_SAND)
+        result = grid_search(space)
         assert result.ranked == ()
         assert result.evaluated == 2
         assert result.violation_counts["penetration_window"] == 2
@@ -161,7 +160,7 @@ class TestGridSearch:
             diameter_mm=point(21.0),
             design_depth_m=point(0.40),
         )
-        result = grid_search(space, DRY_SAND)
+        result = grid_search(space)
         assert result.invalid == 1
         assert result.evaluated == 1
 
@@ -173,7 +172,7 @@ class TestGridSearch:
             diameter_mm=point(21.0),
             design_depth_m=point(0.40),
         )
-        result = grid_search(space, DRY_SAND)
+        result = grid_search(space)
 
         feasible = []
         for radius, rake in itertools.product(
@@ -183,7 +182,7 @@ class TestGridSearch:
                 radius_m=radius, hinge_height_m=0.09, initial_rake_deg=rake,
                 diameter_mm=21.0, design_depth_m=0.40,
             )
-            evaluation = evaluate_design(design, DRY_SAND)
+            evaluation = evaluate_design(design)
             if evaluation.feasible:
                 feasible.append((design, evaluation))
         feasible.sort(key=lambda de: (-de[1].objective, de[0].radius_m, de[0].diameter_mm))
@@ -200,6 +199,6 @@ class TestGridSearch:
         )
         constraints = DesignConstraints(require_lateral_at_design_depth=True)
         # Huge k0 puts the critical depth out of reach, so nothing passes.
-        result = grid_search(space, DRY_SAND, constraints, CriticalDepthModel(k0=100.0))
+        result = grid_search(space, constraints, CriticalDepthModel(k0=100.0))
         assert result.ranked == ()
         assert result.violation_counts == {"critical_depth": 1}

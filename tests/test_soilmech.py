@@ -184,6 +184,12 @@ class TestCriticalDepth:
         model = CriticalDepthModel(k0=6.0, k1=3.0)
         assert critical_depth(0.021, 10.0, model) == 0.0
 
+    def test_rake_past_vertical_tops_out(self):
+        assert critical_depth(0.021, 95.0) == critical_depth(0.021, 90.0 - 1e-9)
+        for rake in (0.0, 180.0, math.nan):
+            with pytest.raises(ValueError, match="rake_deg"):
+                critical_depth(0.021, rake)
+
 
 class TestFailureMode:
     def test_surface_is_crescent(self):
