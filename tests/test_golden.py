@@ -48,6 +48,11 @@ CASES = {
         "design", "--space", "space.json", "--constraints", "constraints.json",
         "--soil", "preset:moist", "--out", "ranked.csv",
     ],
+    # A shallower, less rake-sensitive critical depth under the lateral check.
+    "design-k": [
+        "design", "--space", "space.json", "--constraints", "constraints.json",
+        "--k0", "2.5", "--k1", "0.5", "--out", "ranked.csv",
+    ],
     "design-stdout": ["design", "--space", "space.json", "--top", "3"],
     "simulate": [
         "simulate", "--design", "design.json", "--soil", "preset:dry",
