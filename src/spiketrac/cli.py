@@ -113,6 +113,14 @@ def finite(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1 from text; the type of count flags."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text} is not a positive integer")
+    return value
+
+
 def _load_json(path: Path, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -134,10 +142,27 @@ def _check_keys(data: dict, allowed: set[str], path: Path, what: str) -> None:
         raise ConfigError(f"{what} file {path}: unknown keys {', '.join(unknown)}")
 
 
+def _check_types(cls, data: dict, where: str) -> None:
+    """Reject a JSON value of the wrong kind for a float or bool field.
+
+    Python counts ``true`` as the number 1 and ``"false"`` as true, so
+    neither may stand in for the other.
+    """
+    for f in fields(cls):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"{where}: {f.name} must be a number, not {json.dumps(value)}")
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{where}: {f.name} must be true or false, not {json.dumps(value)}")
+
+
 def _load_dataclass(cls, path: Path, what: str):
     """A ``cls`` built from a JSON object whose keys are its field names."""
     data = _load_json(path, what)
     _check_keys(data, {f.name for f in fields(cls)}, path, what)
+    _check_types(cls, data, f"{what} file {path}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -177,6 +202,7 @@ def load_space(path: Path) -> DesignSpace:
             raise ConfigError(
                 f"design-space file {path}: {name} must be an object with start, stop, step"
             )
+        _check_types(ParameterRange, entry, f"design-space file {path}: {name}")
         try:
             ranges[name] = ParameterRange(**entry)
         except ValueError as exc:
@@ -481,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--space", required=True, type=Path, help="design-space JSON")
     design.add_argument("--constraints", type=Path, help="constraints JSON (defaults apply)")
     design.add_argument("--soil", default="preset:dry", help="soil file or preset")
-    design.add_argument("--top", type=int, help="keep only the N best designs")
+    design.add_argument("--top", type=positive_int, help="keep only the N best designs (N >= 1)")
     design.add_argument("--out", type=Path, help="ranked CSV path")
     design.add_argument("--k0", type=finite, default=6.0, help="critical-depth aspect ratio")
     design.add_argument("--k1", type=finite, default=1.0, help="critical-depth rake sensitivity")
@@ -510,7 +536,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TrialLogError, ConfigError) as exc:
+    except (TrialLogError, ConfigError, UnicodeDecodeError) as exc:
+        # An input that is not UTF-8 text cannot be parsed at all.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -11,13 +11,13 @@ depth under conservative tip application.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, fields
-from typing import Iterator
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .geometry import SpikeDesign, penetration_window_margin, rake_angle, thrust_angle
-from .soilmech import CriticalDepthModel, critical_depth
+from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,8 @@ class DesignSpace:
     def size(self) -> int:
         return math.prod(len(values) for values in self._values())
 
-    def candidates(self) -> Iterator[tuple[float, ...]]:
-        """All grid points, in field order, as ``SpikeDesign`` positional arguments.
 
-        A point may describe an impossible geometry (for example a design
-        depth beyond ``radius - hinge``); building its design raises.
-        """
-        return itertools.product(*self._values())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One failed feasibility check; margin is the amount by which it failed."""
 
@@ -92,7 +84,7 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignEvaluation:
     feasible: bool
     violations: tuple[Violation, ...]
@@ -102,7 +94,7 @@ class DesignEvaluation:
     critical_depth_m: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedDesign:
     design: SpikeDesign
     evaluation: DesignEvaluation
@@ -148,6 +140,28 @@ def pull_weight_ratio(
     return 1.0 / tangent
 
 
+def _failed_checks(
+    constraints: DesignConstraints,
+    thrust_deg,
+    window_deg,
+    depth_m,
+    critical_depth_m,
+) -> dict:
+    """Whether each feasibility check fails, by check name.
+
+    Takes scalars or broadcastable arrays.  The critical-depth check is
+    made only when the constraints require the lateral regime.
+    """
+    failed = {
+        "max_thrust": thrust_deg > constraints.max_thrust_deg,
+        "penetration_window": (window_deg <= constraints.window_low_deg)
+        | (window_deg >= constraints.window_high_deg),
+    }
+    if constraints.require_lateral_at_design_depth:
+        failed["critical_depth"] = depth_m <= critical_depth_m
+    return failed
+
+
 def evaluate_design(
     design: SpikeDesign,
     constraints: DesignConstraints = DesignConstraints(),
@@ -158,10 +172,16 @@ def evaluate_design(
     The checks are purely geometric plus the critical-depth stub, so no
     soil enters them.
     """
-    violations: list[Violation] = []
+    depth = design.design_depth_m
+    thrust = thrust_angle(design, depth)
+    window = penetration_window_margin(design).difference_deg
+    zc: float | None = None
+    if constraints.require_lateral_at_design_depth:
+        zc = critical_depth(design.width_m, rake_angle(design, depth), cd_model)
+    failed = _failed_checks(constraints, thrust, window, depth, zc)
 
-    thrust = thrust_angle(design, design.design_depth_m)
-    if thrust > constraints.max_thrust_deg:
+    violations: list[Violation] = []
+    if failed["max_thrust"]:
         violations.append(
             Violation(
                 check="max_thrust",
@@ -172,9 +192,7 @@ def evaluate_design(
                 ),
             )
         )
-
-    window = penetration_window_margin(design).difference_deg
-    if not constraints.window_low_deg < window < constraints.window_high_deg:
+    if failed["penetration_window"]:
         if window <= constraints.window_low_deg:
             margin = constraints.window_low_deg - window
         else:
@@ -189,30 +207,44 @@ def evaluate_design(
                 ),
             )
         )
-
-    zc: float | None = None
-    if constraints.require_lateral_at_design_depth:
-        zc = critical_depth(design.width_m, rake_angle(design, design.design_depth_m), cd_model)
-        if design.design_depth_m <= zc:
-            violations.append(
-                Violation(
-                    check="critical_depth",
-                    margin=zc - design.design_depth_m,
-                    detail=(
-                        f"design depth {design.design_depth_m:.3f} m does not pass "
-                        f"the critical depth {zc:.3f} m"
-                    ),
-                )
+    if failed.get("critical_depth"):
+        violations.append(
+            Violation(
+                check="critical_depth",
+                margin=zc - depth,
+                detail=(
+                    f"design depth {depth:.3f} m does not pass "
+                    f"the critical depth {zc:.3f} m"
+                ),
             )
+        )
 
     return DesignEvaluation(
         feasible=not violations,
         violations=tuple(violations),
-        objective=pull_weight_ratio(design, design.design_depth_m, 1.0),
+        objective=pull_weight_ratio(design, depth, 1.0),
         thrust_deg=thrust,
         window_deg=window,
         critical_depth_m=zc,
     )
+
+
+def _valid_with(design: SpikeDesign | None, **changes: float) -> bool:
+    """Whether ``design`` with ``changes`` applied is a valid design."""
+    if design is None:
+        return False
+    try:
+        replace(design, **changes)
+    except ValueError:
+        return False
+    return True
+
+
+def _axis(values, position: int) -> np.ndarray:
+    """``values`` laid along one of the five grid axes, for broadcasting."""
+    shape = [1] * 5
+    shape[position] = -1
+    return np.asarray(values).reshape(shape)
 
 
 def grid_search(
@@ -220,39 +252,94 @@ def grid_search(
     constraints: DesignConstraints = DesignConstraints(),
     cd_model: CriticalDepthModel = CriticalDepthModel(),
 ) -> GridSearchResult:
-    """Exhaustively evaluate the grid and rank the feasible designs.
+    """Evaluate every grid point and rank the feasible designs.
 
-    Sorted by objective descending, ties broken by smaller radius then
-    smaller diameter.  Grid points with inconsistent geometry (e.g.
-    design depth beyond the reachable range) are skipped and counted.
+    The grid is the product of the five ranges in field order, evaluated
+    as arrays over that product.  The transcendental parts (thrust at
+    design depth and at the surface, and the objective) depend only on
+    the (radius, hinge, depth) arm, so :func:`thrust_angle` and
+    :func:`pull_weight_ratio` run once per arm.  Window, rake, critical
+    depth and the checks are float64 array arithmetic broadcast over the
+    grid, in the scalar code's operation order, so every point is judged
+    exactly as :func:`evaluate_design` judges it.  Each feasible design's
+    record comes from :func:`evaluate_design`.
+
+    Sorted by objective descending, ties broken by smaller radius, then
+    smaller diameter, then grid order.  Grid points with inconsistent
+    geometry (e.g. design depth beyond the reachable range) are skipped
+    and counted.
     """
-    ranked: list[RankedDesign] = []
-    violation_counts: dict[str, int] = {}
-    evaluated = 0
-    invalid = 0
-    for point in space.candidates():
+    values = space._values()
+    radius, hinge, rake0, diameter, depth = values
+    arms = (len(radius), len(hinge), len(depth))
+    thrust = np.full(arms, np.nan)
+    gamma0 = np.full(arms, np.nan)
+    objective = np.full(arms, np.nan)
+    arm_ok = np.zeros(arms, dtype=bool)
+    arm = None
+    for i, j, k in np.ndindex(*arms):
         try:
-            candidate = SpikeDesign(*point)
+            # The default rake and diameter are valid: this checks the arm.
+            arm = SpikeDesign(radius[i], hinge[j], design_depth_m=depth[k])
         except ValueError:
-            invalid += 1
             continue
-        evaluated += 1
-        evaluation = evaluate_design(candidate, constraints, cd_model)
-        if evaluation.feasible:
-            ranked.append(RankedDesign(design=candidate, evaluation=evaluation))
-        else:
-            for violation in evaluation.violations:
-                violation_counts[violation.check] = violation_counts.get(violation.check, 0) + 1
-    ranked.sort(
-        key=lambda item: (
-            -item.evaluation.objective,
-            item.design.radius_m,
-            item.design.diameter_mm,
-        )
+        arm_ok[i, j, k] = True
+        thrust[i, j, k] = thrust_angle(arm, depth[k])
+        gamma0[i, j, k] = thrust_angle(arm, 0.0)
+        objective[i, j, k] = pull_weight_ratio(arm, depth[k])
+
+    # Validity is separable: a rake or a diameter is valid when the last
+    # valid arm's design stays valid with it swapped in.
+    per_arm = (slice(None), slice(None), None, None, slice(None))
+    valid = (
+        arm_ok[per_arm]
+        & _axis([_valid_with(arm, initial_rake_deg=a) for a in rake0], 2)
+        & _axis([_valid_with(arm, diameter_mm=d) for d in diameter], 3)
     )
+
+    rake0_grid = _axis(rake0, 2)
+    window = rake0_grid - gamma0[per_arm]
+    zc = None
+    if constraints.require_lateral_at_design_depth:
+        rake = rake0_grid + (thrust[per_arm] - gamma0[per_arm])
+        width = _axis(diameter, 3) / 1000.0
+        # The first point critical_depth rejects (a width that underflows
+        # to zero) stops the search with its error.
+        rejected = np.flatnonzero(valid & ~((width > 0) & (rake > 0) & (rake < 180)))
+        if rejected.size:
+            index = np.unravel_index(rejected[0], valid.shape)
+            point = [axis[i] for axis, i in zip(values, index)]
+            evaluate_design(SpikeDesign(*point), constraints, cd_model)
+        zc = critical_depths(width, rake, cd_model)
+    failed = _failed_checks(constraints, thrust[per_arm], window, _axis(depth, 4), zc)
+
+    feasible = valid.copy()
+    violation_counts: dict[str, int] = {}
+    for check, failing in failed.items():
+        count = int(np.count_nonzero(valid & failing))
+        if count:
+            violation_counts[check] = count
+        feasible &= ~failing
+
+    index = np.unravel_index(np.flatnonzero(feasible), feasible.shape)
+    ir, ih, _, idiam, iz = index
+    order = np.lexsort(
+        (np.asarray(diameter)[idiam], np.asarray(radius)[ir], -objective[ir, ih, iz])
+    )
+    columns = (
+        [axis[i] for i in axis_index[order].tolist()] for axis, axis_index in zip(values, index)
+    )
+    ranked = []
+    for point in zip(*columns):
+        design = SpikeDesign(*point)
+        evaluation = evaluate_design(design, constraints, cd_model)
+        if not evaluation.feasible:
+            raise RuntimeError(f"grid search kept an infeasible design: {design}")
+        ranked.append(RankedDesign(design=design, evaluation=evaluation))
+    evaluated = int(np.count_nonzero(valid))
     return GridSearchResult(
         ranked=tuple(ranked),
         evaluated=evaluated,
-        invalid=invalid,
+        invalid=valid.size - evaluated,
         violation_counts=violation_counts,
     )

@@ -32,7 +32,7 @@ DEFAULT_HINGE_HEIGHT_M = 0.09
 PENETRATION_WINDOW_DEG = (15.0, 35.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpikeDesign:
     """Geometry of one articulated spike.
 

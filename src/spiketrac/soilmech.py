@@ -227,6 +227,15 @@ def max_crescent_force(
     )
 
 
+# The stub tops out just below a vertical spike.
+_MAX_RAKE_DEG = 90.0 - 1e-9
+
+
+def _critical_depth(width_m, rake_deg, model: CriticalDepthModel):
+    """z_c = k0 * w * (1 + k1 * (rake - 45)/45) before the clamps; scalar or array."""
+    return model.k0 * width_m * (1.0 + model.k1 * (rake_deg - 45.0) / 45.0)
+
+
 def critical_depth(
     width_m: float,
     rake_deg: float,
@@ -244,9 +253,19 @@ def critical_depth(
         raise ValueError(f"width_m ({width_m}) must be positive")
     if not 0 < rake_deg < 180:
         raise ValueError(f"rake_deg ({rake_deg}) must lie in (0, 180)")
-    rake_deg = min(rake_deg, 90.0 - 1e-9)
-    zc = model.k0 * width_m * (1.0 + model.k1 * (rake_deg - 45.0) / 45.0)
-    return max(zc, 0.0)
+    return max(_critical_depth(width_m, min(rake_deg, _MAX_RAKE_DEG), model), 0.0)
+
+
+def critical_depths(width_m, rake_deg, model: CriticalDepthModel = CriticalDepthModel()):
+    """:func:`critical_depth` over broadcast arrays of widths and rakes.
+
+    Bit for bit the scalar values, without the validation: every width
+    must be positive and every rake must lie in (0, 180).  The scalar
+    function keeps Python's ``min``/``max``, because a numpy call on a
+    float costs microseconds and it sits in the forward model's onset scan.
+    """
+    capped = np.minimum(rake_deg, _MAX_RAKE_DEG)
+    return np.maximum(_critical_depth(width_m, capped, model), 0.0)
 
 
 def failure_mode(

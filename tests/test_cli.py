@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from conftest import sample_log_text
@@ -107,6 +108,14 @@ class TestAnalyze:
         code = run("analyze", "--log", str(log), "--out", str(out))
         assert code == 2
         assert "line" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_log_exits_with_parse_code(self, tmp_path, capsys):
+        log = tmp_path / "utf16.csv"
+        log.write_text(sample_log_text(), encoding="utf-16")  # starts with ff fe
+        out = tmp_path / "report.json"
+        assert run("analyze", "--log", str(log), "--out", str(out)) == 2
+        assert "can't decode" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threshold_overrides_change_events(self, sample_log_path, tmp_path):
@@ -230,6 +239,31 @@ class TestDesign:
         assert len(lines) == 2
         assert lines[1].startswith("1.8,")
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exits_2(self, top, capsys):
+        space = str(Path(__file__).parent / "golden" / "inputs" / "space.json")
+        with pytest.raises(SystemExit) as exc:
+            run("design", "--space", space, "--top", top)
+        assert exc.value.code == 2
+        assert f"invalid positive_int value: '{top}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["true", '"0.1"', "null"])
+    def test_non_number_space_step_exits_2(self, value, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        self.write_space(space)
+        space.write_text(space.read_text().replace('"step": 0.01', f'"step": {value}'))
+        assert run("design", "--space", str(space)) == 2
+        assert f"hinge_height_m: step must be a number, not {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ['"false"', "0"])
+    def test_non_boolean_lateral_flag_exits_2(self, value, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        self.write_space(space)
+        constraints = tmp_path / "constraints.json"
+        constraints.write_text('{"require_lateral_at_design_depth": %s}' % value)
+        assert run("design", "--space", str(space), "--constraints", str(constraints)) == 2
+        assert f"must be true or false, not {value}" in capsys.readouterr().err
+
     def test_constraints_file(self, tmp_path, capsys):
         space = tmp_path / "space.json"
         self.write_space(space)
@@ -319,6 +353,30 @@ class TestSimulate:
         argv = self.write_inputs(tmp_path, design=design, schedule="draft_N\n100\n")
         assert run("simulate", *argv, "--soil", "preset:dry") == 2
         assert f"{literal} is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["radius_m", "design_depth_m"])
+    def test_boolean_design_value_exits_2(self, key, tmp_path, capsys):
+        design = json.dumps({"radius_m": 1.34, "design_depth_m": 0.5, key: True})
+        argv = self.write_inputs(tmp_path, design=design, schedule="draft_N\n100\n")
+        assert run("simulate", *argv, "--soil", "preset:dry") == 2
+        assert f"design file {argv[1]}: {key} must be a number, not true" in (
+            capsys.readouterr().err
+        )
+
+    def test_boolean_soil_value_exits_2(self, tmp_path, capsys):
+        soil = tmp_path / "soil.json"
+        soil.write_text(json.dumps({"bulk_density_kg_m3": 1720.0, "friction_angle_deg": True}))
+        argv = self.write_inputs(tmp_path, schedule="draft_N\n100\n")
+        assert run("simulate", *argv, "--soil", str(soil)) == 2
+        assert "friction_angle_deg must be a number, not true" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["design", "schedule"])
+    def test_non_utf8_input_exits_2(self, target, tmp_path, capsys):
+        argv = self.write_inputs(tmp_path, schedule="draft_N\n100\n")
+        path = Path(argv[1] if target == "design" else argv[3])
+        path.write_bytes(path.read_text().encode("utf-16"))  # starts with ff fe
+        assert run("simulate", *argv, "--soil", "preset:dry") == 2
+        assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_decreasing_schedule_exits_2(self, tmp_path, capsys):
         argv = self.write_inputs(tmp_path, schedule="draft_N\n2000\n1\n")

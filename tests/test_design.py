@@ -3,6 +3,8 @@ import math
 
 import pytest
 from conftest import LARGE_FIELD_DESIGN
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiketrac import (
     CriticalDepthModel,
@@ -202,3 +204,122 @@ class TestGridSearch:
         result = grid_search(space, constraints, CriticalDepthModel(k0=100.0))
         assert result.ranked == ()
         assert result.violation_counts == {"critical_depth": 1}
+
+
+def _brute_force(space, constraints, cd_model):
+    """``evaluate_design`` at every grid point, ranked and counted point by point."""
+    ranked, counts = [], {}
+    evaluated = invalid = 0
+    axes = [r.values() for r in (
+        space.radius_m, space.hinge_height_m, space.initial_rake_deg,
+        space.diameter_mm, space.design_depth_m,
+    )]
+    for values in itertools.product(*axes):
+        try:
+            design = SpikeDesign(*values)
+        except ValueError:
+            invalid += 1
+            continue
+        evaluated += 1
+        evaluation = evaluate_design(design, constraints, cd_model)
+        if evaluation.feasible:
+            ranked.append((design, evaluation))
+        for violation in evaluation.violations:
+            counts[violation.check] = counts.get(violation.check, 0) + 1
+    ranked.sort(key=lambda de: (-de[1].objective, de[0].radius_m, de[0].diameter_mm))
+    return ranked, evaluated, invalid, counts
+
+
+def assert_matches_brute_force(space, constraints, cd_model=CriticalDepthModel()):
+    result = grid_search(space, constraints, cd_model)
+    ranked, evaluated, invalid, counts = _brute_force(space, constraints, cd_model)
+    assert [r.design for r in result.ranked] == [d for d, _ in ranked]
+    assert [r.evaluation for r in result.ranked] == [e for _, e in ranked]
+    assert (result.evaluated, result.invalid) == (evaluated, invalid)
+    assert result.violation_counts == counts
+    return result
+
+
+@st.composite
+def coarse_ranges(draw, starts, steps, max_count=3):
+    """A range over a coarse value set, so that geometries repeat across axes."""
+    start = draw(st.sampled_from(starts))
+    step = draw(st.sampled_from(steps))
+    count = draw(st.integers(1, max_count))
+    return ParameterRange(start, start + step * (count - 1), step)
+
+
+class TestArraySearchEqualsBruteForce:
+    def test_rejected_critical_depth_input_stops_the_search(self):
+        # 1e-322 mm is a valid diameter whose width underflows to 0 m; the
+        # design fails the thrust check too, so only the guard can raise.
+        space = DesignSpace(
+            point(1.5), point(0.09), point(30.0), point(1e-322), point(0.40)
+        )
+        constraints = DesignConstraints(max_thrust_deg=1.0, require_lateral_at_design_depth=True)
+        with pytest.raises(ValueError, match=r"width_m \(0.0\) must be positive"):
+            grid_search(space, constraints)
+        with pytest.raises(ValueError, match=r"width_m \(0.0\) must be positive"):
+            _brute_force(space, constraints, CriticalDepthModel())
+
+    # Dyadic radii, hinges and depths are exact in binary, so equal
+    # (h + z)/r, hence equal objectives, occur across radii; the rake and
+    # diameter sets reach invalid values (0, 90 and beyond).
+    @settings(max_examples=150, deadline=None)
+    @given(
+        space=st.builds(
+            DesignSpace,
+            radius_m=coarse_ranges([0.25, 0.5, 1.0], [0.25, 0.5]),
+            hinge_height_m=coarse_ranges([0.0625, 0.125, 0.25], [0.0625, 0.125], 2),
+            initial_rake_deg=coarse_ranges([0.0, 20.0, 40.0, 60.0], [10.0, 20.0]),
+            diameter_mm=coarse_ranges([0.0, 8.0, 12.0, 24.0], [4.0, 12.0], 2),
+            design_depth_m=coarse_ranges([0.0625, 0.125, 0.25, 0.5], [0.125, 0.25]),
+        ),
+        constraints=st.builds(
+            DesignConstraints,
+            max_thrust_deg=st.sampled_from([20.0, 30.0, 45.0, 60.0]),
+            window_low_deg=st.sampled_from([0.0, 10.0, 15.0]),
+            window_high_deg=st.sampled_from([35.0, 50.0, 75.0]),
+            require_lateral_at_design_depth=st.booleans(),
+        ),
+        cd_model=st.builds(
+            CriticalDepthModel, k0=st.floats(0.5, 20.0), k1=st.floats(0.0, 2.0)
+        ),
+    )
+    def test_random_small_spaces(self, space, constraints, cd_model):
+        assert_matches_brute_force(space, constraints, cd_model)
+
+    @staticmethod
+    def ranked_with_sine_half(radius, hinge, diameter, depth):
+        """The ranked designs of a space whose (h + z)/r is exactly 0.5."""
+        space = DesignSpace(radius, hinge, point(30.0), diameter, depth)
+        constraints = DesignConstraints(
+            max_thrust_deg=60.0, window_low_deg=0.0, window_high_deg=75.0
+        )
+        ranked = [r.design for r in assert_matches_brute_force(space, constraints).ranked]
+        return [
+            d for d in ranked if (d.hinge_height_m + d.design_depth_m) / d.radius_m == 0.5
+        ]
+
+    def test_equal_objectives_rank_the_smaller_radius_first(self):
+        # (0.125 + 0.125)/0.5 == (0.25 + 0.25)/1.0: the two tie exactly.
+        tied = self.ranked_with_sine_half(
+            radius=ParameterRange(0.5, 1.0, 0.5),
+            hinge=ParameterRange(0.125, 0.25, 0.125),
+            diameter=point(12.0),
+            depth=ParameterRange(0.125, 0.25, 0.125),
+        )
+        assert [(d.radius_m, d.hinge_height_m) for d in tied] == [(0.5, 0.125), (1.0, 0.25)]
+
+    def test_equal_objectives_rank_the_smaller_diameter_before_grid_order(self):
+        # Same radius, 0.125 + 0.375 == 0.25 + 0.25: the thicker spike
+        # comes first in the grid, the thinner one first in the ranking.
+        tied = self.ranked_with_sine_half(
+            radius=point(1.0),
+            hinge=ParameterRange(0.125, 0.25, 0.125),
+            diameter=ParameterRange(12.0, 24.0, 12.0),
+            depth=ParameterRange(0.25, 0.375, 0.125),
+        )
+        assert [(d.hinge_height_m, d.diameter_mm, d.design_depth_m) for d in tied] == [
+            (0.125, 12.0, 0.375), (0.25, 12.0, 0.25), (0.125, 24.0, 0.375), (0.25, 24.0, 0.25),
+        ]
