@@ -22,7 +22,9 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .design import (
     DesignConstraints,
@@ -63,6 +65,17 @@ EXIT_IO = 4
 
 _SOIL_PRESETS = {"preset:dry": DRY_SAND, "preset:moist": MOIST_SAND}
 
+# Plot-ready CSVs of ``analyze --series``: file -> report series per column.
+# A filtered series keeps the header of its raw one.
+_SERIES_CSVS = {
+    "depth_raw.csv": ("draft_N", "depth_m"),
+    "depth_filtered.csv": ("draft_N", "depth_filtered_m"),
+    "tip_trajectory.csv": ("tip_x_m", "depth_m"),
+    "penetration_work.csv": ("draft_N", "cumulative_work_J"),
+    "thrust_angle.csv": ("draft_N", "thrust_deg"),
+    "lift_force.csv": ("draft_N", "lift_N", "weight_N"),
+}
+
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
@@ -74,16 +87,14 @@ def _fmt(value: float) -> str:
 
 def _json_ready(value):
     """Round floats to 6 significant digits; non-finite becomes null."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         if not math.isfinite(value):
             return None
         return float(_fmt(value))
     if isinstance(value, dict):
         return {key: _json_ready(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return list(map(_json_ready, value.tolist()))
     return value
 
 
@@ -99,7 +110,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     _atomic_write_text(path, "\n".join(lines) + "\n")
@@ -110,6 +121,22 @@ def finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def nonnegative(text: str) -> float:
+    """A finite float of at least 0 from text; the type of distance flags."""
+    value = finite(text)
+    if value < 0:
+        raise ValueError(f"{text} is negative")
+    return value
+
+
+def positive(text: str) -> float:
+    """A finite float above 0 from text; the type of threshold flags."""
+    value = finite(text)
+    if value <= 0:
+        raise ValueError(f"{text} is not positive")
     return value
 
 
@@ -240,8 +267,7 @@ def load_draft_schedule(path: Path) -> list[float]:
 def _build_report(
     log: TrialLog,
     series: DerivedSeries,
-    filtered: DerivedSeries,
-    events: list[int],
+    columns: dict[str, np.ndarray],
     push_distance_m: float | None,
 ) -> dict:
     meta = log.metadata
@@ -265,7 +291,7 @@ def _build_report(
         # the vehicle stayed on its wheels throughout.
         observed = [False] * len(series)
         kappa = estimate_effective_application(series, design, vehicle, observed)
-        summary["max_draft_N"] = max(series.draft_n)
+        summary["max_draft_N"] = series.draft_n.max()
         summary["final_depth_m"] = series.depth_m[-1]
         summary["penetration_work_J"] = series.cumulative_work_j[-1]
         summary["stability"]["first_liftoff_step"] = first_liftoff
@@ -280,63 +306,23 @@ def _build_report(
 
     report = {
         "metadata": asdict(meta),
-        "series": {
-            "draft_N": series.draft_n,
-            "depth_m": series.depth_m,
-            "thrust_deg": series.thrust_deg,
-            "lift_N": series.lift_n,
-            "tip_x_m": series.tip_x_m,
-            "cumulative_work_J": series.cumulative_work_j,
-            "motion_m": series.motion_m,
-            "airborne": series.airborne,
-            "depth_filtered_m": filtered.depth_m,
-            "thrust_filtered_deg": filtered.thrust_deg,
-            "lift_filtered_N": filtered.lift_n,
-        },
-        "events": events,
+        "series": columns,
+        "events": series.events,
         "summary": summary,
     }
     return _json_ready(report)
 
 
-def _write_series_csvs(
-    directory: Path,
-    series: DerivedSeries,
-    filtered: DerivedSeries,
-    weight_n: float,
-) -> None:
+def _write_series_csvs(directory: Path, columns: dict[str, np.ndarray], weight_n: float) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    n = len(series)
-
-    def rows(*columns: list[float]) -> list[list[str]]:
-        return [[_fmt(column[i]) for column in columns] for i in range(n)]
-
-    _write_csv(directory / "depth_raw.csv", ["draft_N", "depth_m"], rows(series.draft_n, series.depth_m))
-    _write_csv(
-        directory / "depth_filtered.csv",
-        ["draft_N", "depth_m"],
-        rows(filtered.draft_n, filtered.depth_m),
-    )
-    _write_csv(
-        directory / "tip_trajectory.csv",
-        ["tip_x_m", "depth_m"],
-        rows(series.tip_x_m, series.depth_m),
-    )
-    _write_csv(
-        directory / "penetration_work.csv",
-        ["draft_N", "cumulative_work_J"],
-        rows(series.draft_n, series.cumulative_work_j),
-    )
-    _write_csv(
-        directory / "thrust_angle.csv",
-        ["draft_N", "thrust_deg"],
-        rows(series.draft_n, series.thrust_deg),
-    )
-    _write_csv(
-        directory / "lift_force.csv",
-        ["draft_N", "lift_N", "weight_N"],
-        rows(series.draft_n, series.lift_n, [weight_n] * n),
-    )
+    # Each series is formatted once, however many files it goes to.
+    text = {"weight_N": [_fmt(weight_n)] * len(columns["draft_N"])}
+    for name, keys in _SERIES_CSVS.items():
+        for key in keys:
+            if key not in text:
+                text[key] = [_fmt(value) for value in columns[key].tolist()]
+        header = [key.replace("_filtered", "") for key in keys]
+        _write_csv(directory / name, header, zip(*(text[key] for key in keys)))
 
 
 def run_analyze(args: argparse.Namespace) -> int:
@@ -344,17 +330,28 @@ def run_analyze(args: argparse.Namespace) -> int:
         log = parse_trial_log(args.log)
     except TrialLogError as exc:
         raise TrialLogError(f"{args.log}: {exc}") from exc
-    design = log.metadata.spike_design()
-    rig = log.metadata.pulley_rig()
-    series = derive_series(log, design, rig)
+    series = derive_series(log)
     events = detect_landslides(series, args.depth_threshold, args.motion_threshold)
     series.events = events
     filtered = landslide_filter(series, events)
 
-    report = _build_report(log, series, filtered, events, args.push_distance)
+    columns = {
+        "draft_N": series.draft_n,
+        "depth_m": series.depth_m,
+        "thrust_deg": series.thrust_deg,
+        "lift_N": series.lift_n,
+        "tip_x_m": series.tip_x_m,
+        "cumulative_work_J": series.cumulative_work_j,
+        "motion_m": series.motion_m,
+        "airborne": series.airborne,
+        "depth_filtered_m": filtered.depth_m,
+        "thrust_filtered_deg": filtered.thrust_deg,
+        "lift_filtered_N": filtered.lift_n,
+    }
+    report = _build_report(log, series, columns, args.push_distance)
     _atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
     if args.series is not None:
-        _write_series_csvs(args.series, series, filtered, log.metadata.vehicle().weight_n)
+        _write_series_csvs(args.series, columns, log.metadata.vehicle().weight_n)
     print(f"wrote {args.out}: {len(series)} steps, {len(events)} landslide events")
     return EXIT_OK
 
@@ -482,13 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--log", required=True, type=Path, help="trial-log CSV")
     analyze.add_argument("--out", required=True, type=Path, help="JSON report path")
     analyze.add_argument("--series", type=Path, help="directory for plot-ready CSVs")
-    analyze.add_argument("--push-distance", type=finite, help="push distance for efficiency (m)")
+    analyze.add_argument("--push-distance", type=nonnegative, help="push distance for efficiency (m)")
     analyze.add_argument(
-        "--depth-threshold", type=finite, default=DEFAULT_DEPTH_JUMP_M,
+        "--depth-threshold", type=positive, default=DEFAULT_DEPTH_JUMP_M,
         help="landslide depth jump threshold (m)",
     )
     analyze.add_argument(
-        "--motion-threshold", type=finite, default=DEFAULT_MOTION_JUMP_M,
+        "--motion-threshold", type=positive, default=DEFAULT_MOTION_JUMP_M,
         help="landslide motion jump threshold (m)",
     )
 
@@ -535,12 +532,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Results are checked for overflow and nan; numpy warnings add nothing.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (TrialLogError, ConfigError, UnicodeDecodeError) as exc:
         # An input that is not UTF-8 text cannot be parsed at all.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # Python float powers raise OverflowError where numpy returns inf.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Hinge elevation defaults to the midpoint of the 7-10 cm band used on the
 # field rigs.
 DEFAULT_HINGE_HEIGHT_M = 0.09
@@ -94,7 +96,8 @@ class DepthResult:
     """Depth recovered from an arm inclination.
 
     tip_airborne is set when the inclination puts the tip above the soil
-    surface; depth_m is then clamped to zero.
+    surface; depth_m is then clamped to zero.  Both are arrays when the
+    inclinations were.
     """
 
     depth_m: float
@@ -114,7 +117,7 @@ class TipDisplacement:
     """Ground-frame tip motion between two arm poses.
 
     dx_m is horizontal (vehicle travel direction positive), dz_m vertical
-    (downward penetration positive).
+    (downward penetration positive).  Both are arrays when the poses were.
     """
 
     dx_m: float
@@ -139,22 +142,21 @@ def thrust_angle(design: SpikeDesign, depth_m: float) -> float:
     return math.degrees(math.asin(min(ratio, 1.0)))
 
 
-def depth_from_inclination(design: SpikeDesign, arm_inclination_deg: float) -> DepthResult:
+def depth_from_inclination(design: SpikeDesign, arm_inclination_deg) -> DepthResult:
     """Tip depth implied by a measured lever-arm inclination.
 
     Exact inverse of :func:`thrust_angle`: z = radius * sin(delta) - hinge
     height.  Inclinations below the surface-contact angle gamma0 mean the
     tip is airborne; depth is clamped to 0 and flagged.  Inclinations above
-    90 degrees are a domain error.
+    90 degrees are a domain error.  Takes a scalar or an array of
+    inclinations; the result's fields then have its shape.
     """
-    if arm_inclination_deg > 90.0:
+    if np.any(arm_inclination_deg > 90.0):
         raise ValueError(
-            f"arm_inclination_deg ({arm_inclination_deg}) must be <= 90"
+            f"arm_inclination_deg ({np.max(arm_inclination_deg)}) must be <= 90"
         )
-    depth = design.radius_m * math.sin(math.radians(arm_inclination_deg)) - design.hinge_height_m
-    if depth < -1e-12:
-        return DepthResult(depth_m=0.0, tip_airborne=True)
-    return DepthResult(depth_m=max(depth, 0.0), tip_airborne=False)
+    depth = design.radius_m * np.sin(np.radians(arm_inclination_deg)) - design.hinge_height_m
+    return DepthResult(depth_m=np.maximum(depth, 0.0), tip_airborne=depth < -1e-12)
 
 
 def rake_angle(design: SpikeDesign, depth_m: float) -> float:
@@ -200,28 +202,31 @@ def lifting_force(draft_n: float, thrust_deg: float) -> float:
 
 def tip_displacement(
     design: SpikeDesign,
-    inclination_start_deg: float,
-    inclination_end_deg: float,
-    hinge_advance_m: float,
+    inclination_start_deg,
+    inclination_end_deg,
+    hinge_advance_m,
 ) -> TipDisplacement:
     """Ground-frame tip motion between two arm poses with a hinge advance.
 
     dz = r (sin(delta_end) - sin(delta_start)) and
     dx = hinge_advance - r (cos(delta_start) - cos(delta_end)):
     the hinge carries the tip forward while the rotation swings it
-    backward.  Both inclinations must lie in [gamma0, 90].
+    backward.  Both inclinations must lie in [gamma0, 90].  Takes scalars
+    or broadcast arrays, one pose pair per element.
     """
     gamma0 = thrust_angle(design, 0.0)
     for name, value in (
         ("inclination_start_deg", inclination_start_deg),
         ("inclination_end_deg", inclination_end_deg),
     ):
-        if not gamma0 - 1e-9 <= value <= 90.0 + 1e-9:
+        inside = (gamma0 - 1e-9 <= value) & (value <= 90.0 + 1e-9)
+        if not np.all(inside):
+            first_bad = np.extract(np.logical_not(inside), value)[0]
             raise ValueError(
-                f"{name} ({value}) must lie in [{gamma0}, 90] for this design"
+                f"{name} ({first_bad}) must lie in [{gamma0}, 90] for this design"
             )
-    start = math.radians(inclination_start_deg)
-    end = math.radians(inclination_end_deg)
-    dz = design.radius_m * (math.sin(end) - math.sin(start))
-    dx = hinge_advance_m - design.radius_m * (math.cos(start) - math.cos(end))
+    start = np.radians(inclination_start_deg)
+    end = np.radians(inclination_end_deg)
+    dz = design.radius_m * (np.sin(end) - np.sin(start))
+    dx = hinge_advance_m - design.radius_m * (np.cos(start) - np.cos(end))
     return TipDisplacement(dx_m=dx, dz_m=dz)

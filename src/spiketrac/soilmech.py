@@ -219,6 +219,8 @@ def max_crescent_force(
     forces = _crescent_forces(depth_m, width_m, soil, law, betas)
 
     best = int(np.argmax(forces))  # first occurrence wins ties: smaller beta
+    if not math.isfinite(forces[best]):  # argmax finds any inf or nan
+        raise ValueError(f"crescent force overflows at depth_m={depth_m}, width_m={width_m}")
     curve = tuple(zip(betas.tolist(), forces.tolist()))
     return CrescentResult(
         beta_star_deg=float(betas[best]),

@@ -22,13 +22,16 @@ Steps are strictly increasing, basket mass and motion non-decreasing
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
+
+import numpy as np
 
 from .geometry import (
     SpikeDesign,
     depth_from_inclination,
+    lifting_force,
     thrust_angle,
     tip_displacement,
 )
@@ -143,22 +146,37 @@ class TrialLog:
 class DerivedSeries:
     """Per-step physical quantities derived from a trial log.
 
-    All columns share the log's step order.  tip_x_m accumulates the
-    horizontal tip motion from the first recorded pose; cumulative_work_j
-    is the running draft-force work integral along the tip path.
-    airborne flags steps whose inclination put the tip above the surface
-    (depth clamped to zero).  events holds detected landslide indices.
+    All columns share the log's step order and are numpy arrays, float64
+    and bool for airborne; sequences given to the constructor are
+    converted.  tip_x_m accumulates the horizontal tip motion from the
+    first recorded pose; cumulative_work_j is the running draft-force work
+    integral along the tip path.  airborne flags steps whose inclination
+    put the tip above the surface (depth clamped to zero).  events holds
+    detected landslide indices.  Series are equal when every column is.
     """
 
-    draft_n: list[float] = field(default_factory=list)
-    depth_m: list[float] = field(default_factory=list)
-    thrust_deg: list[float] = field(default_factory=list)
-    lift_n: list[float] = field(default_factory=list)
-    tip_x_m: list[float] = field(default_factory=list)
-    cumulative_work_j: list[float] = field(default_factory=list)
-    motion_m: list[float] = field(default_factory=list)
-    airborne: list[bool] = field(default_factory=list)
+    draft_n: np.ndarray = field(default_factory=list)
+    depth_m: np.ndarray = field(default_factory=list)
+    thrust_deg: np.ndarray = field(default_factory=list)
+    lift_n: np.ndarray = field(default_factory=list)
+    tip_x_m: np.ndarray = field(default_factory=list)
+    cumulative_work_j: np.ndarray = field(default_factory=list)
+    motion_m: np.ndarray = field(default_factory=list)
+    airborne: np.ndarray = field(default_factory=list)
     events: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name != "events":
+                dtype = bool if f.name == "airborne" else float
+                setattr(self, f.name, np.asarray(getattr(self, f.name), dtype))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DerivedSeries):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     def __len__(self) -> int:
         return len(self.draft_n)
@@ -188,10 +206,10 @@ class EffectiveApplication:
     inconsistent: bool
 
 
-def draft_from_basket(basket_mass_kg: float, rig: PulleyRig = PulleyRig()) -> float:
-    """Draft force from basket mass: F_D = m g (1 - mu_pulleys)."""
-    if basket_mass_kg < 0:
-        raise ValueError(f"basket_mass_kg ({basket_mass_kg}) must be >= 0")
+def draft_from_basket(basket_mass_kg, rig: PulleyRig = PulleyRig()):
+    """Draft force from basket mass: F_D = m g (1 - mu_pulleys); scalar or array."""
+    if np.any(basket_mass_kg < 0):
+        raise ValueError(f"basket_mass_kg ({np.min(basket_mass_kg)}) must be >= 0")
     return basket_mass_kg * rig.gravity_m_s2 * (1.0 - rig.friction_coefficient)
 
 
@@ -318,32 +336,30 @@ def derive_series(
         design = log.metadata.spike_design()
     if rig is None:
         rig = log.metadata.pulley_rig()
-    gamma0 = thrust_angle(design, 0.0)
-
-    series = DerivedSeries()
-    prev_step: TrialStep | None = None
-    tip_x = 0.0
-    for step in log.steps:
-        result = depth_from_inclination(design, step.incl_deg)
-        draft = draft_from_basket(step.basket_kg, rig)
-        if step.incl_deg < 90.0:
-            lift = draft * math.tan(math.radians(step.incl_deg))
-        else:
-            lift = math.inf  # arm vertical: tan diverges
-        if prev_step is not None:
-            advance = (step.motion_mm - prev_step.motion_mm) / 1000.0
-            # Airborne poses track along the surface-contact pose.
-            start = max(prev_step.incl_deg, gamma0)
-            end = max(step.incl_deg, gamma0)
-            tip_x += tip_displacement(design, start, end, advance).dx_m
-        series.draft_n.append(draft)
-        series.depth_m.append(result.depth_m)
-        series.thrust_deg.append(step.incl_deg)
-        series.lift_n.append(lift)
-        series.tip_x_m.append(tip_x)
-        series.motion_m.append(step.motion_mm / 1000.0)
-        series.airborne.append(result.tip_airborne)
-        prev_step = step
+    basket_kg, motion_mm, incl_deg = np.array(
+        [(step.basket_kg, step.motion_mm, step.incl_deg) for step in log.steps], dtype=float
+    ).reshape(-1, 3).T
+    draft = draft_from_basket(basket_kg, rig)
+    pose = depth_from_inclination(design, incl_deg)
+    # Airborne poses track along the surface-contact pose.
+    swing = np.maximum(incl_deg, thrust_angle(design, 0.0))
+    tip_dx = np.zeros(len(log))
+    tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], np.diff(motion_mm) / 1000.0).dx_m
+    # Per element through math.tan: np.tan differs from it in the last bit
+    # on some angles.  The arm stands vertical at 90 degrees: tan diverges.
+    lift = [
+        lifting_force(force, angle) if angle < 90.0 else math.inf
+        for force, angle in zip(draft.tolist(), incl_deg.tolist())
+    ]
+    series = DerivedSeries(
+        draft_n=draft,
+        depth_m=pose.depth_m,
+        thrust_deg=incl_deg,
+        lift_n=lift,
+        tip_x_m=np.cumsum(tip_dx),
+        motion_m=motion_mm / 1000.0,
+        airborne=pose.tip_airborne,
+    )
     series.cumulative_work_j = penetration_work(series)
     return series
 
@@ -361,13 +377,10 @@ def detect_landslides(
     """
     if depth_jump_threshold_m <= 0 or motion_jump_threshold_m <= 0:
         raise ValueError("landslide thresholds must be positive")
-    events = []
-    for i in range(1, len(series)):
-        depth_jump = series.depth_m[i] - series.depth_m[i - 1]
-        motion_jump = series.motion_m[i] - series.motion_m[i - 1]
-        if depth_jump >= depth_jump_threshold_m or motion_jump >= motion_jump_threshold_m:
-            events.append(i)
-    return events
+    jumps = (np.diff(series.depth_m) >= depth_jump_threshold_m) | (
+        np.diff(series.motion_m) >= motion_jump_threshold_m
+    )
+    return (np.flatnonzero(jumps) + 1).tolist()
 
 
 def landslide_filter(series: DerivedSeries, events: Sequence[int]) -> DerivedSeries:
@@ -376,56 +389,43 @@ def landslide_filter(series: DerivedSeries, events: Sequence[int]) -> DerivedSer
     Only measurements taken directly after a landslide reflect force
     equilibrium; all other steps' depth, thrust, and lift are replaced by
     linear interpolation in the draft-force coordinate between the
-    nearest retained steps.  The first and last steps are always
-    retained; draft and motion columns are never altered.  Idempotent.
+    nearest retained steps, or by step index where the draft does not
+    grow between them.  The first and last steps are always retained;
+    the other columns are never altered and are shared with the input
+    series.  Idempotent.
     """
     n = len(series)
     event_set = sorted(set(events))
     for idx in event_set:
         if not 0 <= idx < n:
             raise ValueError(f"event index {idx} outside the series (length {n})")
-    out = DerivedSeries(
-        draft_n=list(series.draft_n),
-        depth_m=list(series.depth_m),
-        thrust_deg=list(series.thrust_deg),
-        lift_n=list(series.lift_n),
-        tip_x_m=list(series.tip_x_m),
-        cumulative_work_j=list(series.cumulative_work_j),
-        motion_m=list(series.motion_m),
-        airborne=list(series.airborne),
-        events=event_set,
-    )
-    if n < 3:
-        return out
-
-    retained = sorted(set(event_set) | {0, n - 1})
-    for left, right in zip(retained, retained[1:]):
-        draft_span = series.draft_n[right] - series.draft_n[left]
-        for j in range(left + 1, right):
-            if draft_span > 0:
-                t = (series.draft_n[j] - series.draft_n[left]) / draft_span
-            else:
-                t = (j - left) / (right - left)
-            for column in (out.depth_m, out.thrust_deg, out.lift_n):
-                column[j] = column[left] + t * (column[right] - column[left])
-    return out
+    retained = np.array(sorted(set(event_set) | {0, n - 1}))
+    between = np.setdiff1d(np.arange(n), retained, assume_unique=True)
+    slot = np.searchsorted(retained, between)
+    left, right = retained[slot - 1], retained[slot]
+    draft = series.draft_n
+    draft_span = draft[right] - draft[left]
+    t = (between - left) / (right - left)
+    np.divide(draft[between] - draft[left], draft_span, out=t, where=draft_span > 0)
+    filtered = {}
+    for name in ("depth_m", "thrust_deg", "lift_n"):
+        column = getattr(series, name)
+        filtered[name] = column.copy()
+        filtered[name][between] = column[left] + t * (column[right] - column[left])
+    return replace(series, events=event_set, **filtered)
 
 
-def penetration_work(series: DerivedSeries) -> list[float]:
+def penetration_work(series: DerivedSeries) -> np.ndarray:
     """Cumulative work of the draft force along the horizontal tip path.
 
     Trapezoidal integral of draft over tip_x, evaluated on the original
     (unfiltered) series: W_k = sum_{i<=k} (F_i + F_{i-1})/2 * (x_i - x_{i-1}).
     """
-    work: list[float] = []
-    total = 0.0
-    for i in range(len(series)):
-        if i > 0:
-            total += 0.5 * (series.draft_n[i] + series.draft_n[i - 1]) * (
-                series.tip_x_m[i] - series.tip_x_m[i - 1]
-            )
-        work.append(total)
-    return work
+    draft = series.draft_n
+    # Summed over a leading 0.0 like a running total: a -0.0 first term gives 0.0.
+    terms = np.zeros(len(series))
+    terms[1:] = 0.5 * (draft[1:] + draft[:-1]) * np.diff(series.tip_x_m)
+    return np.cumsum(terms)
 
 
 def tractive_efficiency(
@@ -445,13 +445,10 @@ def tractive_efficiency(
 def stability_check(series: DerivedSeries, vehicle: VehicleConfig) -> list[StabilityRecord]:
     """Compare the calculated hinge lift against the vehicle weight per step."""
     weight = vehicle.weight_n
-    records = []
-    for lift in series.lift_n:
-        margin = weight - lift
-        records.append(
-            StabilityRecord(lift_n=lift, weight_n=weight, margin_n=margin, liftoff=margin < 0)
-        )
-    return records
+    return [
+        StabilityRecord(lift_n=lift, weight_n=weight, margin_n=weight - lift, liftoff=lift > weight)
+        for lift in series.lift_n.tolist()
+    ]
 
 
 def estimate_effective_application(
@@ -478,11 +475,8 @@ def estimate_effective_application(
             f"series length ({len(series)})"
         )
     weight = vehicle.weight_n
-    stable = [
-        (series.draft_n[i], series.depth_m[i])
-        for i in range(len(series))
-        if not observed_liftoff[i]
-    ]
+    stable = np.logical_not(observed_liftoff)
+    points = list(zip(series.draft_n[stable].tolist(), series.depth_m[stable].tolist()))
 
     def lift_at(kappa: float, draft: float, depth: float) -> float:
         sin_gamma = (design.hinge_height_m + kappa * depth) / design.radius_m
@@ -492,12 +486,9 @@ def estimate_effective_application(
         return draft * math.tan(gamma)
 
     def feasible(kappa: float) -> bool:
-        return all(lift_at(kappa, draft, depth) <= weight + 1e-9 for draft, depth in stable)
+        return all(lift_at(kappa, draft, depth) <= weight + 1e-9 for draft, depth in points)
 
-    contradiction = any(
-        series.lift_n[i] > weight and not observed_liftoff[i] for i in range(len(series))
-    )
-    if not contradiction:
+    if not np.any(series.lift_n[stable] > weight):
         return EffectiveApplication(kappa=1.0, inconsistent=False)
     if not feasible(0.0):
         return EffectiveApplication(kappa=0.0, inconsistent=True)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import sample_log_text
+from trial_data import sample_log_text
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -271,8 +271,8 @@ def test_criterion_7_landslide_filter_idempotent(c7_timer, case):
         assert once.depth_m[i] == series.depth_m[i]
         assert once.thrust_deg[i] == series.thrust_deg[i]
         assert once.lift_n[i] == series.lift_n[i]
-    assert once.draft_n == series.draft_n
-    assert once.motion_m == series.motion_m
+    assert once.draft_n.tolist() == series.draft_n.tolist()
+    assert once.motion_m.tolist() == series.motion_m.tolist()
     # Linear interpolation cannot overshoot its retained neighbors.
     for left, right in zip(retained, retained[1:]):
         lo = min(series.depth_m[left], series.depth_m[right])

@@ -1,8 +1,15 @@
+import io
 import json
+import math
+import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from conftest import sample_log_text
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from trial_data import sample_log_text
 
 from spiketrac import (
     DRY_SAND,
@@ -16,6 +23,9 @@ from spiketrac.cli import main
 
 def run(*argv: str) -> int:
     return main(list(argv))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestAnalyze:
@@ -128,6 +138,32 @@ class TestAnalyze:
         # Every step now clears the thresholds.
         assert report["events"] == list(range(1, 20))
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "kind"),
+        [
+            ("--push-distance", "-1", "nonnegative"),
+            ("--depth-threshold", "0", "positive"),
+            ("--depth-threshold", "-1", "positive"),
+            ("--motion-threshold", "0", "positive"),
+            ("--motion-threshold", "-1", "positive"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2(self, flag, value, kind, sample_log_path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            run("analyze", "--log", str(sample_log_path), "--out", str(out), f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"invalid {kind} value: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_push_distance_gives_zero_efficiency(self, sample_log_path, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(
+            "analyze", "--log", str(sample_log_path), "--out", str(out), "--push-distance", "0",
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["summary"]["efficiency_at_push"] == 0.0
+
 
 class TestCrescent:
     def test_preset_dry_matches_library(self, capsys, tmp_path):
@@ -186,6 +222,47 @@ class TestCrescent:
             run("crescent", "--soil", "preset:dry", *(f"{k}={v}" for k, v in flags.items()))
         assert exc.value.code == 2
         assert f"invalid finite value: '{value}'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--depth=1e200", "--width=0.021"],
+            ["--depth=0.3", "--width=1e308"],
+        ],
+    )
+    def test_overflowing_force_exits_3(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("crescent", "--soil", "preset:dry", *argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        depth=_FINITE,
+        width=_FINITE,
+        beta_min=st.none() | _FINITE,
+        beta_max=st.none() | _FINITE,
+        law=st.sampled_from(["active", "passive"]),
+    )
+    def test_exit_codes_and_finite_output(self, depth, width, beta_min, beta_max, law):
+        argv = ["crescent", f"--depth={depth!r}", f"--width={width!r}", "--soil", "preset:dry"]
+        argv += [f"--beta-min={beta_min!r}"] if beta_min is not None else []
+        argv += [f"--beta-max={beta_max!r}"] if beta_max is not None else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # A numpy warning would go to stderr beside the documented outputs.
+        with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main([*argv, "--law", law])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            numbers = re.fullmatch(r"beta_star_deg=(\S+) force_N=(\S+)\n", stdout.getvalue())
+            assert numbers and all(math.isfinite(float(x)) for x in numbers.groups())
+            assert stderr.getvalue() == ""
+        else:
+            assert stdout.getvalue() == "" and stderr.getvalue().count("\n") == 1
 
 
 class TestDesign:

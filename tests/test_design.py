@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from conftest import LARGE_FIELD_DESIGN
+from trial_data import LARGE_FIELD_DESIGN
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

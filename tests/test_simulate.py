@@ -1,5 +1,5 @@
 import pytest
-from conftest import LARGE_FIELD_DESIGN
+from trial_data import LARGE_FIELD_DESIGN
 
 from spiketrac import (
     DRY_SAND,

@@ -2,7 +2,7 @@ import io
 import math
 
 import pytest
-from conftest import LARGE_FIELD_DESIGN
+from trial_data import LARGE_FIELD_DESIGN
 
 from spiketrac import (
     DerivedSeries,
@@ -144,11 +144,11 @@ class TestDeriveSeries:
             steps=(TrialStep(index=0, basket_kg=0.0, motion_mm=0.0, incl_deg=gamma0),),
         )
         series = derive_series(log)
-        assert series.draft_n == [0.0]
+        assert series.draft_n.tolist() == [0.0]
         assert series.depth_m[0] == pytest.approx(0.0, abs=1e-12)
-        assert series.lift_n == [0.0]
-        assert series.tip_x_m == [0.0]
-        assert series.cumulative_work_j == [0.0]
+        assert series.lift_n.tolist() == [0.0]
+        assert series.tip_x_m.tolist() == [0.0]
+        assert series.cumulative_work_j.tolist() == [0.0]
 
     def test_two_step_hand_computed(self):
         # Hand-computed from the 1.34 m / 0.09 m geometry and 0.23 pulley
@@ -169,7 +169,7 @@ class TestDeriveSeries:
         log = log_from_rows("0,0,0,1.0", "1,30,50,6.0")
         series = derive_series(log)
         assert series.depth_m[0] == 0.0
-        assert series.airborne == [True, False]
+        assert series.airborne.tolist() == [True, False]
 
 
 class TestDetectLandslides:
@@ -219,8 +219,8 @@ class TestLandslideFilter:
         assert out.depth_m[0] == 0.0 and out.depth_m[3] == 0.40
         assert out.depth_m[1] == pytest.approx(0.10)  # quarter of the draft span
         assert out.depth_m[2] == pytest.approx(0.30)
-        assert out.draft_n == series.draft_n
-        assert out.motion_m == series.motion_m
+        assert out.draft_n.tolist() == series.draft_n.tolist()
+        assert out.motion_m.tolist() == series.motion_m.tolist()
 
     def test_events_everywhere_is_identity(self):
         series = make_series(
@@ -230,9 +230,9 @@ class TestLandslideFilter:
             lift_n=[0.0, 50.0, 20.0],
         )
         out = landslide_filter(series, [0, 1, 2])
-        assert out.depth_m == series.depth_m
-        assert out.thrust_deg == series.thrust_deg
-        assert out.lift_n == series.lift_n
+        assert out.depth_m.tolist() == series.depth_m.tolist()
+        assert out.thrust_deg.tolist() == series.thrust_deg.tolist()
+        assert out.lift_n.tolist() == series.lift_n.tolist()
 
     def test_six_step_hand_interpolated(self):
         series = make_series(
@@ -285,7 +285,7 @@ class TestPenetrationWork:
 
     def test_zero_motion_zero_work(self):
         series = make_series(draft_n=[0.0, 500.0, 900.0])
-        assert penetration_work(series) == [0.0, 0.0, 0.0]
+        assert penetration_work(series).tolist() == [0.0, 0.0, 0.0]
 
     def test_two_step_trapezoid(self):
         series = make_series(draft_n=[0.0, 1000.0], tip_x_m=[0.0, 0.10])
