@@ -75,6 +75,11 @@ CASES = {
         "simulate", "--design", "design.json", "--soil", "preset:moist",
         "--draft-schedule", "drafts.csv", "--out", "sim.csv", "--k0", "50",
     ],
+    # The onset is at the surface: the 0 N draft is crescent, every other lateral at 0 m.
+    "simulate-surface": [
+        "simulate", "--design", "surface.json", "--soil", "preset:dry",
+        "--draft-schedule", "drafts.csv", "--out", "sim.csv", "--k1", "2",
+    ],
 }
 
 
