@@ -125,7 +125,7 @@ def finite(text: str) -> float:
 
 
 def nonnegative(text: str) -> float:
-    """A finite float of at least 0 from text; the type of distance flags."""
+    """A finite float of at least 0 from text; the type of distance and sensitivity flags."""
     value = finite(text)
     if value < 0:
         raise ValueError(f"{text} is negative")
@@ -133,7 +133,7 @@ def nonnegative(text: str) -> float:
 
 
 def positive(text: str) -> float:
-    """A finite float above 0 from text; the type of threshold flags."""
+    """A finite float above 0 from text; the type of threshold and aspect-ratio flags."""
     value = finite(text)
     if value <= 0:
         raise ValueError(f"{text} is not positive")
@@ -374,7 +374,7 @@ def run_crescent(args: argparse.Namespace) -> int:
         _write_csv(
             args.out,
             ["beta_deg", "force_N"],
-            [[_fmt(beta), _fmt(force)] for beta, force in result.curve],
+            [[_fmt(beta), _fmt(force)] for beta, force in result.curve.tolist()],
         )
     print(f"beta_star_deg={_fmt(result.beta_star_deg)} force_N={_fmt(result.force_n)}")
     return EXIT_OK
@@ -506,16 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--soil", default="preset:dry", help="soil file or preset")
     design.add_argument("--top", type=positive_int, help="keep only the N best designs (N >= 1)")
     design.add_argument("--out", type=Path, help="ranked CSV path")
-    design.add_argument("--k0", type=finite, default=6.0, help="critical-depth aspect ratio")
-    design.add_argument("--k1", type=finite, default=1.0, help="critical-depth rake sensitivity")
+    design.add_argument("--k0", type=positive, default=6.0, help="critical-depth aspect ratio")
+    design.add_argument("--k1", type=nonnegative, default=1.0, help="critical-depth rake sensitivity")
 
     simulate = sub.add_parser("simulate", help="forward model a draft schedule")
     simulate.add_argument("--design", required=True, type=Path, help="design JSON")
     simulate.add_argument("--soil", required=True, help="soil file or preset")
     simulate.add_argument("--draft-schedule", required=True, type=Path, help="schedule CSV")
     simulate.add_argument("--out", type=Path, help="predicted series CSV path")
-    simulate.add_argument("--k0", type=finite, default=6.0, help="critical-depth aspect ratio")
-    simulate.add_argument("--k1", type=finite, default=1.0, help="critical-depth rake sensitivity")
+    simulate.add_argument("--k0", type=positive, default=6.0, help="critical-depth aspect ratio")
+    simulate.add_argument("--k1", type=nonnegative, default=1.0, help="critical-depth rake sensitivity")
 
     return parser
 

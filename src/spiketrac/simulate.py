@@ -16,19 +16,30 @@ Depths never decrease along a schedule: weights are only added.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import SpikeDesign, lifting_force, rake_angle, spike_state
 from .soilmech import (
     CriticalDepthModel,
     FailureMode,
-    ForceLaw,
     SoilProperties,
     critical_depth,
     max_crescent_force,
 )
 
 _DEPTH_TOLERANCE_M = 1e-6
+
+
+def _bisect(holds, lo: float, hi: float) -> float:
+    """Shrink [lo, hi] to the depth tolerance around where ``holds`` turns true; return hi."""
+    while hi - lo > _DEPTH_TOLERANCE_M:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -58,57 +69,30 @@ def lateral_onset_depth(
     """
     width = design.width_m
 
-    def excess(z: float) -> float:
-        return z - critical_depth(width, rake_angle(design, z), cd_model)
+    def crossed(z: float) -> bool:
+        return z - critical_depth(width, rake_angle(design, z), cd_model) >= 0
 
+    if crossed(0.0):
+        return 0.0
     samples = 1000
     z_max = design.design_depth_m
-    prev_z, prev_val = 0.0, excess(0.0)
-    if prev_val >= 0:
-        return 0.0
+    prev_z = 0.0
     for i in range(1, samples + 1):
         z = z_max * i / samples
-        val = excess(z)
-        if val >= 0:
-            lo, hi = prev_z, z
-            while hi - lo > _DEPTH_TOLERANCE_M:
-                mid = 0.5 * (lo + hi)
-                if excess(mid) >= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        prev_z, prev_val = z, val
+        if crossed(z):
+            return _bisect(crossed, prev_z, z)
+        prev_z = z
     return None
 
 
-def _crescent_equilibrium_depth(
-    design: SpikeDesign,
-    soil: SoilProperties,
-    draft_n: float,
-    law: ForceLaw,
-) -> float | None:
-    """Smallest depth whose maximized crescent force carries the draft."""
+def _crescent_equilibrium_depth(design: SpikeDesign, soil: SoilProperties, draft_n: float) -> float:
+    """Smallest depth whose maximized crescent force carries the draft; design depth must."""
     if draft_n <= 0:
         return 0.0
     width = design.width_m
-
-    def reaction(z: float) -> float:
-        if z <= 0:
-            return 0.0
-        return max_crescent_force(z, width, soil, law).force_n
-
-    z_max = design.design_depth_m
-    if reaction(z_max) < draft_n:
-        return None
-    lo, hi = 0.0, z_max
-    while hi - lo > _DEPTH_TOLERANCE_M:
-        mid = 0.5 * (lo + hi)
-        if reaction(mid) >= draft_n:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(
+        lambda z: max_crescent_force(z, width, soil).force_n >= draft_n, 0.0, design.design_depth_m
+    )
 
 
 def predict_series(
@@ -116,17 +100,29 @@ def predict_series(
     soil: SoilProperties,
     drafts_n: list[float],
     cd_model: CriticalDepthModel = CriticalDepthModel(),
-    law: ForceLaw = ForceLaw.ACTIVE_WEDGE,
 ) -> list[PredictedStep]:
-    """Predicted pose series for a non-decreasing draft schedule."""
+    """Predicted pose series for a non-decreasing draft schedule.
+
+    The crescent regime ends at the lateral onset, or at the design depth
+    without one.  Its crescent force there is scanned once, at the first
+    positive draft; the force never decreases with depth, so a draft
+    above it is lateral or unsustained without a bisection.
+    """
     z_lateral = lateral_onset_depth(design, cd_model)
+    top = design.design_depth_m if z_lateral is None else z_lateral
+    capacity = None
     steps: list[PredictedStep] = []
     depth = 0.0
     for draft in drafts_n:
         if draft < 0:
             raise ValueError(f"draft_n ({draft}) must be >= 0")
-        z_eq = _crescent_equilibrium_depth(design, soil, draft, law)
-        if z_eq is not None and (z_lateral is None or z_eq <= z_lateral):
+        if draft > 0 and capacity is None:
+            capacity = max_crescent_force(top, design.width_m, soil).force_n
+        if draft > 0 and draft > capacity:
+            z_eq = math.inf
+        else:
+            z_eq = _crescent_equilibrium_depth(design, soil, draft)
+        if z_eq <= top:
             target, regime, sustained = z_eq, FailureMode.CRESCENT, True
         elif z_lateral is not None:
             target, regime, sustained = z_lateral, FailureMode.LATERAL, True

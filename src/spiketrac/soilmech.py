@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_BETA_STEP_DEG = 0.1
+BETA_STEP_DEG = 0.1  # the shear-angle scan's grid step
 _SCAN_MARGIN_DEG = 0.1  # keep the scan strictly inside the law's domain
 
 
@@ -98,11 +98,11 @@ class CriticalDepthModel:
 
 @dataclass(frozen=True)
 class CrescentResult:
-    """Crescent force maximized over the shear-plane angle."""
+    """Crescent force maximized over the shear-plane angle; ``curve`` holds (beta_deg, force_n) rows."""
 
     beta_star_deg: float
     force_n: float
-    curve: tuple[tuple[float, float], ...] = field(repr=False)
+    curve: np.ndarray = field(repr=False, compare=False)
 
 
 def _check_beta(beta_deg: float) -> None:
@@ -111,8 +111,17 @@ def _check_beta(beta_deg: float) -> None:
 
 
 def _volume(depth_m, width_m: float, cot):
-    """Crescent volume from cot(beta); scalar or array."""
-    return 0.5 * width_m * depth_m**2 * cot + (math.pi / 6.0) * depth_m**3 * cot**2
+    """Crescent volume from cot(beta); scalar or array, inf past the float range."""
+    try:
+        return 0.5 * width_m * depth_m**2 * cot + (math.pi / 6.0) * depth_m**3 * cot**2
+    except OverflowError:  # a Python float power raises where numpy returns inf
+        return math.inf
+
+
+def _finite(value: float, what: str, depth_m: float, width_m: float) -> float:
+    if not math.isfinite(value):  # an infinite weight times a zero factor is nan
+        raise ValueError(f"crescent {what} overflows at depth_m={depth_m}, width_m={width_m}")
+    return value
 
 
 def _crescent_forces(
@@ -144,7 +153,8 @@ def crescent_volume(depth_m: float, beta_deg: float, width_m: float) -> float:
     """
     _check_beta(beta_deg)
     _check_depth_width(depth_m, width_m)
-    return _volume(depth_m, width_m, 1.0 / math.tan(math.radians(beta_deg)))
+    volume = _volume(depth_m, width_m, 1.0 / math.tan(math.radians(beta_deg)))
+    return _finite(volume, "volume", depth_m, width_m)
 
 
 def crescent_force(
@@ -169,7 +179,8 @@ def crescent_force(
             f"passive wedge jams: beta_deg + friction_angle_deg = "
             f"{beta_deg + phi} must stay below 90"
         )
-    return float(_crescent_forces(depth_m, width_m, soil, law, beta_deg))
+    force = float(_crescent_forces(depth_m, width_m, soil, law, beta_deg))
+    return _finite(force, "force", depth_m, width_m)
 
 
 def _scan_bounds(
@@ -202,30 +213,25 @@ def max_crescent_force(
     law: ForceLaw = ForceLaw.ACTIVE_WEDGE,
     beta_min_deg: float | None = None,
     beta_max_deg: float | None = None,
-    step_deg: float = DEFAULT_BETA_STEP_DEG,
 ) -> CrescentResult:
     """Scan the shear-plane angle and return the maximizing crescent force.
 
-    The scan is a closed deterministic grid (default 0.1 degree steps)
+    The scan is a closed deterministic grid in ``BETA_STEP_DEG`` steps
     over the law's admissible beta range, ties resolved toward the
-    smaller angle.
+    smaller angle.  The maximum never decreases with depth.
     """
-    if step_deg <= 0:
-        raise ValueError(f"step_deg ({step_deg}) must be positive")
     _check_depth_width(depth_m, width_m)
     lo, hi = _scan_bounds(soil, law, beta_min_deg, beta_max_deg)
-    n = int(math.floor((hi - lo) / step_deg + 1e-9))
-    betas = lo + step_deg * np.arange(n + 1)
+    n = int(math.floor((hi - lo) / BETA_STEP_DEG + 1e-9))
+    betas = lo + BETA_STEP_DEG * np.arange(n + 1)
     forces = _crescent_forces(depth_m, width_m, soil, law, betas)
 
-    best = int(np.argmax(forces))  # first occurrence wins ties: smaller beta
-    if not math.isfinite(forces[best]):  # argmax finds any inf or nan
-        raise ValueError(f"crescent force overflows at depth_m={depth_m}, width_m={width_m}")
-    curve = tuple(zip(betas.tolist(), forces.tolist()))
+    # The first maximum wins ties (smaller beta); argmax finds any inf or nan.
+    best = int(np.argmax(forces))
     return CrescentResult(
         beta_star_deg=float(betas[best]),
-        force_n=float(forces[best]),
-        curve=curve,
+        force_n=_finite(float(forces[best]), "force", depth_m, width_m),
+        curve=np.column_stack((betas, forces)),
     )
 
 

@@ -38,6 +38,7 @@ from .geometry import (
 
 DEFAULT_DEPTH_JUMP_M = 0.01
 DEFAULT_MOTION_JUMP_M = 0.01
+_KAPPA_TOLERANCE = 1e-4  # width of the kappa bisection's final bracket
 
 _HEADER_COLUMNS = "step,basket_kg,motion_mm,incl_deg"
 
@@ -106,20 +107,18 @@ class TrialMetadata:
     vehicle_kg: float
     pulley_mu: float
 
-    def spike_design(self, design_depth_m: float | None = None) -> SpikeDesign:
+    def spike_design(self) -> SpikeDesign:
         """Build the spike design this log was recorded with.
 
-        The log header carries no design depth; default to the full
-        geometric range so every recorded inclination stays in domain.
+        The log header carries no design depth; take the full geometric
+        range so every recorded inclination stays in domain.
         """
-        if design_depth_m is None:
-            design_depth_m = self.radius_m - self.hinge_m
         return SpikeDesign(
             radius_m=self.radius_m,
             hinge_height_m=self.hinge_m,
             initial_rake_deg=self.rake0_deg,
             diameter_mm=self.diameter_mm,
-            design_depth_m=design_depth_m,
+            design_depth_m=self.radius_m - self.hinge_m,
         )
 
     def pulley_rig(self) -> PulleyRig:
@@ -319,11 +318,7 @@ def write_trial_log(log: TrialLog, target: str | Path | IO[str]) -> None:
         target.write(text)
 
 
-def derive_series(
-    log: TrialLog,
-    design: SpikeDesign | None = None,
-    rig: PulleyRig | None = None,
-) -> DerivedSeries:
+def derive_series(log: TrialLog) -> DerivedSeries:
     """Derive the physical series from a validated trial log.
 
     Depth comes from the arm inclination (clamped to zero and flagged
@@ -332,10 +327,8 @@ def derive_series(
     and arm rotation from the first step, and cumulative work integrates
     draft force along the horizontal tip path.
     """
-    if design is None:
-        design = log.metadata.spike_design()
-    if rig is None:
-        rig = log.metadata.pulley_rig()
+    design = log.metadata.spike_design()
+    rig = log.metadata.pulley_rig()
     basket_kg, motion_mm, incl_deg = np.array(
         [(step.basket_kg, step.motion_mm, step.incl_deg) for step in log.steps], dtype=float
     ).reshape(-1, 3).T
@@ -456,7 +449,6 @@ def estimate_effective_application(
     design: SpikeDesign,
     vehicle: VehicleConfig,
     observed_liftoff: Sequence[bool],
-    tolerance: float = 1e-4,
 ) -> EffectiveApplication:
     """Largest draft application fraction consistent with observed stability.
 
@@ -494,7 +486,7 @@ def estimate_effective_application(
         return EffectiveApplication(kappa=0.0, inconsistent=True)
 
     lo, hi = 0.0, 1.0  # feasible(lo) holds, feasible(hi) fails
-    while hi - lo > tolerance:
+    while hi - lo > _KAPPA_TOLERANCE:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

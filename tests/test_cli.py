@@ -239,6 +239,14 @@ class TestCrescent:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("law", ["active", "passive"])
+    def test_overflowing_depth_names_depth_and_width(self, law, capsys):
+        argv = ["--depth", "1e200", "--width", "0.021", "--soil", "preset:dry", "--law", law]
+        assert run("crescent", *argv) == 3
+        assert capsys.readouterr().err == (
+            "error: crescent force overflows at depth_m=1e+200, width_m=0.021\n"
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(
         depth=_FINITE,
@@ -348,6 +356,18 @@ class TestDesign:
         constraints.write_text(json.dumps({"max_thrust_deg": 10.0}))
         assert run("design", "--space", str(space), "--constraints", str(constraints)) == 0
         assert "most common violation: max_thrust" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "kind"),
+        [("--k0", "0", "positive"), ("--k0", "-1", "positive"), ("--k1", "-1", "nonnegative")],
+    )
+    def test_out_of_range_critical_depth_flag_exits_2(self, flag, value, kind, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        self.write_space(space)
+        with pytest.raises(SystemExit) as exc:
+            run("design", "--space", str(space), f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"invalid {kind} value: '{value}'" in capsys.readouterr().err
 
     def test_missing_space_key_exits_2(self, tmp_path, capsys):
         space = tmp_path / "space.json"
@@ -461,3 +481,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "line 3" in err
         assert "decreased" in err
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "kind"),
+        [("--k0", "0", "positive"), ("--k0", "-1", "positive"), ("--k1", "-1", "nonnegative")],
+    )
+    def test_out_of_range_critical_depth_flag_exits_2(self, flag, value, kind, tmp_path, capsys):
+        argv = self.write_inputs(tmp_path, schedule="draft_N\n100\n")
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", *argv, "--soil", "preset:dry", f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"invalid {kind} value: '{value}'" in capsys.readouterr().err
+
+    def test_zero_schedule_scans_no_crescent(self, tmp_path, capsys):
+        # This crescent overflows at any depth below the surface, but no
+        # draft asks for it.
+        design = json.dumps({"radius_m": 1.34, "design_depth_m": 0.5, "diameter_mm": 1.7e308})
+        argv = self.write_inputs(tmp_path, design=design, schedule="draft_N\n0\n0\n")
+        assert run("simulate", *argv, "--soil", "preset:dry") == 0
+        assert capsys.readouterr().out == (
+            "2 steps: final depth 0 m, regime crescent, sustained yes\n"
+        )
+        (tmp_path / "drafts.csv").write_text("draft_N\n0\n1\n")
+        assert run("simulate", *argv, "--soil", "preset:dry") == 3
+        assert "crescent force overflows" in capsys.readouterr().err

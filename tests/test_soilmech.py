@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ class TestCrescentVolume:
             with pytest.raises(ValueError, match="beta_deg"):
                 crescent_volume(0.30, beta, 0.021)
 
+    # A square past the float range, a cube past it, and a product that is inf.
+    @pytest.mark.parametrize(("depth", "width"), [(1e200, 0.021), (1e103, 0.021), (1e100, 1e300)])
+    def test_overflow_is_a_value_error(self, depth, width):
+        message = f"crescent volume overflows at depth_m={depth}, width_m={width}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            crescent_volume(depth, 45.0, width)
+
 
 class TestCrescentForce:
     def test_zero_depth_is_zero(self):
@@ -107,6 +115,21 @@ class TestCrescentForce:
         moon = SoilProperties(1720.0, 30.0, "dry", gravity_m_s2=1.62)
         assert crescent_force(0.30, 55.0, 0.021, doubled_rho) == pytest.approx(2 * base)
         assert crescent_force(0.30, 55.0, 0.021, moon) == pytest.approx(base * 1.62 / 9.81)
+
+    # Below phi the active factor is 0 and an infinite weight gives nan.
+    @pytest.mark.parametrize(
+        ("depth", "beta", "width", "law"),
+        [
+            (1e200, 45.0, 0.021, ForceLaw.ACTIVE_WEDGE),
+            (1e200, 45.0, 0.021, ForceLaw.PASSIVE_WEDGE),
+            (0.3, 45.0, 1e308, ForceLaw.ACTIVE_WEDGE),
+            (0.3, 20.0, 1e308, ForceLaw.ACTIVE_WEDGE),
+        ],
+    )
+    def test_overflow_is_a_value_error(self, depth, beta, width, law):
+        message = f"crescent force overflows at depth_m={depth}, width_m={width}"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=re.escape(message)):
+            crescent_force(depth, beta, width, DRY_SAND, law)
 
     def test_depth_polynomial_has_only_square_and_cube_terms(self):
         # Fit a cubic through forces at 4 depths: constant and linear
@@ -150,6 +173,26 @@ class TestMaxCrescentForce:
         assert result.beta_star_deg == pytest.approx(50.0)
         assert result.curve[0][0] == pytest.approx(50.0)
         assert result.curve[-1][0] <= 70.0 + 1e-9
+
+    def test_curve_is_a_float64_array_of_rows(self):
+        result = max_crescent_force(0.30, 0.021, DRY_SAND)
+        assert result.curve.dtype == np.float64
+        assert result.curve.shape == (len(result.curve), 2)
+        best = int(np.argmax(result.curve[:, 1]))
+        assert result.curve[best].tolist() == [result.beta_star_deg, result.force_n]
+
+    def test_results_compare_and_hash_on_the_maximum(self):
+        first = max_crescent_force(0.30, 0.021, DRY_SAND)
+        again = max_crescent_force(0.30, 0.021, DRY_SAND)
+        assert first == again and hash(first) == hash(again)
+        assert "curve" not in repr(first)
+
+    @pytest.mark.parametrize("law", list(ForceLaw))
+    @pytest.mark.parametrize(("depth", "width"), [(1e200, 0.021), (0.3, 1e308)])
+    def test_overflow_is_a_value_error(self, depth, width, law):
+        message = f"crescent force overflows at depth_m={depth}, width_m={width}"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=re.escape(message)):
+            max_crescent_force(depth, width, DRY_SAND, law)
 
     def test_empty_scan_domain(self):
         with pytest.raises(ValueError, match="empty shear-angle scan domain"):
