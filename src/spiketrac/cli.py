@@ -16,13 +16,14 @@ validation failure, 3 domain error, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -75,6 +76,10 @@ _SERIES_CSVS = {
     "thrust_angle.csv": ("draft_N", "thrust_deg"),
     "lift_force.csv": ("draft_N", "lift_N", "weight_N"),
 }
+# The series the CSVs take from the report; the weight line is not one.
+_CSV_KEYS = frozenset(key for keys in _SERIES_CSVS.values() for key in keys) - {"weight_N"}
+# How repr spells the floats JSON writes as null.
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 
 class ConfigError(ValueError):
@@ -93,17 +98,21 @@ def _json_ready(value):
         return float(_fmt(value))
     if isinstance(value, dict):
         return {key: _json_ready(item) for key, item in value.items()}
-    if isinstance(value, np.ndarray):
-        return list(map(_json_ready, value.tolist()))
     return value
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _json_array(items: Iterable[str], indent: str) -> str:
+    """Encoded JSON values as an array laid out as ``json.dumps(indent=2)`` at ``indent``."""
+    body = f",\n{indent}  ".join(items)
+    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
+
+
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -113,7 +122,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def finite(text: str) -> float:
@@ -264,12 +273,8 @@ def load_draft_schedule(path: Path) -> list[float]:
     return drafts
 
 
-def _build_report(
-    log: TrialLog,
-    series: DerivedSeries,
-    columns: dict[str, np.ndarray],
-    push_distance_m: float | None,
-) -> dict:
+def _build_report(log: TrialLog, series: DerivedSeries, push_distance_m: float | None) -> dict:
+    """The report with an empty ``series`` block, rounded for JSON."""
     meta = log.metadata
     vehicle = meta.vehicle()
     design = meta.spike_design()
@@ -283,10 +288,6 @@ def _build_report(
         "kappa_estimate": None,
     }
     if len(series):
-        stability = stability_check(series, vehicle)
-        first_liftoff = next(
-            (i for i, record in enumerate(stability) if record.liftoff), None
-        )
         # No liftoff column exists in the raw logs; a recorded trial implies
         # the vehicle stayed on its wheels throughout.
         observed = [False] * len(series)
@@ -294,7 +295,8 @@ def _build_report(
         summary["max_draft_N"] = series.draft_n.max()
         summary["final_depth_m"] = series.depth_m[-1]
         summary["penetration_work_J"] = series.cumulative_work_j[-1]
-        summary["stability"]["first_liftoff_step"] = first_liftoff
+        stability = stability_check(series, vehicle)
+        summary["stability"]["first_liftoff_step"] = stability.first_liftoff()
         summary["kappa_estimate"] = kappa.kappa
         if push_distance_m is not None:
             try:
@@ -306,21 +308,53 @@ def _build_report(
 
     report = {
         "metadata": asdict(meta),
-        "series": columns,
+        "series": {},
         "events": series.events,
         "summary": summary,
     }
     return _json_ready(report)
 
 
-def _write_series_csvs(directory: Path, columns: dict[str, np.ndarray], weight_n: float) -> None:
+def _write_report(
+    path: Path, report: dict, columns: dict[str, np.ndarray], csv_keys: Collection[str]
+) -> dict[str, list[str]]:
+    """Write ``report`` as indented JSON with ``columns`` in its empty series block.
+
+    The text is ``json.dumps(report, indent=2)`` with each column a
+    series array of its values rounded as ``_json_ready`` rounds them.
+    A float column is formatted once with ``_fmt``; each JSON number is
+    that string read back, or ``null`` when not finite, so it carries
+    the digits of its CSV cell.  Columns are encoded and written one at
+    a time.  Returns the strings of the columns named in ``csv_keys``.
+    """
+    head, tail = json.dumps(report, indent=2).split('\n  "series": {},\n')
+    kept = {}
+
+    def chunks():
+        yield head + '\n  "series": {'
+        for i, (name, column) in enumerate(columns.items()):
+            if column.dtype == bool:
+                array = json.dumps(column.tolist(), indent=2).replace("\n", "\n    ")
+            else:
+                text = list(map(_fmt, column.tolist()))
+                if name in csv_keys:
+                    kept[name] = text
+                numbers = map(repr, map(float, text))
+                if not np.isfinite(column).all():
+                    numbers = ("null" if number in _NON_FINITE else number for number in numbers)
+                array = _json_array(numbers, "    ")
+            yield f'{"," if i else ""}\n    {json.dumps(name)}: {array}'
+        yield "\n  },\n" + tail + "\n"
+
+    _atomic_write(path, chunks())
+    return kept
+
+
+def _write_series_csvs(directory: Path, text: dict[str, list[str]], weight_n: float) -> None:
+    """Write the plot-ready CSVs from the formatted strings of each series."""
     directory.mkdir(parents=True, exist_ok=True)
-    # Each series is formatted once, however many files it goes to.
-    text = {"weight_N": [_fmt(weight_n)] * len(columns["draft_N"])}
+    text = {**text, "weight_N": [_fmt(weight_n)] * len(text["draft_N"])}
     for name, keys in _SERIES_CSVS.items():
-        for key in keys:
-            if key not in text:
-                text[key] = [_fmt(value) for value in columns[key].tolist()]
         header = [key.replace("_filtered", "") for key in keys]
         _write_csv(directory / name, header, zip(*(text[key] for key in keys)))
 
@@ -348,10 +382,11 @@ def run_analyze(args: argparse.Namespace) -> int:
         "thrust_filtered_deg": filtered.thrust_deg,
         "lift_filtered_N": filtered.lift_n,
     }
-    report = _build_report(log, series, columns, args.push_distance)
-    _atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
+    report = _build_report(log, series, args.push_distance)
+    csv_keys = _CSV_KEYS if args.series is not None else ()
+    text = _write_report(args.out, report, columns, csv_keys)
     if args.series is not None:
-        _write_series_csvs(args.series, columns, log.metadata.vehicle().weight_n)
+        _write_series_csvs(args.series, text, log.metadata.vehicle().weight_n)
     print(f"wrote {args.out}: {len(series)} steps, {len(events)} landslide events")
     return EXIT_OK
 
@@ -528,9 +563,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # Results are checked for overflow and nan; numpy warnings add nothing.
         with np.errstate(all="ignore"):

@@ -103,6 +103,8 @@ def predict_series(
 ) -> list[PredictedStep]:
     """Predicted pose series for a non-decreasing draft schedule.
 
+    A negative or decreasing draft raises ValueError: weights are only added.
+
     The crescent regime ends at the lateral onset, or at the design depth
     without one.  Its crescent force there is scanned once, at the first
     positive draft; the force never decreases with depth, so a draft
@@ -113,9 +115,15 @@ def predict_series(
     capacity = None
     steps: list[PredictedStep] = []
     depth = 0.0
+    previous = 0.0
     for draft in drafts_n:
         if draft < 0:
             raise ValueError(f"draft_n ({draft}) must be >= 0")
+        if draft < previous:
+            raise ValueError(
+                f"draft_n ({draft}) decreased (previous {previous}); weights are only added"
+            )
+        previous = draft
         if draft > 0 and capacity is None:
             capacity = max_crescent_force(top, design.width_m, soil).force_n
         if draft > 0 and draft > capacity:

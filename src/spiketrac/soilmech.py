@@ -124,6 +124,9 @@ def _finite(value: float, what: str, depth_m: float, width_m: float) -> float:
     return value
 
 
+# An overflow, or a beta so small its cotangent divides by zero, gives inf
+# or nan; callers check the result, so numpy's warnings would add nothing.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _crescent_forces(
     depth_m: float, width_m: float, soil: SoilProperties, law: ForceLaw, betas
 ):

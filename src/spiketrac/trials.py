@@ -22,6 +22,7 @@ Steps are strictly increasing, basket mass and motion non-decreasing
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
@@ -79,6 +80,8 @@ class VehicleConfig:
     def __post_init__(self) -> None:
         if self.total_mass_kg <= 0:
             raise ValueError(f"total_mass_kg ({self.total_mass_kg}) must be positive")
+        if not math.isfinite(self.weight_n):
+            raise ValueError(f"vehicle weight overflows at total_mass_kg={self.total_mass_kg}")
 
     @property
     def weight_n(self) -> float:
@@ -189,6 +192,36 @@ class StabilityRecord:
     weight_n: float
     margin_n: float
     liftoff: bool
+
+
+@dataclass(frozen=True, eq=False)
+class StabilityCheck(abc.Sequence):
+    """Calculated lift vs vehicle weight at every step, as columns.
+
+    Indexing or iterating gives one StabilityRecord per step.
+    """
+
+    lift_n: np.ndarray
+    weight_n: float
+
+    @property
+    def liftoff(self) -> np.ndarray:
+        return self.lift_n > self.weight_n
+
+    def first_liftoff(self) -> int | None:
+        """Index of the first step whose lift exceeds the weight, or None."""
+        steps = np.flatnonzero(self.liftoff)
+        return int(steps[0]) if steps.size else None
+
+    def __len__(self) -> int:
+        return len(self.lift_n)
+
+    def __getitem__(self, index: int) -> StabilityRecord:
+        lift = float(self.lift_n[index])
+        return StabilityRecord(
+            lift_n=lift, weight_n=self.weight_n, margin_n=self.weight_n - lift,
+            liftoff=lift > self.weight_n,
+        )
 
 
 @dataclass(frozen=True)
@@ -318,6 +351,8 @@ def write_trial_log(log: TrialLog, target: str | Path | IO[str]) -> None:
         target.write(text)
 
 
+# Overflow is checked on the result; numpy's warnings would add nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def derive_series(log: TrialLog) -> DerivedSeries:
     """Derive the physical series from a validated trial log.
 
@@ -337,7 +372,8 @@ def derive_series(log: TrialLog) -> DerivedSeries:
     # Airborne poses track along the surface-contact pose.
     swing = np.maximum(incl_deg, thrust_angle(design, 0.0))
     tip_dx = np.zeros(len(log))
-    tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], np.diff(motion_mm) / 1000.0).dx_m
+    advance_m = np.diff(motion_mm) / 1000.0
+    tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], advance_m).dx_m
     # Per element through math.tan: np.tan differs from it in the last bit
     # on some angles.  The arm stands vertical at 90 degrees: tan diverges.
     lift = [
@@ -354,6 +390,14 @@ def derive_series(log: TrialLog) -> DerivedSeries:
         airborne=pose.tip_airborne,
     )
     series.cumulative_work_j = penetration_work(series)
+    # Only a vertical arm has unbounded lift; any other non-finite value overflowed.
+    overflow = ~(
+        np.isfinite(draft) & np.isfinite(series.tip_x_m) & np.isfinite(series.cumulative_work_j)
+        & (np.isfinite(series.lift_n) | (incl_deg >= 90.0))
+    )
+    if overflow.any():
+        step = log.steps[int(np.flatnonzero(overflow)[0])]
+        raise ValueError(f"derived series overflows at step {step.index}")
     return series
 
 
@@ -435,13 +479,17 @@ def tractive_efficiency(
     return push_work / (push_work + penetration_work_j)
 
 
-def stability_check(series: DerivedSeries, vehicle: VehicleConfig) -> list[StabilityRecord]:
+def stability_check(series: DerivedSeries, vehicle: VehicleConfig) -> StabilityCheck:
     """Compare the calculated hinge lift against the vehicle weight per step."""
-    weight = vehicle.weight_n
-    return [
-        StabilityRecord(lift_n=lift, weight_n=weight, margin_n=weight - lift, liftoff=lift > weight)
-        for lift in series.lift_n.tolist()
-    ]
+    return StabilityCheck(lift_n=series.lift_n, weight_n=vehicle.weight_n)
+
+
+def _applied_lift(design: SpikeDesign, kappa: float, draft: float, depth: float) -> float:
+    """Hinge lift with the draft applied at kappa of the tip depth; never decreases in kappa."""
+    sin_gamma = (design.hinge_height_m + kappa * depth) / design.radius_m
+    if sin_gamma >= 1.0:
+        return math.inf
+    return draft * math.tan(math.asin(sin_gamma))
 
 
 def estimate_effective_application(
@@ -468,20 +516,21 @@ def estimate_effective_application(
         )
     weight = vehicle.weight_n
     stable = np.logical_not(observed_liftoff)
-    points = list(zip(series.draft_n[stable].tolist(), series.depth_m[stable].tolist()))
-
-    def lift_at(kappa: float, draft: float, depth: float) -> float:
-        sin_gamma = (design.hinge_height_m + kappa * depth) / design.radius_m
-        if sin_gamma >= 1.0:
-            return math.inf
-        gamma = math.asin(sin_gamma)
-        return draft * math.tan(gamma)
-
-    def feasible(kappa: float) -> bool:
-        return all(lift_at(kappa, draft, depth) <= weight + 1e-9 for draft, depth in points)
-
     if not np.any(series.lift_n[stable] > weight):
         return EffectiveApplication(kappa=1.0, inconsistent=False)
+
+    limit = weight + 1e-9
+    # Lift never decreases with kappa, so a point that holds at kappa = 1
+    # holds at every kappa the bisection tries; only the others can fail.
+    points = [
+        (draft, depth)
+        for draft, depth in zip(series.draft_n[stable].tolist(), series.depth_m[stable].tolist())
+        if not _applied_lift(design, 1.0, draft, depth) <= limit
+    ]
+
+    def feasible(kappa: float) -> bool:
+        return all(_applied_lift(design, kappa, draft, depth) <= limit for draft, depth in points)
+
     if not feasible(0.0):
         return EffectiveApplication(kappa=0.0, inconsistent=True)
 

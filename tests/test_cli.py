@@ -156,6 +156,22 @@ class TestAnalyze:
         assert f"invalid {kind} value: '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("vehicle_kg", "row", "message"),
+        [
+            ("50.0", "0,1e308,0,10.0", "derived series overflows at step 0"),
+            ("1e308", "0,1,0,10.0", "vehicle weight overflows at total_mass_kg=1e+308"),
+        ],
+    )
+    def test_overflow_exits_3(self, vehicle_kg, row, message, tmp_path, capsys):
+        header = sample_log_text(0).replace("vehicle_kg=50.0", f"vehicle_kg={vehicle_kg}")
+        log = tmp_path / "log.csv"
+        log.write_text(f"{header}{row}\n")
+        out = tmp_path / "r.json"
+        assert run("analyze", "--log", str(log), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_zero_push_distance_gives_zero_efficiency(self, sample_log_path, tmp_path):
         out = tmp_path / "report.json"
         code = run(
@@ -505,3 +521,51 @@ class TestSimulate:
         (tmp_path / "drafts.csv").write_text("draft_N\n0\n1\n")
         assert run("simulate", *argv, "--soil", "preset:dry") == 3
         assert "crescent force overflows" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    # main builds its parser once; a bad flag between calls leaves it as it was.
+    def test_reused_parser_matches_fresh_calls(self, sample_log_path, tmp_path, monkeypatch):
+        from spiketrac import cli
+
+        space = {
+            "radius_m": {"start": 1.0, "stop": 1.2, "step": 0.1},
+            "hinge_height_m": {"start": 0.05, "stop": 0.09, "step": 0.04},
+            "initial_rake_deg": {"start": 30.0, "stop": 50.0, "step": 10.0},
+            "diameter_mm": {"start": 10.0, "stop": 20.0, "step": 10.0},
+            "design_depth_m": {"start": 0.2, "stop": 0.4, "step": 0.2},
+        }
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        calls = [
+            ["crescent", "--depth", "0.3", "--width", "0.021", "--soil", "preset:dry"],
+            ["design", "--space", str(tmp_path / "space.json"), "--top", "3"],
+            ["analyze", "--log", str(sample_log_path), "--out", str(tmp_path / "r.json"),
+             "--push-distance", "-1"],
+            ["analyze", "--log", str(sample_log_path), "--out", str(tmp_path / "r.json")],
+        ]
+
+        def outcome(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli._parser.cache_clear()
+        original, built = cli.build_parser, []
+
+        def counting_build_parser():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        reused = [outcome(argv) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+        assert len(built) == 1

@@ -1,0 +1,327 @@
+"""The analyze report path against the writers and the bisection it replaced.
+
+The references below are the earlier code, kept verbatim in spirit:
+
+* the report was ``json.dumps(_json_ready(report), indent=2)`` over a
+  report holding every series column, rounded one element at a time;
+* the CSVs formatted each column with ``_fmt``;
+* the first liftoff step came from one record per step;
+* the kappa bisection tested every observed-stable step in each round.
+
+``analyze`` must write the same bytes, and ``estimate_effective_application``
+must return the same kappa bit for bit.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spiketrac import (
+    DerivedSeries,
+    SpikeDesign,
+    TrialLog,
+    TrialMetadata,
+    TrialStep,
+    VehicleConfig,
+    derive_series,
+    detect_landslides,
+    estimate_effective_application,
+    landslide_filter,
+    tractive_efficiency,
+    write_trial_log,
+)
+from spiketrac import cli
+from spiketrac.trials import _KAPPA_TOLERANCE, _applied_lift
+
+SPECIAL = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 1e-05, 1.5e-07, 1e16, 1e15, 123456.0,
+    999999.5, 1234567.0, 0.0001, 0.000123456789, -2.5e300, 5e-324, 1.7976931348623157e308,
+]
+
+
+def reference_json_ready(value):
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return None
+        return float(cli._fmt(value))
+    if isinstance(value, dict):
+        return {key: reference_json_ready(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return list(map(reference_json_ready, value.tolist()))
+    return value
+
+
+def reference_report_text(report: dict) -> str:
+    return json.dumps(reference_json_ready(report), indent=2) + "\n"
+
+
+def reference_kappa(series, design, vehicle, observed_liftoff):
+    weight = vehicle.weight_n
+    stable = np.logical_not(observed_liftoff)
+    points = list(zip(series.draft_n[stable].tolist(), series.depth_m[stable].tolist()))
+
+    def lift_at(kappa, draft, depth):
+        sin_gamma = (design.hinge_height_m + kappa * depth) / design.radius_m
+        if sin_gamma >= 1.0:
+            return math.inf
+        gamma = math.asin(sin_gamma)
+        return draft * math.tan(gamma)
+
+    def feasible(kappa):
+        return all(lift_at(kappa, draft, depth) <= weight + 1e-9 for draft, depth in points)
+
+    if not np.any(series.lift_n[stable] > weight):
+        return 1.0, False
+    if not feasible(0.0):
+        return 0.0, True
+    lo, hi = 0.0, 1.0
+    while hi - lo > _KAPPA_TOLERANCE:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, False
+
+
+def reference_analyze(log: TrialLog, push_distance_m: float | None) -> tuple[str, dict[str, str]]:
+    """The report text and CSV texts the earlier ``analyze`` wrote."""
+    meta = log.metadata
+    vehicle = meta.vehicle()
+    series = derive_series(log)
+    series.events = detect_landslides(series)
+    filtered = landslide_filter(series, series.events)
+    columns = {
+        "draft_N": series.draft_n, "depth_m": series.depth_m,
+        "thrust_deg": series.thrust_deg, "lift_N": series.lift_n,
+        "tip_x_m": series.tip_x_m, "cumulative_work_J": series.cumulative_work_j,
+        "motion_m": series.motion_m, "airborne": series.airborne,
+        "depth_filtered_m": filtered.depth_m, "thrust_filtered_deg": filtered.thrust_deg,
+        "lift_filtered_N": filtered.lift_n,
+    }
+    summary = {
+        "max_draft_N": None, "final_depth_m": None, "penetration_work_J": None,
+        "efficiency_at_push": None, "stability": {"first_liftoff_step": None},
+        "kappa_estimate": None,
+    }
+    if len(series):
+        weight = vehicle.weight_n
+        lifts = series.lift_n.tolist()
+        summary["max_draft_N"] = series.draft_n.max()
+        summary["final_depth_m"] = series.depth_m[-1]
+        summary["penetration_work_J"] = series.cumulative_work_j[-1]
+        summary["stability"]["first_liftoff_step"] = next(
+            (i for i, lift in enumerate(lifts) if lift > weight), None
+        )
+        summary["kappa_estimate"] = reference_kappa(
+            series, meta.spike_design(), vehicle, [False] * len(series)
+        )[0]
+        if push_distance_m is not None:
+            try:
+                summary["efficiency_at_push"] = tractive_efficiency(
+                    series.cumulative_work_j[-1], series.draft_n[-1], push_distance_m
+                )
+            except ValueError:
+                pass
+    report = {
+        "metadata": asdict(meta), "series": columns,
+        "events": series.events, "summary": summary,
+    }
+    text = {name: [cli._fmt(v) for v in column.tolist()] for name, column in columns.items()}
+    text["weight_N"] = [cli._fmt(vehicle.weight_n)] * len(series)
+    csvs = {}
+    for name, keys in cli._SERIES_CSVS.items():
+        header = ",".join(key.replace("_filtered", "") for key in keys)
+        rows = [",".join(row) for row in zip(*(text[key] for key in keys))]
+        csvs[name] = "\n".join([header, *rows]) + "\n"
+    return reference_report_text(report), csvs
+
+
+report_fields = st.fixed_dictionaries({
+    "metadata": st.fixed_dictionaries({
+        "site": st.sampled_from(["dry", "moist"]),
+        "radius_m": st.one_of(st.sampled_from(SPECIAL[:10]), st.floats(0.5, 2.0)),
+    }),
+    "events": st.lists(st.integers(0, 20), max_size=3),
+    "summary": st.fixed_dictionaries({
+        "max_draft_N": st.one_of(st.none(), st.sampled_from(SPECIAL), st.floats()),
+        "stability": st.fixed_dictionaries(
+            {"first_liftoff_step": st.one_of(st.none(), st.integers(0, 5))}
+        ),
+    }),
+})
+
+
+@st.composite
+def report_columns(draw):
+    """Report columns of one length: ten float columns and the bool airborne column."""
+    n = draw(st.integers(0, 3))
+    values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+    names = [
+        "draft_N", "depth_m", "thrust_deg", "lift_N", "tip_x_m", "cumulative_work_J",
+        "motion_m", "airborne", "depth_filtered_m", "thrust_filtered_deg", "lift_filtered_N",
+    ]
+    columns = {}
+    for name in names:
+        if name == "airborne":
+            columns[name] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+        else:
+            columns[name] = np.array(draw(st.lists(values, min_size=n, max_size=n)), float)
+    return columns
+
+
+class TestReportText:
+    @given(report_fields, report_columns())
+    @settings(max_examples=150)
+    def test_report_text_equals_the_reference(self, fields, columns):
+        raw = {
+            "metadata": fields["metadata"], "series": columns,
+            "events": fields["events"], "summary": fields["summary"],
+        }
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "report.json"
+            kept = cli._write_report(
+                path, cli._json_ready({**raw, "series": {}}), columns, cli._CSV_KEYS
+            )
+            text = path.read_text(encoding="utf-8")
+        assert text == reference_report_text(raw)
+        assert set(kept) == cli._CSV_KEYS
+        for name, strings in kept.items():
+            assert strings == [cli._fmt(value) for value in columns[name].tolist()]
+
+    def test_special_values_are_written_as_json_rounds_them(self, tmp_path):
+        values = np.array(SPECIAL)
+        columns = {"draft_N": values, "airborne": np.zeros(len(values), bool)}
+        report = {"metadata": {}, "series": {}, "events": [], "summary": {}}
+        cli._write_report(tmp_path / "r.json", report, columns, ())
+        written = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert written["series"]["draft_N"] == reference_json_ready(values)
+        assert "-0.0" in (tmp_path / "r.json").read_text(encoding="utf-8")
+
+    def test_no_strings_are_kept_without_csvs(self, tmp_path):
+        columns = {"draft_N": np.array([1.0]), "airborne": np.array([True])}
+        report = {"metadata": {}, "series": {}, "events": [], "summary": {}}
+        assert cli._write_report(tmp_path / "r.json", report, columns, ()) == {}
+
+
+meta_values = st.fixed_dictionaries({
+    "site": st.sampled_from(["dry", "moist"]),
+    "diameter_mm": st.floats(5.0, 60.0),
+    "radius_m": st.floats(0.5, 2.0),
+    "hinge_m": st.floats(0.05, 0.15),
+    "rake0_deg": st.floats(20.0, 60.0),
+    "vehicle_kg": st.one_of(st.floats(0.5, 80.0), st.just(123456.0)),
+    "pulley_mu": st.floats(0.0, 0.5),
+})
+
+
+@st.composite
+def short_logs(draw):
+    """Logs of 0 to 3 steps; the arm may reach 90 degrees and baskets 1e16 kg."""
+    metadata = TrialMetadata(**draw(meta_values))
+    n = draw(st.integers(0, 3))
+    steps, basket, motion, incl = [], 0.0, 0.0, draw(st.floats(0.0, 30.0))
+    for index in range(n):
+        steps.append(TrialStep(index=index, basket_kg=basket, motion_mm=motion, incl_deg=incl))
+        basket += draw(st.one_of(st.floats(0.0, 400.0), st.sampled_from([1e-05, 1e16])))
+        motion += draw(st.floats(0.0, 80.0))
+        incl = draw(st.one_of(st.floats(incl, 90.0), st.just(90.0)))
+    return TrialLog(metadata=metadata, steps=tuple(steps))
+
+
+LIGHT = TrialMetadata("dry", 21.0, 1.34, 0.09, 45.0, 5.0, 0.23)
+
+
+class TestAnalyzeOutputs:
+    @given(short_logs(), st.one_of(st.none(), st.floats(0.0, 5.0)))
+    @settings(max_examples=60, deadline=None)
+    @example(TrialLog(LIGHT, ()), 1.0)
+    @example(TrialLog(LIGHT, (TrialStep(0, 123456.0, 0.0, 30.0),)), None)
+    # A vertical arm at the second step: infinite lift.
+    @example(TrialLog(LIGHT, (TrialStep(0, 0.0, 0.0, 5.0), TrialStep(1, 100.0, 10.0, 90.0))), 1.0)
+    def test_files_equal_the_reference(self, log, push):
+        expected_report, expected_csvs = reference_analyze(log, push)
+        with tempfile.TemporaryDirectory() as directory:
+            root = Path(directory)
+            write_trial_log(log, root / "log.csv")
+            argv = ["analyze", "--log", str(root / "log.csv"), "--out", str(root / "r.json"),
+                    "--series", str(root / "series")]
+            if push is not None:
+                argv += ["--push-distance", repr(push)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            assert (root / "r.json").read_text(encoding="utf-8") == expected_report
+            for name, text in expected_csvs.items():
+                assert (root / "series" / name).read_text(encoding="utf-8") == text
+
+
+design_values = st.builds(
+    lambda radius, hinge, rake: SpikeDesign(
+        radius_m=radius, hinge_height_m=hinge, initial_rake_deg=rake,
+        diameter_mm=21.0, design_depth_m=radius - hinge,
+    ),
+    st.floats(0.5, 2.0), st.floats(0.05, 0.15), st.floats(20.0, 60.0),
+)
+
+
+@st.composite
+def kappa_cases(draw):
+    design = draw(design_values)
+    n = draw(st.integers(0, 8))
+    drafts = draw(st.lists(st.floats(0.0, 3000.0), min_size=n, max_size=n))
+    depths = draw(st.lists(
+        st.one_of(st.floats(0.0, design.radius_m), st.just(0.0)), min_size=n, max_size=n
+    ))
+    lifts = draw(st.lists(
+        st.one_of(st.floats(0.0, 3000.0), st.just(math.inf)), min_size=n, max_size=n
+    ))
+    observed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    vehicle = VehicleConfig(total_mass_kg=draw(st.floats(0.5, 100.0)))
+    series = DerivedSeries(
+        draft_n=drafts, depth_m=depths, thrust_deg=[0.0] * n, lift_n=lifts,
+        tip_x_m=[0.0] * n, cumulative_work_j=[0.0] * n, motion_m=[0.0] * n,
+        airborne=[False] * n,
+    )
+    return series, design, vehicle, observed
+
+
+class TestKappaFilter:
+    @given(kappa_cases())
+    @settings(max_examples=200)
+    def test_kappa_equals_the_full_bisection(self, case):
+        series, design, vehicle, observed = case
+        result = estimate_effective_application(series, design, vehicle, observed)
+        kappa, inconsistent = reference_kappa(series, design, vehicle, observed)
+        assert (result.kappa.hex(), result.inconsistent) == (kappa.hex(), inconsistent)
+
+    @given(short_logs())
+    @settings(max_examples=60)
+    def test_kappa_of_derived_logs_equals_the_full_bisection(self, log):
+        series = derive_series(log)
+        design, vehicle = log.metadata.spike_design(), log.metadata.vehicle()
+        observed = [False] * len(series)
+        result = estimate_effective_application(series, design, vehicle, observed)
+        kappa, inconsistent = reference_kappa(series, design, vehicle, observed)
+        assert (result.kappa.hex(), result.inconsistent) == (kappa.hex(), inconsistent)
+
+    @given(
+        design_values, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+        st.floats(0.0, 1e6), st.floats(0.0, 3.0),
+    )
+    @settings(max_examples=500)
+    @example(
+        SpikeDesign(radius_m=1.34, hinge_height_m=0.09, diameter_mm=21.0, design_depth_m=1.25),
+        0.5, 1.0, 1000.0, 1.25,
+    )
+    def test_lift_never_decreases_in_kappa(self, design, a, b, draft, depth):
+        # The filter drops points that hold at kappa = 1 on this property.
+        low, high = min(a, b), max(a, b)
+        assert _applied_lift(design, low, draft, depth) <= _applied_lift(design, high, draft, depth)

@@ -86,3 +86,11 @@ class TestPredictSeries:
     def test_rejects_negative_draft(self):
         with pytest.raises(ValueError, match="draft_n"):
             predict_series(LARGE_FIELD_DESIGN, DRY_SAND, [-5.0])
+
+    def test_rejects_decreasing_draft(self):
+        # The second draft would otherwise be held at the lateral onset and
+        # labelled crescent.
+        with pytest.raises(ValueError, match=r"draft_n \(1.0\) decreased \(previous 2000.0\)"):
+            predict_series(LARGE_FIELD_DESIGN, DRY_SAND, [2000.0, 1.0])
+        steps = predict_series(LARGE_FIELD_DESIGN, DRY_SAND, [0.0, 1.0, 1.0])
+        assert [step.draft_n for step in steps] == [0.0, 1.0, 1.0]

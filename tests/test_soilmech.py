@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -249,3 +250,23 @@ class TestFailureMode:
         modes = [failure_mode(z, 0.021, 45.0) for z in depths]
         flips = sum(1 for a, b in zip(modes, modes[1:]) if a is not b)
         assert flips == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: crescent_force(0.3, 45.0, 1e308, DRY_SAND),
+        lambda: crescent_force(1e200, 45.0, 0.021, DRY_SAND, ForceLaw.PASSIVE_WEDGE),
+        lambda: max_crescent_force(0.3, 1e308, DRY_SAND),
+        lambda: max_crescent_force(0.3, 1e308, DRY_SAND, ForceLaw.PASSIVE_WEDGE),
+        lambda: max_crescent_force(1e200, 0.021, DRY_SAND),
+        lambda: crescent_force(0.3, 5e-324, 0.021, DRY_SAND),
+    ],
+    ids=["force-width", "force-depth", "max-width", "max-width-passive", "max-depth", "tiny-beta"],
+)
+def test_overflow_raises_without_a_numpy_warning(call):
+    # numpy's default treatment: warn on all but underflow.
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="crescent force overflows"):
+            call()

@@ -1,6 +1,8 @@
 import io
 import math
+import warnings
 
+import numpy as np
 import pytest
 from trial_data import LARGE_FIELD_DESIGN
 
@@ -171,6 +173,26 @@ class TestDeriveSeries:
         assert series.depth_m[0] == 0.0
         assert series.airborne.tolist() == [True, False]
 
+    def test_vertical_arm_has_unbounded_lift(self):
+        series = derive_series(log_from_rows("0,0,0,10.0", "1,100,10,90.0"))
+        assert series.lift_n.tolist()[1] == math.inf
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ("0,1e308,0,10.0",),  # the draft
+            ("0,1e306,0,10.0", "1,1e306,0,89.9"),  # the lift below vertical
+            ("0,0,0,10.0", "3,1e306,1e308,80.0"),  # the tip path and the work
+        ],
+    )
+    def test_overflow_names_the_step(self, rows):
+        last = rows[-1].split(",")[0]
+        log = log_from_rows(*rows)
+        with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+            warnings.simplefilter("error")  # numpy does not warn first
+            with pytest.raises(ValueError, match=f"derived series overflows at step {last}$"):
+                derive_series(log)
+
 
 class TestDetectLandslides:
     def test_smooth_series_has_no_events(self):
@@ -317,6 +339,11 @@ class TestTractiveEfficiency:
             tractive_efficiency(0.0, 0.0, 2.0)
 
 
+def test_vehicle_weight_overflow_is_rejected():
+    with pytest.raises(ValueError, match="vehicle weight overflows at total_mass_kg=1e"):
+        VehicleConfig(total_mass_kg=1e308)
+
+
 class TestStabilityCheck:
     def test_light_vehicle_lifts_off(self):
         series = make_series(draft_n=[730.0], lift_n=[237.19])
@@ -336,6 +363,21 @@ class TestStabilityCheck:
         series = make_series(draft_n=[2000.0], lift_n=[600.0])
         records = stability_check(series, VehicleConfig(total_mass_kg=50.0))
         assert records[0].liftoff
+
+    def test_columns_and_first_liftoff(self):
+        vehicle = VehicleConfig(total_mass_kg=50.0)
+        weight = vehicle.weight_n
+        series = make_series(draft_n=[1.0] * 4, lift_n=[0.0, weight, math.inf, weight + 1.0])
+        check = stability_check(series, vehicle)
+        # Lift equal to the weight does not lift the vehicle off.
+        assert check.liftoff.tolist() == [False, False, True, True]
+        assert check.first_liftoff() == 2
+        assert len(check) == 4
+        assert [record.liftoff for record in check] == [False, False, True, True]
+        assert check[-1].margin_n == -1.0
+        quiet = make_series(draft_n=[1.0, 1.0], lift_n=[0.0, weight])
+        assert stability_check(quiet, vehicle).first_liftoff() is None
+        assert stability_check(make_series(draft_n=[]), vehicle).first_liftoff() is None
 
 
 class TestEffectiveApplication:
