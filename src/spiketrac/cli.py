@@ -243,7 +243,10 @@ def load_space(path: Path) -> DesignSpace:
             ranges[name] = ParameterRange(**entry)
         except ValueError as exc:
             raise ConfigError(f"design-space file {path}: {name}: {exc}") from exc
-    return DesignSpace(**ranges)
+    try:
+        return DesignSpace(**ranges)
+    except ValueError as exc:
+        raise ConfigError(f"design-space file {path}: {exc}") from exc
 
 
 def load_draft_schedule(path: Path) -> list[float]:
@@ -288,10 +291,7 @@ def _build_report(log: TrialLog, series: DerivedSeries, push_distance_m: float |
         "kappa_estimate": None,
     }
     if len(series):
-        # No liftoff column exists in the raw logs; a recorded trial implies
-        # the vehicle stayed on its wheels throughout.
-        observed = [False] * len(series)
-        kappa = estimate_effective_application(series, design, vehicle, observed)
+        kappa = estimate_effective_application(series, design, vehicle)
         summary["max_draft_N"] = series.draft_n.max()
         summary["final_depth_m"] = series.depth_m[-1]
         summary["penetration_work_J"] = series.cumulative_work_j[-1]

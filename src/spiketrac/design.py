@@ -19,6 +19,9 @@ import numpy as np
 from .geometry import SpikeDesign, penetration_window_margin, rake_angle, thrust_angle
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
+# The search holds arrays over the whole grid: 10 million points took about 170 MiB.
+MAX_GRID_POINTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class DesignConstraints:
@@ -52,15 +55,20 @@ class ParameterRange:
             raise ValueError(f"step ({self.step}) must be positive")
         if self.stop < self.start:
             raise ValueError(f"stop ({self.stop}) must be >= start ({self.start})")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ValueError(f"(stop - start) / step overflows at step {self.step}")
+
+    def count(self) -> int:
+        """Number of values, from the span and the step alone."""
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(count)]
+        return [self.start + i * self.step for i in range(self.count())]
 
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Grid of candidate spike designs."""
+    """Grid of candidate spike designs, of at most MAX_GRID_POINTS points."""
 
     radius_m: ParameterRange
     hinge_height_m: ParameterRange
@@ -68,11 +76,16 @@ class DesignSpace:
     diameter_mm: ParameterRange
     design_depth_m: ParameterRange
 
+    def __post_init__(self) -> None:
+        size = self.size()
+        if size > MAX_GRID_POINTS:
+            raise ValueError(f"the grid has {size} points, above the limit of {MAX_GRID_POINTS}")
+
     def _values(self) -> list[list[float]]:
         return [getattr(self, f.name).values() for f in fields(self)]
 
     def size(self) -> int:
-        return math.prod(len(values) for values in self._values())
+        return math.prod(getattr(self, f.name).count() for f in fields(self))
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,14 +15,15 @@ Trial-log CSV schema (UTF-8, comma separated, dot decimal):
     0,10,0,4.2
     ...
 
-Steps are strictly increasing, basket mass and motion non-decreasing
-(weights are only ever added), inclination within [0, 90] degrees.
+The header holds each key once and no other, with finite numbers.  Steps
+are strictly increasing int64 indices, basket mass and motion
+non-decreasing (weights are only ever added), inclination within [0, 90]
+degrees.
 """
 
 from __future__ import annotations
 
 import math
-from collections import abc
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
@@ -37,6 +38,7 @@ from .geometry import (
     tip_displacement,
 )
 
+GRAVITY_M_S2 = 9.81
 DEFAULT_DEPTH_JUMP_M = 0.01
 DEFAULT_MOTION_JUMP_M = 0.01
 _KAPPA_TOLERANCE = 1e-4  # width of the kappa bisection's final bracket
@@ -59,15 +61,12 @@ class PulleyRig:
     """Basket-to-draft conversion constants of the pulley rig."""
 
     friction_coefficient: float = 0.23
-    gravity_m_s2: float = 9.81
 
     def __post_init__(self) -> None:
         if not 0 <= self.friction_coefficient < 1:
             raise ValueError(
                 f"friction_coefficient ({self.friction_coefficient}) must lie in [0, 1)"
             )
-        if self.gravity_m_s2 <= 0:
-            raise ValueError(f"gravity_m_s2 ({self.gravity_m_s2}) must be positive")
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class VehicleConfig:
     """Mass carried by the caster wheels, including ballast."""
 
     total_mass_kg: float
-    gravity_m_s2: float = 9.81
 
     def __post_init__(self) -> None:
         if self.total_mass_kg <= 0:
@@ -85,17 +83,7 @@ class VehicleConfig:
 
     @property
     def weight_n(self) -> float:
-        return self.total_mass_kg * self.gravity_m_s2
-
-
-@dataclass(frozen=True)
-class TrialStep:
-    """One raw load-step record."""
-
-    index: int
-    basket_kg: float
-    motion_mm: float
-    incl_deg: float
+        return self.total_mass_kg * GRAVITY_M_S2
 
 
 @dataclass(frozen=True)
@@ -135,13 +123,34 @@ class TrialMetadata:
 _METADATA_KEYS = tuple(f.name for f in fields(TrialMetadata))
 
 
-@dataclass(frozen=True)
+def _columns_equal(self, other) -> bool:
+    """``==`` of two dataclass records whose numpy columns compare element by element."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+    )
+
+
+@dataclass
 class TrialLog:
+    """A trial log's header and raw columns, int64 index and float64 others, compared by value."""
+
     metadata: TrialMetadata
-    steps: tuple[TrialStep, ...]
+    index: np.ndarray
+    basket_kg: np.ndarray
+    motion_mm: np.ndarray
+    incl_deg: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.index = np.asarray(self.index, np.int64)
+        for name in ("basket_kg", "motion_mm", "incl_deg"):
+            setattr(self, name, np.asarray(getattr(self, name), float))
+
+    __eq__ = _columns_equal
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.index)
 
 
 @dataclass
@@ -173,33 +182,15 @@ class DerivedSeries:
                 dtype = bool if f.name == "airborne" else float
                 setattr(self, f.name, np.asarray(getattr(self, f.name), dtype))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DerivedSeries):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
+    __eq__ = _columns_equal
 
     def __len__(self) -> int:
         return len(self.draft_n)
 
 
-@dataclass(frozen=True)
-class StabilityRecord:
-    """Calculated lift vs vehicle weight at one step."""
-
-    lift_n: float
-    weight_n: float
-    margin_n: float
-    liftoff: bool
-
-
 @dataclass(frozen=True, eq=False)
-class StabilityCheck(abc.Sequence):
-    """Calculated lift vs vehicle weight at every step, as columns.
-
-    Indexing or iterating gives one StabilityRecord per step.
-    """
+class StabilityCheck:
+    """Calculated lift vs vehicle weight at every step, as columns."""
 
     lift_n: np.ndarray
     weight_n: float
@@ -213,23 +204,13 @@ class StabilityCheck(abc.Sequence):
         steps = np.flatnonzero(self.liftoff)
         return int(steps[0]) if steps.size else None
 
-    def __len__(self) -> int:
-        return len(self.lift_n)
-
-    def __getitem__(self, index: int) -> StabilityRecord:
-        lift = float(self.lift_n[index])
-        return StabilityRecord(
-            lift_n=lift, weight_n=self.weight_n, margin_n=self.weight_n - lift,
-            liftoff=lift > self.weight_n,
-        )
-
 
 @dataclass(frozen=True)
 class EffectiveApplication:
     """Draft application point estimate.
 
     kappa is the fraction of the tip depth at which the draft force must
-    act for the calculated lift to respect every observed-stable step.
+    act for the calculated lift to stay within the weight at every step.
     inconsistent is set when even surface application (kappa = 0) over-
     predicts lift somewhere.
     """
@@ -242,7 +223,7 @@ def draft_from_basket(basket_mass_kg, rig: PulleyRig = PulleyRig()):
     """Draft force from basket mass: F_D = m g (1 - mu_pulleys); scalar or array."""
     if np.any(basket_mass_kg < 0):
         raise ValueError(f"basket_mass_kg ({np.min(basket_mass_kg)}) must be >= 0")
-    return basket_mass_kg * rig.gravity_m_s2 * (1.0 - rig.friction_coefficient)
+    return basket_mass_kg * GRAVITY_M_S2 * (1.0 - rig.friction_coefficient)
 
 
 def _parse_metadata(line: str) -> TrialMetadata:
@@ -252,7 +233,12 @@ def _parse_metadata(line: str) -> TrialMetadata:
         if "=" not in token:
             raise TrialLogError(f"metadata token {token!r} is not key=value", line=1)
         key, value = token.split("=", 1)
+        if key in pairs:
+            raise TrialLogError(f"metadata key {key!r} is repeated", line=1)
         pairs[key] = value
+    unknown = [key for key in pairs if key not in _METADATA_KEYS]
+    if unknown:
+        raise TrialLogError(f"unknown metadata keys: {', '.join(unknown)}", line=1)
     missing = [key for key in _METADATA_KEYS if key not in pairs]
     if missing:
         raise TrialLogError(f"metadata missing keys: {', '.join(missing)}", line=1)
@@ -261,16 +247,22 @@ def _parse_metadata(line: str) -> TrialMetadata:
         raise TrialLogError(f"site ({site!r}) must be 'dry' or 'moist'", line=1)
     try:
         numbers = {key: float(pairs[key]) for key in _METADATA_KEYS if key != "site"}
-        return TrialMetadata(site=site, **numbers)
     except ValueError as exc:
         raise TrialLogError(f"bad metadata value: {exc}", line=1) from exc
+    for key, value in numbers.items():
+        if not math.isfinite(value):
+            raise TrialLogError(
+                f"bad metadata value: {key}={pairs[key]} is not a finite number", line=1
+            )
+    return TrialMetadata(site=site, **numbers)
 
 
 def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
-    """Parse and validate a trial-log CSV.
+    """Parse and validate a trial-log CSV into columns.
 
-    Raises TrialLogError naming the offending line and rule.  A file with
-    only the two header lines yields an empty (zero-step) log.
+    Raises TrialLogError naming the first offending line and the first
+    rule it breaks there.  A file with only the two header lines yields
+    an empty (zero-step) log.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -285,7 +277,10 @@ def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
     if len(lines) < 2 or lines[1].strip() != _HEADER_COLUMNS:
         raise TrialLogError(f"second line must be '{_HEADER_COLUMNS}'", line=2)
 
-    steps: list[TrialStep] = []
+    index: list[int] = []
+    basket: list[float] = []
+    motion: list[float] = []
+    incl: list[float] = []
     for offset, raw in enumerate(lines[2:], start=3):
         if not raw.strip():
             continue
@@ -293,45 +288,40 @@ def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
         if len(fields) != 4:
             raise TrialLogError(f"expected 4 comma-separated fields, got {len(fields)}", line=offset)
         try:
-            step = TrialStep(
-                index=int(fields[0]),
-                basket_kg=float(fields[1]),
-                motion_mm=float(fields[2]),
-                incl_deg=float(fields[3]),
-            )
+            step, kg, mm, deg = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
         except ValueError as exc:
             raise TrialLogError(f"bad value: {exc}", line=offset) from exc
-
-        if not math.isfinite(step.basket_kg) or not math.isfinite(step.motion_mm) or not math.isfinite(step.incl_deg):
+        if not -(2**63) <= step < 2**63:
+            raise TrialLogError(f"bad value: step index {step} is outside int64", line=offset)
+        if not (math.isfinite(kg) and math.isfinite(mm) and math.isfinite(deg)):
             raise TrialLogError("values must be finite", line=offset)
-        if step.basket_kg < 0:
-            raise TrialLogError(f"basket_kg ({step.basket_kg}) must be >= 0", line=offset)
-        if not 0 <= step.incl_deg <= 90:
-            raise TrialLogError(
-                f"incl_deg ({step.incl_deg}) must lie in [0, 90]", line=offset
-            )
-        if steps:
-            prev = steps[-1]
-            if step.index <= prev.index:
+        if kg < 0:
+            raise TrialLogError(f"basket_kg ({kg}) must be >= 0", line=offset)
+        if not 0 <= deg <= 90:
+            raise TrialLogError(f"incl_deg ({deg}) must lie in [0, 90]", line=offset)
+        if index:
+            if step <= index[-1]:
                 raise TrialLogError(
-                    f"step index {step.index} must increase (previous {prev.index})",
-                    line=offset,
+                    f"step index {step} must increase (previous {index[-1]})", line=offset
                 )
-            if step.basket_kg < prev.basket_kg:
+            if kg < basket[-1]:
                 raise TrialLogError(
-                    f"basket_kg ({step.basket_kg}) decreased (previous {prev.basket_kg}); "
+                    f"basket_kg ({kg}) decreased (previous {basket[-1]}); "
                     "weights are only added",
                     line=offset,
                 )
-            if step.motion_mm < prev.motion_mm:
+            if mm < motion[-1]:
                 raise TrialLogError(
-                    f"motion_mm ({step.motion_mm}) decreased (previous {prev.motion_mm}); "
+                    f"motion_mm ({mm}) decreased (previous {motion[-1]}); "
                     "motion is cumulative",
                     line=offset,
                 )
-        steps.append(step)
+        index.append(step)
+        basket.append(kg)
+        motion.append(mm)
+        incl.append(deg)
 
-    return TrialLog(metadata=metadata, steps=tuple(steps))
+    return TrialLog(metadata, index, basket, motion, incl)
 
 
 def write_trial_log(log: TrialLog, target: str | Path | IO[str]) -> None:
@@ -341,8 +331,9 @@ def write_trial_log(log: TrialLog, target: str | Path | IO[str]) -> None:
         for key, value in asdict(log.metadata).items()
     )
     lines = ["# " + " ".join(pairs), _HEADER_COLUMNS]
-    for step in log.steps:
-        lines.append(f"{step.index},{step.basket_kg!r},{step.motion_mm!r},{step.incl_deg!r}")
+    columns = (log.index, log.basket_kg, log.motion_mm, log.incl_deg)
+    rows = zip(*(column.tolist() for column in columns))
+    lines.extend(f"{step},{kg!r},{mm!r},{deg!r}" for step, kg, mm, deg in rows)
     text = "\n".join(lines) + "\n"
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as handle:
@@ -364,9 +355,7 @@ def derive_series(log: TrialLog) -> DerivedSeries:
     """
     design = log.metadata.spike_design()
     rig = log.metadata.pulley_rig()
-    basket_kg, motion_mm, incl_deg = np.array(
-        [(step.basket_kg, step.motion_mm, step.incl_deg) for step in log.steps], dtype=float
-    ).reshape(-1, 3).T
+    basket_kg, motion_mm, incl_deg = log.basket_kg, log.motion_mm, log.incl_deg
     draft = draft_from_basket(basket_kg, rig)
     pose = depth_from_inclination(design, incl_deg)
     # Airborne poses track along the surface-contact pose.
@@ -396,8 +385,8 @@ def derive_series(log: TrialLog) -> DerivedSeries:
         & (np.isfinite(series.lift_n) | (incl_deg >= 90.0))
     )
     if overflow.any():
-        step = log.steps[int(np.flatnonzero(overflow)[0])]
-        raise ValueError(f"derived series overflows at step {step.index}")
+        step = log.index[np.flatnonzero(overflow)[0]]
+        raise ValueError(f"derived series overflows at step {step}")
     return series
 
 
@@ -470,13 +459,19 @@ def tractive_efficiency(
     draft_n: float,
     push_distance_m: float,
 ) -> float:
-    """Useful push work over push work plus spike penetration work."""
+    """Push work over push plus penetration work; OverflowError when that sum overflows."""
     if penetration_work_j < 0 or draft_n < 0 or push_distance_m < 0:
         raise ValueError("penetration work, draft, and push distance must be >= 0")
     push_work = draft_n * push_distance_m
-    if push_work + penetration_work_j <= 0:
+    total = push_work + penetration_work_j
+    if not math.isfinite(total):
+        raise OverflowError(
+            f"draft * distance + penetration work overflows at draft_n={draft_n}, "
+            f"push_distance_m={push_distance_m}"
+        )
+    if total <= 0:
         raise ValueError("draft * distance + penetration work must be positive")
-    return push_work / (push_work + penetration_work_j)
+    return push_work / total
 
 
 def stability_check(series: DerivedSeries, vehicle: VehicleConfig) -> StabilityCheck:
@@ -496,27 +491,21 @@ def estimate_effective_application(
     series: DerivedSeries,
     design: SpikeDesign,
     vehicle: VehicleConfig,
-    observed_liftoff: Sequence[bool],
 ) -> EffectiveApplication:
-    """Largest draft application fraction consistent with observed stability.
+    """Largest draft application fraction consistent with the vehicle never lifting off.
 
-    Tip-applied draft (kappa = 1) over-predicts lift when the soil reacts
-    the draft higher up the spike.  With application at depth kappa * z
-    the effective thrust angle is arcsin((h + kappa z) / r); this finds
-    by bisection the largest kappa in [0, 1] such that
-    draft * tan(gamma_eff(kappa)) stays within the vehicle weight at
-    every observed-stable step.  Returns kappa = 1 when tip application
-    already predicts stability everywhere it was observed; kappa = 0 with
-    the inconsistent flag when no kappa >= 0 reconciles the observations.
+    A trial log has no liftoff column: a recorded trial implies the
+    vehicle stayed on its wheels at every step.  Tip-applied draft
+    (kappa = 1) over-predicts lift when the soil reacts the draft higher
+    up the spike.  With application at depth kappa * z the effective
+    thrust angle is arcsin((h + kappa z) / r); this finds by bisection
+    the largest kappa in [0, 1] such that draft * tan(gamma_eff(kappa))
+    stays within the vehicle weight at every step.  Returns kappa = 1
+    when tip application already predicts stability everywhere; kappa = 0
+    with the inconsistent flag when no kappa >= 0 reconciles the steps.
     """
-    if len(observed_liftoff) != len(series):
-        raise ValueError(
-            f"observed_liftoff length ({len(observed_liftoff)}) must match the "
-            f"series length ({len(series)})"
-        )
     weight = vehicle.weight_n
-    stable = np.logical_not(observed_liftoff)
-    if not np.any(series.lift_n[stable] > weight):
+    if not np.any(series.lift_n > weight):
         return EffectiveApplication(kappa=1.0, inconsistent=False)
 
     limit = weight + 1e-9
@@ -524,7 +513,7 @@ def estimate_effective_application(
     # holds at every kappa the bisection tries; only the others can fail.
     points = [
         (draft, depth)
-        for draft, depth in zip(series.draft_n[stable].tolist(), series.depth_m[stable].tolist())
+        for draft, depth in zip(series.draft_n.tolist(), series.depth_m.tolist())
         if not _applied_lift(design, 1.0, draft, depth) <= limit
     ]
 

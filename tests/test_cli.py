@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -26,6 +27,7 @@ def run(*argv: str) -> int:
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SPACE_AXES = ("radius_m", "hinge_height_m", "initial_rake_deg", "diameter_mm", "design_depth_m")
 
 
 class TestAnalyze:
@@ -170,6 +172,39 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         assert run("analyze", "--log", str(log), "--out", str(out)) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_overflowing_push_work_exits_3(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(f"{sample_log_text(0)}0,1e306,0,10.0\n")
+        out = tmp_path / "r.json"
+        argv = ("analyze", "--log", str(log), "--out", str(out), "--push-distance", "100")
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == (
+            "error: draft * distance + penetration work overflows at "
+            "draft_n=7.553700000000001e+306, push_distance_m=100.0\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("diameter_mm=21.0", "diameter_mm=nan",
+             "bad metadata value: diameter_mm=nan is not a finite number"),
+            ("diameter_mm=21.0", "diameter_mm=inf",
+             "bad metadata value: diameter_mm=inf is not a finite number"),
+            ("pulley_mu=0.23", "pulley_mu=nan",
+             "bad metadata value: pulley_mu=nan is not a finite number"),
+            ("pulley_mu=0.23", "pulley_mu=0.23 foo=1", "unknown metadata keys: foo"),
+            ("site=dry", "site=dry site=moist", "metadata key 'site' is repeated"),
+        ],
+    )
+    def test_header_contract_exits_2(self, old, new, message, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(sample_log_text().replace(old, new, 1))
+        out = tmp_path / "r.json"
+        assert run("analyze", "--log", str(log), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {log}: line 1: {message}\n"
         assert not out.exists()
 
     def test_zero_push_distance_gives_zero_efficiency(self, sample_log_path, tmp_path):
@@ -390,6 +425,28 @@ class TestDesign:
         space.write_text(json.dumps({"radius_m": {"start": 1, "stop": 1, "step": 1}}))
         assert run("design", "--space", str(space)) == 2
         assert "missing keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("steps", "message"),
+        [
+            # Five [0, 1] axes at step 0.01: 101**5 points.
+            (dict.fromkeys(_SPACE_AXES, 0.01),
+             "the grid has 10510100501 points, above the limit of 10000000"),
+            ({"radius_m": 1e-300}, "points, above the limit of 10000000"),
+            ({"radius_m": 5e-324}, "radius_m: (stop - start) / step overflows at step 5e-324"),
+        ],
+    )
+    def test_oversized_grid_exits_2_at_once(self, steps, message, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(
+            {axis: {"start": 0, "stop": 1, "step": steps.get(axis, 1)} for axis in _SPACE_AXES}
+        ))
+        start = time.perf_counter()
+        assert run("design", "--space", str(space)) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: design-space file {space}: ") and err.count("\n") == 1
+        assert message in err
 
     def test_non_finite_space_step_exits_2(self, tmp_path, capsys):
         space = tmp_path / "space.json"

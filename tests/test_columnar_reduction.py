@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from trial_data import log_of_rows, same_bits
 
 from spiketrac import (
-    PulleyRig,
     TrialLog,
     TrialMetadata,
-    TrialStep,
     derive_series,
     detect_landslides,
     landslide_filter,
@@ -29,7 +28,6 @@ from spiketrac import (
 def reference_derive(log: TrialLog) -> dict[str, list]:
     meta = log.metadata
     design = meta.spike_design()
-    rig = PulleyRig(friction_coefficient=meta.pulley_mu)
     r, h = design.radius_m, design.hinge_height_m
     gamma0 = thrust_angle(design, 0.0)
     columns = {name: [] for name in (
@@ -37,27 +35,29 @@ def reference_derive(log: TrialLog) -> dict[str, list]:
     )}
     prev = None
     tip_x = 0.0
-    for step in log.steps:
-        depth = r * math.sin(math.radians(step.incl_deg)) - h
+    for basket_kg, motion_mm, incl_deg in zip(
+        log.basket_kg.tolist(), log.motion_mm.tolist(), log.incl_deg.tolist()
+    ):
+        depth = r * math.sin(math.radians(incl_deg)) - h
         airborne = depth < -1e-12
-        draft = step.basket_kg * rig.gravity_m_s2 * (1.0 - rig.friction_coefficient)
-        if step.incl_deg < 90.0:
-            lift = draft * math.tan(math.radians(step.incl_deg))
+        draft = basket_kg * 9.81 * (1.0 - meta.pulley_mu)
+        if incl_deg < 90.0:
+            lift = draft * math.tan(math.radians(incl_deg))
         else:
             lift = math.inf
         if prev is not None:
-            advance = (step.motion_mm - prev.motion_mm) / 1000.0
-            start = math.radians(max(prev.incl_deg, gamma0))
-            end = math.radians(max(step.incl_deg, gamma0))
+            advance = (motion_mm - prev[0]) / 1000.0
+            start = math.radians(max(prev[1], gamma0))
+            end = math.radians(max(incl_deg, gamma0))
             tip_x += advance - r * (math.cos(start) - math.cos(end))
         columns["draft_n"].append(draft)
         columns["depth_m"].append(0.0 if airborne else max(depth, 0.0))
-        columns["thrust_deg"].append(step.incl_deg)
+        columns["thrust_deg"].append(incl_deg)
         columns["lift_n"].append(lift)
         columns["tip_x_m"].append(tip_x)
-        columns["motion_m"].append(step.motion_mm / 1000.0)
+        columns["motion_m"].append(motion_mm / 1000.0)
         columns["airborne"].append(airborne)
-        prev = step
+        prev = motion_mm, incl_deg
     work = []
     total = 0.0
     draft, xs = columns["draft_n"], columns["tip_x_m"]
@@ -96,10 +96,6 @@ def reference_filter(columns: dict[str, list], events: list[int]) -> dict[str, l
     return out
 
 
-def same_bits(actual: np.ndarray, expected: list, dtype) -> bool:
-    return actual.dtype == dtype and actual.tobytes() == np.array(expected, dtype).tobytes()
-
-
 # Repeated values, drops in inclination, airborne poses (below the
 # surface-contact angle) and a vertical arm all occur in field logs.
 _INCREMENTS = st.just(0.0) | st.floats(0.0, 60.0)
@@ -118,27 +114,27 @@ def trial_logs(draw) -> TrialLog:
         vehicle_kg=30.0,
         pulley_mu=draw(st.sampled_from([0.0, 0.23])),
     )
-    steps = []
+    rows = []
     basket = motion = 0.0
     for index in range(draw(st.integers(0, 25))):
         basket += draw(_INCREMENTS)
         motion += draw(_INCREMENTS)
-        steps.append(TrialStep(index, basket, motion, draw(_INCLINATIONS)))
-    return TrialLog(metadata=meta, steps=tuple(steps))
+        rows.append((index, basket, motion, draw(_INCLINATIONS)))
+    return log_of_rows(meta, rows)
 
 
 # A -0.0 first work term (the tip swings back at zero draft), a motion
 # jump of exactly 0.01 m at step 2 and a vertical arm from step 3 on.
-_EDGE_LOG = TrialLog(
-    metadata=TrialMetadata("moist", 21.0, 1.34, 0.09, 45.0, 30.0, 0.23),
-    steps=(
-        TrialStep(0, 0.0, 0.0, 5.0),
-        TrialStep(1, 0.0, 0.0, 6.0),
-        TrialStep(2, 0.0, 10.0, 2.0),
-        TrialStep(3, 10.0, 20.0, 90.0),
-        TrialStep(4, 10.0, 24.0, 90.0),
-        TrialStep(5, 10.0, 26.0, 90.0),
-    ),
+_EDGE_LOG = log_of_rows(
+    TrialMetadata("moist", 21.0, 1.34, 0.09, 45.0, 30.0, 0.23),
+    [
+        (0, 0.0, 0.0, 5.0),
+        (1, 0.0, 0.0, 6.0),
+        (2, 0.0, 10.0, 2.0),
+        (3, 10.0, 20.0, 90.0),
+        (4, 10.0, 24.0, 90.0),
+        (5, 10.0, 26.0, 90.0),
+    ],
 )
 
 

@@ -106,6 +106,26 @@ class TestParameterRange:
         with pytest.raises(ValueError, match="step"):
             ParameterRange(0.0, 1.0, 0.0)
 
+    def test_count_is_the_number_of_values(self):
+        for axis in (ParameterRange(1.0, 2.0, 0.5), ParameterRange(0.09, 0.09, 0.01),
+                     ParameterRange(0.0, 1.0, 0.1), ParameterRange(0.3, 0.5, 0.1)):
+            assert axis.count() == len(axis.values())
+
+    def test_rejects_a_count_that_overflows(self):
+        with pytest.raises(ValueError, match=r"\(stop - start\) / step overflows at step 5e-324"):
+            ParameterRange(0.0, 1.0, 5e-324)
+
+
+class TestDesignSpaceSize:
+    def test_grid_above_the_limit_is_rejected(self):
+        axis = ParameterRange(0.0, 1.0, 0.01)
+        with pytest.raises(ValueError, match="10510100501 points, above the limit of 10000000"):
+            DesignSpace(axis, axis, axis, axis, axis)
+
+    def test_grid_at_the_limit_is_accepted(self):
+        space = DesignSpace(ParameterRange(0.0, 9999999.0, 1.0), *[point(1.0)] * 4)
+        assert space.size() == 10_000_000
+
 
 class TestGridSearch:
     def test_single_feasible_point(self):

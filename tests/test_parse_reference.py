@@ -1,0 +1,193 @@
+"""The columnar trial-log parser against the per-step parser it replaced.
+
+The reference below is the earlier parser: it stripped every field,
+built one frozen ``ReferenceStep`` per line and checked it against the
+step before.  For any step lines, ``parse_trial_log`` must raise the
+same ``TrialLogError`` (message and line) or return columns with the
+same bits as the reference's steps.  The header is fixed and valid: its
+rules changed with the columnar parser and are tested in
+``tests/test_trials.py``.
+"""
+
+import io
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from trial_data import same_bits
+
+from spiketrac import TrialLogError, parse_trial_log
+
+HEADER = (
+    "# site=dry diameter_mm=21.0 radius_m=1.34 hinge_m=0.09 rake0_deg=45.0 "
+    "vehicle_kg=50.0 pulley_mu=0.23"
+)
+COLUMNS = "step,basket_kg,motion_mm,incl_deg"
+
+
+@dataclass(frozen=True)
+class ReferenceStep:
+    index: int
+    basket_kg: float
+    motion_mm: float
+    incl_deg: float
+
+
+def reference_steps(lines: list[str]) -> list[ReferenceStep]:
+    """The step lines of a log, file line 3 on, parsed as the earlier parser did."""
+    steps: list[ReferenceStep] = []
+    for offset, raw in enumerate(lines, start=3):
+        if not raw.strip():
+            continue
+        fields = [part.strip() for part in raw.split(",")]
+        if len(fields) != 4:
+            raise TrialLogError(f"expected 4 comma-separated fields, got {len(fields)}", line=offset)
+        try:
+            step = ReferenceStep(
+                index=int(fields[0]),
+                basket_kg=float(fields[1]),
+                motion_mm=float(fields[2]),
+                incl_deg=float(fields[3]),
+            )
+        except ValueError as exc:
+            raise TrialLogError(f"bad value: {exc}", line=offset) from exc
+
+        if not math.isfinite(step.basket_kg) or not math.isfinite(step.motion_mm) or not math.isfinite(step.incl_deg):
+            raise TrialLogError("values must be finite", line=offset)
+        if step.basket_kg < 0:
+            raise TrialLogError(f"basket_kg ({step.basket_kg}) must be >= 0", line=offset)
+        if not 0 <= step.incl_deg <= 90:
+            raise TrialLogError(
+                f"incl_deg ({step.incl_deg}) must lie in [0, 90]", line=offset
+            )
+        if steps:
+            prev = steps[-1]
+            if step.index <= prev.index:
+                raise TrialLogError(
+                    f"step index {step.index} must increase (previous {prev.index})",
+                    line=offset,
+                )
+            if step.basket_kg < prev.basket_kg:
+                raise TrialLogError(
+                    f"basket_kg ({step.basket_kg}) decreased (previous {prev.basket_kg}); "
+                    "weights are only added",
+                    line=offset,
+                )
+            if step.motion_mm < prev.motion_mm:
+                raise TrialLogError(
+                    f"motion_mm ({step.motion_mm}) decreased (previous {prev.motion_mm}); "
+                    "motion is cumulative",
+                    line=offset,
+                )
+        steps.append(step)
+    return steps
+
+
+# Whitespace that int, float and strip() all skip, and that does not end a line.
+_SPACE = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003", "\u3000"])
+_PAD = _SPACE | st.just("")
+_NOT_NUMBERS = st.sampled_from(["", "abc", "1.5.2", "0x10", "--1", "1e", "\u00bd", "1 2"])
+_NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999"])
+# Number spellings float and int accept beside repr.
+_NUMBER_FORMS = st.sampled_from(["{}", "+{}", "{}e0", "0{}"])
+_KINDS = st.sampled_from([
+    "padded", "field_count", "not_number", "non_finite", "negative_basket",
+    "low_incl", "high_incl", "decreasing_basket", "decreasing_motion",
+    "repeated_index", "lower_index", "integer_text",
+])
+
+
+@st.composite
+def step_lines(draw) -> list[str]:
+    """Step lines, a third of them changed in one or two ways, some blank."""
+    lines = []
+    index = draw(st.integers(-3, 3))
+    basket = motion = 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u3000 "])))
+            continue
+        prev_index, prev_basket, prev_motion = index, basket, motion
+        index += draw(st.integers(1, 3))
+        basket += draw(st.sampled_from([0.0, 2.5]) | st.floats(0.0, 50.0))
+        motion += draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 50.0))
+        incl = draw(st.sampled_from([0.0, -0.0, 90.0]) | st.floats(0.0, 90.0))
+        fields = [str(index), repr(basket), repr(motion), repr(incl)]
+        kinds = draw(st.lists(_KINDS, min_size=1, max_size=2)) if draw(st.integers(0, 2)) == 0 else []
+        for kind in kinds:
+            column = draw(st.integers(0, len(fields) - 1))
+            if kind == "padded":
+                fields[column] = draw(_SPACE) + fields[column] + draw(_PAD)
+            elif kind == "field_count":
+                fields = draw(st.sampled_from([fields[:1], fields[:3], fields + ["0"]]))
+            elif kind == "not_number":
+                fields[column] = draw(_PAD) + draw(_NOT_NUMBERS) + draw(_PAD)
+            elif kind == "non_finite":
+                fields[column] = draw(_NON_FINITE)
+            elif kind == "negative_basket" and len(fields) > 1:
+                fields[1] = repr(-draw(st.sampled_from([0.5, 5e-324]) | st.floats(1e-9, 1e3)))
+            elif kind == "low_incl" and len(fields) > 3:
+                fields[3] = repr(-draw(st.sampled_from([1e-12, 0.5]) | st.floats(1e-9, 90.0)))
+            elif kind == "high_incl" and len(fields) > 3:
+                fields[3] = repr(draw(st.sampled_from([90.00001, 1e300]) | st.floats(90.0, 1e3, exclude_min=True)))
+            elif kind == "decreasing_basket" and len(fields) > 1:
+                fields[1] = repr(prev_basket - draw(st.floats(1e-9, 10.0)))
+            elif kind == "decreasing_motion" and len(fields) > 2:
+                fields[2] = repr(prev_motion - draw(st.floats(1e-9, 10.0)))
+            elif kind == "repeated_index":
+                fields[0] = str(prev_index)
+            elif kind == "lower_index":
+                fields[0] = str(prev_index - draw(st.integers(1, 3)))
+            elif kind == "integer_text":
+                fields[column] = draw(_NUMBER_FORMS).format(draw(st.integers(0, 90)))
+        lines.append(",".join(fields))
+    return lines
+
+
+@settings(max_examples=600, deadline=None)
+@given(step_lines())
+@example(["0,0,0,nan"])
+@example(["0, 1 ,2,\t3", "1,-1,0,100"])
+@example(["0,0,0,5", "1,1,1,-inf"])
+# Lines that break two rules against the line before.
+@example(["0,5,5,10", "1,4,4,10"])
+@example(["0,5,5,10", "0,4,4,10"])
+def test_parser_matches_the_reference(lines):
+    text = "\n".join([HEADER, COLUMNS, *lines]) + "\n"
+    try:
+        steps = reference_steps(text.splitlines()[2:])
+    except TrialLogError as expected:
+        with pytest.raises(TrialLogError) as caught:
+            parse_trial_log(io.StringIO(text))
+        assert (str(caught.value), caught.value.line) == (str(expected), expected.line)
+        return
+    log = parse_trial_log(io.StringIO(text))
+    assert len(log) == len(steps)
+    assert same_bits(log.index, [step.index for step in steps], np.int64)
+    for name in ("basket_kg", "motion_mm", "incl_deg"):
+        expected = [getattr(step, name) for step in steps]
+        assert same_bits(getattr(log, name), expected, np.float64), name
+
+
+@pytest.mark.parametrize(
+    ("rows", "line", "index"),
+    [
+        (["0,0,0,5", "9223372036854775808,1,1,5"], 4, "9223372036854775808"),
+        (["-9223372036854775809,0,0,5"], 3, "-9223372036854775809"),
+    ],
+)
+def test_index_outside_int64_names_its_line(rows, line, index):
+    text = "\n".join([HEADER, COLUMNS, *rows]) + "\n"
+    with pytest.raises(TrialLogError) as caught:
+        parse_trial_log(io.StringIO(text))
+    assert str(caught.value) == f"line {line}: bad value: step index {index} is outside int64"
+    assert caught.value.line == line
+
+
+def test_int64_bounds_are_valid_indices():
+    rows = ["-9223372036854775808,0,0,5", "9223372036854775807,0,0,5"]
+    log = parse_trial_log(io.StringIO("\n".join([HEADER, COLUMNS, *rows]) + "\n"))
+    assert log.index.tolist() == [-(2**63), 2**63 - 1]

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trial_data import log_of_rows
 
 from spiketrac import (
     DerivedSeries,
@@ -13,7 +14,6 @@ from spiketrac import (
     SpikeDesign,
     TrialLog,
     TrialMetadata,
-    TrialStep,
     VehicleConfig,
     crescent_force,
     crescent_volume,
@@ -122,18 +122,18 @@ def trial_logs(draw) -> TrialLog:
         vehicle_kg=draw(st.floats(4.0, 80.0)),
         pulley_mu=draw(st.floats(0.0, 0.5)),
     )
-    steps = []
+    rows = []
     basket = 0.0
     motion = 0.0
     incl = draw(st.floats(0.0, 30.0))
     index = draw(st.integers(0, 3))
     for _ in range(n):
-        steps.append(TrialStep(index=index, basket_kg=basket, motion_mm=motion, incl_deg=incl))
+        rows.append((index, basket, motion, incl))
         index += draw(st.integers(1, 3))
         basket += draw(st.floats(0.0, 40.0))
         motion += draw(st.floats(0.0, 80.0))
         incl = min(incl + draw(st.floats(0.0, 4.0)), 90.0)
-    return TrialLog(metadata=metadata, steps=tuple(steps))
+    return log_of_rows(metadata, rows)
 
 
 class TestTrialPipelineInvariants:
@@ -183,8 +183,7 @@ class TestTrialPipelineInvariants:
             motion_m=[0.0] * 12,
             airborne=[False] * 12,
         )
-        records = stability_check(series, VehicleConfig(total_mass_kg=50.0))
-        flags = [r.liftoff for r in records]
+        flags = stability_check(series, VehicleConfig(total_mass_kg=50.0)).liftoff.tolist()
         assert flags == sorted(flags)  # False ... False True ... True
         assert any(flags) and not all(flags)
 
@@ -194,8 +193,6 @@ class TestTrialPipelineInvariants:
         series = derive_series(log)
         vehicle = VehicleConfig(total_mass_kg=1e9)  # nothing can lift this
         design = log.metadata.spike_design()
-        result = estimate_effective_application(
-            series, design, vehicle, [False] * len(series)
-        )
+        result = estimate_effective_application(series, design, vehicle)
         assert result.kappa == 1.0
         assert not result.inconsistent

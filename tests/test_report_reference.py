@@ -6,7 +6,7 @@ The references below are the earlier code, kept verbatim in spirit:
   report holding every series column, rounded one element at a time;
 * the CSVs formatted each column with ``_fmt``;
 * the first liftoff step came from one record per step;
-* the kappa bisection tested every observed-stable step in each round.
+* the kappa bisection tested every step in each round.
 
 ``analyze`` must write the same bytes, and ``estimate_effective_application``
 must return the same kappa bit for bit.
@@ -23,13 +23,13 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from trial_data import log_of_rows
 
 from spiketrac import (
     DerivedSeries,
     SpikeDesign,
     TrialLog,
     TrialMetadata,
-    TrialStep,
     VehicleConfig,
     derive_series,
     detect_landslides,
@@ -63,10 +63,9 @@ def reference_report_text(report: dict) -> str:
     return json.dumps(reference_json_ready(report), indent=2) + "\n"
 
 
-def reference_kappa(series, design, vehicle, observed_liftoff):
+def reference_kappa(series, design, vehicle):
     weight = vehicle.weight_n
-    stable = np.logical_not(observed_liftoff)
-    points = list(zip(series.draft_n[stable].tolist(), series.depth_m[stable].tolist()))
+    points = list(zip(series.draft_n.tolist(), series.depth_m.tolist()))
 
     def lift_at(kappa, draft, depth):
         sin_gamma = (design.hinge_height_m + kappa * depth) / design.radius_m
@@ -78,7 +77,7 @@ def reference_kappa(series, design, vehicle, observed_liftoff):
     def feasible(kappa):
         return all(lift_at(kappa, draft, depth) <= weight + 1e-9 for draft, depth in points)
 
-    if not np.any(series.lift_n[stable] > weight):
+    if not np.any(series.lift_n > weight):
         return 1.0, False
     if not feasible(0.0):
         return 0.0, True
@@ -121,9 +120,7 @@ def reference_analyze(log: TrialLog, push_distance_m: float | None) -> tuple[str
         summary["stability"]["first_liftoff_step"] = next(
             (i for i, lift in enumerate(lifts) if lift > weight), None
         )
-        summary["kappa_estimate"] = reference_kappa(
-            series, meta.spike_design(), vehicle, [False] * len(series)
-        )[0]
+        summary["kappa_estimate"] = reference_kappa(series, meta.spike_design(), vehicle)[0]
         if push_distance_m is not None:
             try:
                 summary["efficiency_at_push"] = tractive_efficiency(
@@ -228,13 +225,13 @@ def short_logs(draw):
     """Logs of 0 to 3 steps; the arm may reach 90 degrees and baskets 1e16 kg."""
     metadata = TrialMetadata(**draw(meta_values))
     n = draw(st.integers(0, 3))
-    steps, basket, motion, incl = [], 0.0, 0.0, draw(st.floats(0.0, 30.0))
+    rows, basket, motion, incl = [], 0.0, 0.0, draw(st.floats(0.0, 30.0))
     for index in range(n):
-        steps.append(TrialStep(index=index, basket_kg=basket, motion_mm=motion, incl_deg=incl))
+        rows.append((index, basket, motion, incl))
         basket += draw(st.one_of(st.floats(0.0, 400.0), st.sampled_from([1e-05, 1e16])))
         motion += draw(st.floats(0.0, 80.0))
         incl = draw(st.one_of(st.floats(incl, 90.0), st.just(90.0)))
-    return TrialLog(metadata=metadata, steps=tuple(steps))
+    return log_of_rows(metadata, rows)
 
 
 LIGHT = TrialMetadata("dry", 21.0, 1.34, 0.09, 45.0, 5.0, 0.23)
@@ -243,10 +240,10 @@ LIGHT = TrialMetadata("dry", 21.0, 1.34, 0.09, 45.0, 5.0, 0.23)
 class TestAnalyzeOutputs:
     @given(short_logs(), st.one_of(st.none(), st.floats(0.0, 5.0)))
     @settings(max_examples=60, deadline=None)
-    @example(TrialLog(LIGHT, ()), 1.0)
-    @example(TrialLog(LIGHT, (TrialStep(0, 123456.0, 0.0, 30.0),)), None)
+    @example(log_of_rows(LIGHT, []), 1.0)
+    @example(log_of_rows(LIGHT, [(0, 123456.0, 0.0, 30.0)]), None)
     # A vertical arm at the second step: infinite lift.
-    @example(TrialLog(LIGHT, (TrialStep(0, 0.0, 0.0, 5.0), TrialStep(1, 100.0, 10.0, 90.0))), 1.0)
+    @example(log_of_rows(LIGHT, [(0, 0.0, 0.0, 5.0), (1, 100.0, 10.0, 90.0)]), 1.0)
     def test_files_equal_the_reference(self, log, push):
         expected_report, expected_csvs = reference_analyze(log, push)
         with tempfile.TemporaryDirectory() as directory:
@@ -283,23 +280,22 @@ def kappa_cases(draw):
     lifts = draw(st.lists(
         st.one_of(st.floats(0.0, 3000.0), st.just(math.inf)), min_size=n, max_size=n
     ))
-    observed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     vehicle = VehicleConfig(total_mass_kg=draw(st.floats(0.5, 100.0)))
     series = DerivedSeries(
         draft_n=drafts, depth_m=depths, thrust_deg=[0.0] * n, lift_n=lifts,
         tip_x_m=[0.0] * n, cumulative_work_j=[0.0] * n, motion_m=[0.0] * n,
         airborne=[False] * n,
     )
-    return series, design, vehicle, observed
+    return series, design, vehicle
 
 
 class TestKappaFilter:
     @given(kappa_cases())
     @settings(max_examples=200)
     def test_kappa_equals_the_full_bisection(self, case):
-        series, design, vehicle, observed = case
-        result = estimate_effective_application(series, design, vehicle, observed)
-        kappa, inconsistent = reference_kappa(series, design, vehicle, observed)
+        series, design, vehicle = case
+        result = estimate_effective_application(series, design, vehicle)
+        kappa, inconsistent = reference_kappa(series, design, vehicle)
         assert (result.kappa.hex(), result.inconsistent) == (kappa.hex(), inconsistent)
 
     @given(short_logs())
@@ -307,9 +303,8 @@ class TestKappaFilter:
     def test_kappa_of_derived_logs_equals_the_full_bisection(self, log):
         series = derive_series(log)
         design, vehicle = log.metadata.spike_design(), log.metadata.vehicle()
-        observed = [False] * len(series)
-        result = estimate_effective_application(series, design, vehicle, observed)
-        kappa, inconsistent = reference_kappa(series, design, vehicle, observed)
+        result = estimate_effective_application(series, design, vehicle)
+        kappa, inconsistent = reference_kappa(series, design, vehicle)
         assert (result.kappa.hex(), result.inconsistent) == (kappa.hex(), inconsistent)
 
     @given(

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from spiketrac import (
     TrialLog,
     TrialLogError,
     TrialMetadata,
-    TrialStep,
     VehicleConfig,
     derive_series,
     detect_landslides,
@@ -78,7 +78,10 @@ class TestParseTrialLog:
         assert len(log) == 3
         assert log.metadata.site == "dry"
         assert log.metadata.radius_m == 1.34
-        assert log.steps[2] == TrialStep(index=2, basket_kg=80.0, motion_mm=200.0, incl_deg=12.5)
+        assert log.index.dtype == np.int64 and log.index.tolist() == [0, 1, 2]
+        assert log.basket_kg.dtype == np.float64 and log.basket_kg.tolist() == [0.0, 50.0, 80.0]
+        assert log.motion_mm.tolist() == [0.0, 120.0, 200.0]
+        assert log.incl_deg.tolist() == [5.0, 9.2, 12.5]
 
     def test_header_only_gives_empty_log(self):
         log = log_from_rows()
@@ -107,6 +110,29 @@ class TestParseTrialLog:
         with pytest.raises(TrialLogError, match="missing keys"):
             parse_trial_log(io.StringIO(text))
 
+    @pytest.mark.parametrize(
+        ("header", "message"),
+        [
+            (HEADER.replace("diameter_mm=21.0", "diameter_mm=nan"),
+             "bad metadata value: diameter_mm=nan is not a finite number"),
+            (HEADER.replace("radius_m=1.34", "radius_m=-inf"),
+             "bad metadata value: radius_m=-inf is not a finite number"),
+            (HEADER.replace("vehicle_kg=50.0", "vehicle_kg=1e999"),
+             "bad metadata value: vehicle_kg=1e999 is not a finite number"),
+            (HEADER.replace("pulley_mu=0.23", "pulley_mu=nan"),
+             "bad metadata value: pulley_mu=nan is not a finite number"),
+            (HEADER + " foo=1", "unknown metadata keys: foo"),
+            (HEADER.replace("# site=dry", "# site=dry bar=x"), "unknown metadata keys: bar"),
+            (HEADER + " site=moist", "metadata key 'site' is repeated"),
+            (HEADER + " radius_m=1.34", "metadata key 'radius_m' is repeated"),
+        ],
+    )
+    def test_header_contract(self, header, message):
+        with pytest.raises(TrialLogError) as excinfo:
+            parse_trial_log(io.StringIO(f"{header}\n{COLUMNS}\n0,0,0,5.0\n"))
+        assert str(excinfo.value) == f"line 1: {message}"
+        assert excinfo.value.line == 1
+
     def test_bad_column_header(self):
         text = HEADER + "\nstep,mass,motion,incl\n"
         with pytest.raises(TrialLogError, match="line 2"):
@@ -126,10 +152,7 @@ class TestDeriveSeries:
             site="moist", diameter_mm=12.0, radius_m=0.58, hinge_m=0.09,
             rake0_deg=45.0, vehicle_kg=50.0, pulley_mu=0.23,
         )
-        log = TrialLog(
-            metadata=meta,
-            steps=(TrialStep(index=0, basket_kg=132.5, motion_mm=220.0, incl_deg=28.0),),
-        )
+        log = TrialLog(meta, index=[0], basket_kg=[132.5], motion_mm=[220.0], incl_deg=[28.0])
         series = derive_series(log)
         assert series.draft_n[0] == pytest.approx(1000.865, abs=0.01)
         assert series.depth_m[0] == pytest.approx(0.18229350641581663)
@@ -141,10 +164,7 @@ class TestDeriveSeries:
             rake0_deg=45.0, vehicle_kg=50.0, pulley_mu=0.23,
         )
         gamma0 = math.degrees(math.asin(0.09 / 1.34))
-        log = TrialLog(
-            metadata=meta,
-            steps=(TrialStep(index=0, basket_kg=0.0, motion_mm=0.0, incl_deg=gamma0),),
-        )
+        log = TrialLog(meta, index=[0], basket_kg=[0.0], motion_mm=[0.0], incl_deg=[gamma0])
         series = derive_series(log)
         assert series.draft_n.tolist() == [0.0]
         assert series.depth_m[0] == pytest.approx(0.0, abs=1e-12)
@@ -338,6 +358,17 @@ class TestTractiveEfficiency:
         with pytest.raises(ValueError, match="must be positive"):
             tractive_efficiency(0.0, 0.0, 2.0)
 
+    @pytest.mark.parametrize(
+        ("work", "draft", "distance"), [(0.0, 7.5e306, 100.0), (1e308, 1e308, 1.0)]
+    )
+    def test_overflowing_push_work_names_draft_and_distance(self, work, draft, distance):
+        message = (
+            "draft * distance + penetration work overflows at "
+            f"draft_n={draft}, push_distance_m={distance}"
+        )
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            tractive_efficiency(work, draft, distance)
+
 
 def test_vehicle_weight_overflow_is_rejected():
     with pytest.raises(ValueError, match="vehicle weight overflows at total_mass_kg=1e"):
@@ -347,22 +378,22 @@ def test_vehicle_weight_overflow_is_rejected():
 class TestStabilityCheck:
     def test_light_vehicle_lifts_off(self):
         series = make_series(draft_n=[730.0], lift_n=[237.19])
-        records = stability_check(series, VehicleConfig(total_mass_kg=5.0))
-        assert records[0].liftoff
-        assert records[0].weight_n == pytest.approx(49.05)
-        assert records[0].margin_n == pytest.approx(49.05 - 237.19)
+        check = stability_check(series, VehicleConfig(total_mass_kg=5.0))
+        assert check.liftoff.tolist() == [True]
+        assert check.weight_n == pytest.approx(49.05)
+        assert check.lift_n.tolist() == [237.19]
 
     def test_zero_lift_margin_is_weight(self):
         series = make_series(draft_n=[0.0], lift_n=[0.0])
-        records = stability_check(series, VehicleConfig(total_mass_kg=50.0))
-        assert not records[0].liftoff
-        assert records[0].margin_n == pytest.approx(490.5)
+        check = stability_check(series, VehicleConfig(total_mass_kg=50.0))
+        assert check.liftoff.tolist() == [False]
+        assert check.weight_n - check.lift_n[0] == pytest.approx(490.5)
 
     def test_calculated_liftoff_despite_observed_stability(self):
         # 600 N of calculated lift against a 490.5 N vehicle flags liftoff.
         series = make_series(draft_n=[2000.0], lift_n=[600.0])
-        records = stability_check(series, VehicleConfig(total_mass_kg=50.0))
-        assert records[0].liftoff
+        check = stability_check(series, VehicleConfig(total_mass_kg=50.0))
+        assert check.first_liftoff() == 0
 
     def test_columns_and_first_liftoff(self):
         vehicle = VehicleConfig(total_mass_kg=50.0)
@@ -372,9 +403,6 @@ class TestStabilityCheck:
         # Lift equal to the weight does not lift the vehicle off.
         assert check.liftoff.tolist() == [False, False, True, True]
         assert check.first_liftoff() == 2
-        assert len(check) == 4
-        assert [record.liftoff for record in check] == [False, False, True, True]
-        assert check[-1].margin_n == -1.0
         quiet = make_series(draft_n=[1.0, 1.0], lift_n=[0.0, weight])
         assert stability_check(quiet, vehicle).first_liftoff() is None
         assert stability_check(make_series(draft_n=[]), vehicle).first_liftoff() is None
@@ -383,9 +411,7 @@ class TestStabilityCheck:
 class TestEffectiveApplication:
     def test_all_stable_returns_unity(self):
         series = make_series(draft_n=[500.0], depth_m=[0.2], lift_n=[100.0])
-        result = estimate_effective_application(
-            series, LARGE_FIELD_DESIGN, VehicleConfig(50.0), [False]
-        )
+        result = estimate_effective_application(series, LARGE_FIELD_DESIGN, VehicleConfig(50.0))
         assert result.kappa == 1.0
         assert not result.inconsistent
 
@@ -395,9 +421,7 @@ class TestEffectiveApplication:
         # kappa = (r sin(atan(W/F)) - h) / z of the tip depth.
         depth = 0.29504616665890293
         series = make_series(draft_n=[2000.0], depth_m=[depth], lift_n=[600.0])
-        result = estimate_effective_application(
-            series, LARGE_FIELD_DESIGN, VehicleConfig(50.0), [False]
-        )
+        result = estimate_effective_application(series, LARGE_FIELD_DESIGN, VehicleConfig(50.0))
         assert not result.inconsistent
         assert result.kappa == pytest.approx(0.7767473019284445, abs=2e-4)
 
@@ -408,17 +432,6 @@ class TestEffectiveApplication:
         design = LARGE_FIELD_DESIGN
         lift = 730.0 * math.tan(math.asin((0.09 + 0.34) / 1.34))
         series = make_series(draft_n=[730.0], depth_m=[0.34], lift_n=[lift])
-        result = estimate_effective_application(series, design, VehicleConfig(5.0), [False])
+        result = estimate_effective_application(series, design, VehicleConfig(5.0))
         assert result.kappa == 0.0
         assert result.inconsistent
-
-    def test_observed_liftoff_steps_are_not_constraints(self):
-        design = LARGE_FIELD_DESIGN
-        series = make_series(draft_n=[2000.0], depth_m=[0.3], lift_n=[600.0])
-        result = estimate_effective_application(series, design, VehicleConfig(50.0), [True])
-        assert result.kappa == 1.0
-
-    def test_length_mismatch_rejected(self):
-        series = make_series(draft_n=[1.0, 2.0])
-        with pytest.raises(ValueError, match="observed_liftoff length"):
-            estimate_effective_application(series, LARGE_FIELD_DESIGN, VehicleConfig(50.0), [False])

@@ -1,6 +1,8 @@
-"""Field-trial designs and a synthetic trial log shared by the tests."""
+"""Field-trial designs, trial logs and a column comparison shared by the tests."""
 
-from spiketrac import SpikeDesign
+import numpy as np
+
+from spiketrac import SpikeDesign, TrialLog, TrialMetadata
 
 # The two field-trial geometries: 58 cm radius rebar spike (15 cm design
 # depth) and the 134 cm radius rod spike (50 cm design depth).
@@ -21,6 +23,16 @@ LARGE_FIELD_DESIGN = SpikeDesign(
     tip_mass_kg=2.9,
 )
 
+
+def log_of_rows(metadata: TrialMetadata, rows) -> TrialLog:
+    """A trial log from ``(index, basket_kg, motion_mm, incl_deg)`` rows."""
+    columns = zip(*rows) if rows else ([],) * 4
+    return TrialLog(metadata, *columns)
+
+
+def same_bits(actual: np.ndarray, expected: list, dtype) -> bool:
+    """Whether a column has ``dtype`` and the bits of ``expected``; -0.0 differs from 0.0."""
+    return actual.dtype == dtype and actual.tobytes() == np.array(expected, dtype).tobytes()
 
 
 def sample_log_text(n_steps: int = 20, jump_steps: tuple[int, ...] = (7, 14)) -> str:
