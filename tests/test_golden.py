@@ -36,8 +36,8 @@ CASES = {
         "--series", "series", "--push-distance", "0.5",
     ],
     # A -0.0 first work term, a depth jump at step 1, airborne steps 2-3,
-    # by-index interpolation between equal zero drafts, a vertical arm
-    # (infinite lift) at the last step and negative penetration work.
+    # by-index interpolation between equal zero drafts, a near-vertical
+    # arm (89 degrees) at the last step and negative penetration work.
     "analyze-edge": [
         "analyze", "--log", "trial_edge.csv", "--out", "report.json",
         "--series", "series", "--push-distance", "1.0",
