@@ -149,6 +149,13 @@ def positive(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """A JSON integer within the float range; the int itself is kept."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits is beyond the float range")
+    return int(text)
+
+
 def positive_int(text: str) -> int:
     """An integer of at least 1 from text; the type of count flags."""
     value = int(text)
@@ -161,8 +168,8 @@ def _load_json(path: Path, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        # NaN/Infinity literals and floats that overflow to inf are rejected.
-        data = json.loads(text, parse_constant=finite, parse_float=finite)
+        # NaN/Infinity literals and numbers that overflow a float are rejected.
+        data = json.loads(text, parse_constant=finite, parse_float=finite, parse_int=_integer)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} file {path}: invalid JSON ({exc})") from exc
     except ValueError as exc:
@@ -279,9 +286,6 @@ def load_draft_schedule(path: Path) -> list[float]:
 def _build_report(log: TrialLog, series: DerivedSeries, push_distance_m: float | None) -> dict:
     """The report with an empty ``series`` block, rounded for JSON."""
     meta = log.metadata
-    vehicle = meta.vehicle()
-    design = meta.spike_design()
-
     summary: dict = {
         "max_draft_N": None,
         "final_depth_m": None,
@@ -291,11 +295,11 @@ def _build_report(log: TrialLog, series: DerivedSeries, push_distance_m: float |
         "kappa_estimate": None,
     }
     if len(series):
-        kappa = estimate_effective_application(series, design, vehicle)
+        kappa = estimate_effective_application(series, meta.spike_design, meta.vehicle)
         summary["max_draft_N"] = series.draft_n.max()
         summary["final_depth_m"] = series.depth_m[-1]
         summary["penetration_work_J"] = series.cumulative_work_j[-1]
-        stability = stability_check(series, vehicle)
+        stability = stability_check(series, meta.vehicle)
         summary["stability"]["first_liftoff_step"] = stability.first_liftoff()
         summary["kappa_estimate"] = kappa.kappa
         if push_distance_m is not None:
@@ -386,7 +390,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     csv_keys = _CSV_KEYS if args.series is not None else ()
     text = _write_report(args.out, report, columns, csv_keys)
     if args.series is not None:
-        _write_series_csvs(args.series, text, log.metadata.vehicle().weight_n)
+        _write_series_csvs(args.series, text, log.metadata.vehicle.weight_n)
     print(f"wrote {args.out}: {len(series)} steps, {len(events)} landslide events")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import SpikeDesign, penetration_window_margin, rake_angle, thrust_angle
+from .geometry import SpikeDesign, rotated_rake, thrust_angle
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
 # The search holds arrays over the whole grid: 10 million points took about 170 MiB.
@@ -187,10 +187,13 @@ def evaluate_design(
     """
     depth = design.design_depth_m
     thrust = thrust_angle(design, depth)
-    window = penetration_window_margin(design).difference_deg
+    gamma0 = thrust_angle(design, 0.0)
+    # alpha - gamma is depth-invariant under rigid rotation: its surface value.
+    window = design.initial_rake_deg - gamma0
     zc: float | None = None
     if constraints.require_lateral_at_design_depth:
-        zc = critical_depth(design.width_m, rake_angle(design, depth), cd_model)
+        rake = rotated_rake(design.initial_rake_deg, thrust, gamma0)
+        zc = critical_depth(design.width_m, rake, cd_model)
     failed = _failed_checks(constraints, thrust, window, depth, zc)
 
     violations: list[Violation] = []
@@ -314,7 +317,7 @@ def grid_search(
     window = rake0_grid - gamma0[per_arm]
     zc = None
     if constraints.require_lateral_at_design_depth:
-        rake = rake0_grid + (thrust[per_arm] - gamma0[per_arm])
+        rake = rotated_rake(rake0_grid, thrust[per_arm], gamma0[per_arm])
         width = _axis(diameter, 3) / 1000.0
         # The first point critical_depth rejects (a width that underflows
         # to zero) stops the search with its error.

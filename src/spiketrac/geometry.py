@@ -7,13 +7,12 @@ that single rigid rotation:
 
 * the thrust angle gamma is the inclination of the hinge-to-tip line,
   sin(gamma) = (hinge_height + depth) / radius;
-* the rake angle alpha of the spike body rotates with the arm,
-  alpha(z) = alpha0 + (gamma(z) - gamma0);
+* the spike body rotates with the arm, so its rake angle alpha turns
+  from alpha0 by as much as gamma turns from gamma0 (:func:`rotated_rake`);
 * a horizontal draft F_D at the hinge produces a vertical lift
   F_L = F_D * tan(gamma);
-* self-penetration is effective when alpha - gamma stays inside a fixed
-  window (15..35 degrees), and alpha - gamma is depth-invariant under
-  rigid rotation.
+* self-penetration is judged on alpha - gamma, which is depth-invariant
+  under rigid rotation (the window itself is a design constraint).
 
 Angles are degrees, lengths meters, forces newtons throughout.
 """
@@ -28,10 +27,6 @@ import numpy as np
 # Hinge elevation defaults to the midpoint of the 7-10 cm band used on the
 # field rigs.
 DEFAULT_HINGE_HEIGHT_M = 0.09
-
-# Self-penetration force is considered maximized while alpha - gamma lies
-# strictly inside this window (degrees).
-PENETRATION_WINDOW_DEG = (15.0, 35.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,15 +78,6 @@ class SpikeDesign:
 
 
 @dataclass(frozen=True)
-class SpikeState:
-    """Pose of a spike at one penetration depth."""
-
-    depth_m: float
-    thrust_deg: float
-    rake_deg: float
-
-
-@dataclass(frozen=True)
 class DepthResult:
     """Depth recovered from an arm inclination.
 
@@ -102,14 +88,6 @@ class DepthResult:
 
     depth_m: float
     tip_airborne: bool
-
-
-@dataclass(frozen=True)
-class WindowMargin:
-    """alpha - gamma at the surface and whether it sits in the window."""
-
-    difference_deg: float
-    in_window: bool
 
 
 @dataclass(frozen=True)
@@ -159,37 +137,19 @@ def depth_from_inclination(design: SpikeDesign, arm_inclination_deg) -> DepthRes
     return DepthResult(depth_m=np.maximum(depth, 0.0), tip_airborne=depth < -1e-12)
 
 
+def rotated_rake(initial_rake_deg, thrust_deg, surface_thrust_deg):
+    """Rake angle (degrees) of a spike rotated rigidly with its arm.
+
+    The initial rake turns by the thrust angle's change from surface
+    contact.  Takes scalars or broadcast arrays.
+    """
+    return initial_rake_deg + (thrust_deg - surface_thrust_deg)
+
+
 def rake_angle(design: SpikeDesign, depth_m: float) -> float:
-    """Rake angle alpha (degrees) of the spike body at a tip depth.
-
-    The spike rotates rigidly with the arm, so
-    alpha(z) = alpha0 + (gamma(z) - gamma(0)).
-    """
-    return design.initial_rake_deg + (
-        thrust_angle(design, depth_m) - thrust_angle(design, 0.0)
-    )
-
-
-def spike_state(design: SpikeDesign, depth_m: float) -> SpikeState:
-    """Full pose (depth, thrust, rake) at a tip depth."""
-    return SpikeState(
-        depth_m=depth_m,
-        thrust_deg=thrust_angle(design, depth_m),
-        rake_deg=rake_angle(design, depth_m),
-    )
-
-
-def penetration_window_margin(design: SpikeDesign) -> WindowMargin:
-    """alpha - gamma for a design and whether it sits in the 15-35 window.
-
-    Under rigid rotation alpha - gamma is independent of depth, so the
-    surface value alpha0 - gamma0 characterizes the design.
-    """
-    difference = design.initial_rake_deg - thrust_angle(design, 0.0)
-    low, high = PENETRATION_WINDOW_DEG
-    return WindowMargin(
-        difference_deg=difference,
-        in_window=low < difference < high,
+    """Rake angle alpha (degrees) of the spike body at a tip depth."""
+    return rotated_rake(
+        design.initial_rake_deg, thrust_angle(design, depth_m), thrust_angle(design, 0.0)
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import SpikeDesign, lifting_force, rake_angle, spike_state
+from .geometry import SpikeDesign, lifting_force, rotated_rake, thrust_angle
 from .soilmech import (
     CriticalDepthModel,
     FailureMode,
@@ -68,9 +68,12 @@ def lateral_onset_depth(
     whole design range.
     """
     width = design.width_m
+    rake0 = design.initial_rake_deg
+    gamma0 = thrust_angle(design, 0.0)
 
     def crossed(z: float) -> bool:
-        return z - critical_depth(width, rake_angle(design, z), cd_model) >= 0
+        rake = rotated_rake(rake0, thrust_angle(design, z), gamma0)
+        return z - critical_depth(width, rake, cd_model) >= 0
 
     if crossed(0.0):
         return 0.0
@@ -103,7 +106,9 @@ def predict_series(
 ) -> list[PredictedStep]:
     """Predicted pose series for a non-decreasing draft schedule.
 
-    A negative or decreasing draft raises ValueError: weights are only added.
+    A negative or decreasing draft raises ValueError: weights are only
+    added.  So does a draft that drives the tip to radius - hinge height,
+    where the arm stands vertical and the lift is unbounded.
 
     The crescent regime ends at the lateral onset, or at the design depth
     without one.  Its crescent force there is scanned once, at the first
@@ -111,6 +116,7 @@ def predict_series(
     above it is lateral or unsustained without a bisection.
     """
     z_lateral = lateral_onset_depth(design, cd_model)
+    gamma0 = thrust_angle(design, 0.0)
     top = design.design_depth_m if z_lateral is None else z_lateral
     capacity = None
     steps: list[PredictedStep] = []
@@ -137,16 +143,21 @@ def predict_series(
         else:
             target, regime, sustained = design.design_depth_m, FailureMode.CRESCENT, False
         depth = max(depth, target)
-        state = spike_state(design, depth)
+        if depth >= design.max_depth_m:
+            raise ValueError(
+                f"draft_n ({draft}) stands the arm vertical at depth_m={depth}: "
+                "the lift is unbounded"
+            )
+        thrust = thrust_angle(design, depth)
         steps.append(
             PredictedStep(
                 draft_n=draft,
                 depth_m=depth,
                 regime=regime,
                 sustained=sustained,
-                thrust_deg=state.thrust_deg,
-                rake_deg=state.rake_deg,
-                lift_n=lifting_force(draft, state.thrust_deg) if state.thrust_deg < 90 else float("inf"),
+                thrust_deg=thrust,
+                rake_deg=rotated_rake(design.initial_rake_deg, thrust, gamma0),
+                lift_n=lifting_force(draft, thrust),
             )
         )
     return steps

@@ -15,7 +15,8 @@ Trial-log CSV schema (UTF-8, comma separated, dot decimal):
     0,10,0,4.2
     ...
 
-The header holds each key once and no other, with finite numbers.  Steps
+The header holds each key once and no other, with finite numbers that
+make a valid spike design, pulley rig and vehicle.  Steps
 are strictly increasing int64 indices, basket mass and motion
 non-decreasing (weights are only ever added), inclination within [0, 90]
 degrees.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -88,7 +90,11 @@ class VehicleConfig:
 
 @dataclass(frozen=True)
 class TrialMetadata:
-    """Trial-level header: site, spike geometry, vehicle, rig."""
+    """Trial-level header: site, spike geometry, vehicle, rig.
+
+    The design, rig and vehicle it describes are each built on first use
+    and kept.
+    """
 
     site: str
     diameter_mm: float
@@ -98,8 +104,9 @@ class TrialMetadata:
     vehicle_kg: float
     pulley_mu: float
 
+    @cached_property
     def spike_design(self) -> SpikeDesign:
-        """Build the spike design this log was recorded with.
+        """The spike design this log was recorded with.
 
         The log header carries no design depth; take the full geometric
         range so every recorded inclination stays in domain.
@@ -112,9 +119,11 @@ class TrialMetadata:
             design_depth_m=self.radius_m - self.hinge_m,
         )
 
+    @cached_property
     def pulley_rig(self) -> PulleyRig:
         return PulleyRig(friction_coefficient=self.pulley_mu)
 
+    @cached_property
     def vehicle(self) -> VehicleConfig:
         return VehicleConfig(total_mass_kg=self.vehicle_kg)
 
@@ -254,7 +263,14 @@ def _parse_metadata(line: str) -> TrialMetadata:
             raise TrialLogError(
                 f"bad metadata value: {key}={pairs[key]} is not a finite number", line=1
             )
-    return TrialMetadata(site=site, **numbers)
+    metadata = TrialMetadata(site=site, **numbers)
+    try:
+        # Built here, once: a value outside their ranges is a header error.
+        for built in ("spike_design", "pulley_rig", "vehicle"):
+            getattr(metadata, built)
+    except ValueError as exc:
+        raise TrialLogError(f"bad metadata value: {exc}", line=1) from exc
+    return metadata
 
 
 def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
@@ -351,11 +367,16 @@ def derive_series(log: TrialLog) -> DerivedSeries:
     when the tip is airborne), thrust is the recorded inclination, lift
     is draft * tan(thrust), the tip trajectory accumulates hinge advance
     and arm rotation from the first step, and cumulative work integrates
-    draft force along the horizontal tip path.
+    draft force along the horizontal tip path.  A vertical arm (90
+    degrees) raises ValueError naming its step: its lift is unbounded.
     """
-    design = log.metadata.spike_design()
-    rig = log.metadata.pulley_rig()
+    design = log.metadata.spike_design
+    rig = log.metadata.pulley_rig
     basket_kg, motion_mm, incl_deg = log.basket_kg, log.motion_mm, log.incl_deg
+    vertical = np.flatnonzero(incl_deg >= 90.0)
+    if vertical.size:
+        step = log.index[vertical[0]]
+        raise ValueError(f"the arm stands vertical at step {step}: the lift is unbounded")
     draft = draft_from_basket(basket_kg, rig)
     pose = depth_from_inclination(design, incl_deg)
     # Airborne poses track along the surface-contact pose.
@@ -364,11 +385,8 @@ def derive_series(log: TrialLog) -> DerivedSeries:
     advance_m = np.diff(motion_mm) / 1000.0
     tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], advance_m).dx_m
     # Per element through math.tan: np.tan differs from it in the last bit
-    # on some angles.  The arm stands vertical at 90 degrees: tan diverges.
-    lift = [
-        lifting_force(force, angle) if angle < 90.0 else math.inf
-        for force, angle in zip(draft.tolist(), incl_deg.tolist())
-    ]
+    # on some angles.
+    lift = list(map(lifting_force, draft.tolist(), incl_deg.tolist()))
     series = DerivedSeries(
         draft_n=draft,
         depth_m=pose.depth_m,
@@ -379,10 +397,9 @@ def derive_series(log: TrialLog) -> DerivedSeries:
         airborne=pose.tip_airborne,
     )
     series.cumulative_work_j = penetration_work(series)
-    # Only a vertical arm has unbounded lift; any other non-finite value overflowed.
     overflow = ~(
-        np.isfinite(draft) & np.isfinite(series.tip_x_m) & np.isfinite(series.cumulative_work_j)
-        & (np.isfinite(series.lift_n) | (incl_deg >= 90.0))
+        np.isfinite(draft) & np.isfinite(series.lift_n) & np.isfinite(series.tip_x_m)
+        & np.isfinite(series.cumulative_work_j)
     )
     if overflow.any():
         step = log.index[np.flatnonzero(overflow)[0]]

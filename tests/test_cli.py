@@ -162,7 +162,6 @@ class TestAnalyze:
         ("vehicle_kg", "row", "message"),
         [
             ("50.0", "0,1e308,0,10.0", "derived series overflows at step 0"),
-            ("1e308", "0,1,0,10.0", "vehicle weight overflows at total_mass_kg=1e+308"),
         ],
     )
     def test_overflow_exits_3(self, vehicle_kg, row, message, tmp_path, capsys):
@@ -172,6 +171,39 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         assert run("analyze", "--log", str(log), "--out", str(out)) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_vertical_arm_exits_3(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(f"{sample_log_text(0)}0,0,0,10.0\n7,20,5,90.0\n")
+        out = tmp_path / "r.json"
+        assert run("analyze", "--log", str(log), "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "error: the arm stands vertical at step 7: the lift is unbounded\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("radius_m=1.34", "radius_m=-1",
+             "radius_m (-1.0) must exceed hinge_height_m (0.09) and both must be positive"),
+            ("hinge_m=0.09", "hinge_m=2",
+             "radius_m (1.34) must exceed hinge_height_m (2.0) and both must be positive"),
+            ("rake0_deg=45.0", "rake0_deg=90", "initial_rake_deg (90.0) must lie in (0, 90)"),
+            ("diameter_mm=21.0", "diameter_mm=-3", "diameter_mm (-3.0) must be positive"),
+            ("pulley_mu=0.23", "pulley_mu=1.5", "friction_coefficient (1.5) must lie in [0, 1)"),
+            ("vehicle_kg=50.0", "vehicle_kg=0", "total_mass_kg (0.0) must be positive"),
+            ("vehicle_kg=50.0", "vehicle_kg=1e308",
+             "vehicle weight overflows at total_mass_kg=1e+308"),
+        ],
+    )
+    def test_header_out_of_range_exits_2(self, old, new, message, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text(sample_log_text(0).replace(old, new, 1))
+        out = tmp_path / "r.json"
+        assert run("analyze", "--log", str(log), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {log}: line 1: bad metadata value: {message}\n"
         assert not out.exists()
 
     def test_overflowing_push_work_exits_3(self, tmp_path, capsys):
@@ -566,6 +598,19 @@ class TestSimulate:
         assert exc.value.code == 2
         assert f"invalid {kind} value: '{value}'" in capsys.readouterr().err
 
+    def test_vertical_arm_exits_3(self, tmp_path, capsys):
+        # No lateral regime in reach: the draft sinks the tip to radius - hinge height.
+        design = json.dumps({"radius_m": 1.0, "hinge_height_m": 0.1, "design_depth_m": 0.9})
+        argv = self.write_inputs(tmp_path, design=design, schedule="draft_N\n0\n1e7\n")
+        out = tmp_path / "sim.csv"
+        code = run("simulate", *argv, "--soil", "preset:dry", "--k0", "1000", "--out", str(out))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: draft_n (10000000.0) stands the arm vertical at depth_m=0.9: "
+            "the lift is unbounded\n"
+        )
+        assert not out.exists()
+
     def test_zero_schedule_scans_no_crescent(self, tmp_path, capsys):
         # This crescent overflows at any depth below the surface, but no
         # draft asks for it.
@@ -578,6 +623,38 @@ class TestSimulate:
         (tmp_path / "drafts.csv").write_text("draft_N\n0\n1\n")
         assert run("simulate", *argv, "--soil", "preset:dry") == 3
         assert "crescent force overflows" in capsys.readouterr().err
+
+
+class TestJsonIntegers:
+    # A JSON integer is kept as an int, but one past the float range is
+    # rejected like 1e400, naming the file.
+    BIG = "1" + "0" * 400
+
+    @pytest.mark.parametrize("kind", ["design", "soil", "constraints", "space"])
+    def test_integer_beyond_the_float_range_exits_2(self, kind, tmp_path, capsys):
+        path = tmp_path / f"{kind}.json"
+        if kind == "space":
+            TestDesign.write_space(path)
+            path.write_text(path.read_text().replace('"step": 0.1}', f'"step": {self.BIG}}}', 1))
+            argv = ["design", "--space", str(path)]
+        elif kind == "constraints":
+            TestDesign.write_space(tmp_path / "space.json")
+            path.write_text('{"max_thrust_deg": %s}' % self.BIG)
+            argv = ["design", "--space", str(tmp_path / "space.json"), "--constraints", str(path)]
+        else:
+            inputs = TestSimulate.write_inputs(tmp_path, schedule="draft_N\n100\n")
+            soil = "preset:dry"
+            if kind == "design":
+                path.write_text('{"radius_m": 1.34, "design_depth_m": 0.5, "diameter_mm": %s}' % self.BIG)
+            else:
+                path.write_text('{"bulk_density_kg_m3": %s, "friction_angle_deg": 30}' % self.BIG)
+                soil = str(path)
+            argv = ["simulate", *inputs, "--soil", soil]
+        assert run(*argv) == 2
+        label = "design-space" if kind == "space" else kind
+        assert capsys.readouterr().err == (
+            f"error: {label} file {path}: an integer of 401 digits is beyond the float range\n"
+        )
 
 
 class TestParserReuse:

@@ -2,11 +2,8 @@
 
 The property, for any input text: ``main`` returns 0, 2, 3 or 4 and
 prints nothing to stderr on success; on exit 0 every number it prints
-or writes is finite, or ``null`` in the JSON report.
-
-One exception is pinned as it stands: a vertical arm (``incl_deg`` 90)
-has unbounded lift, which ``lift_force.csv`` writes as ``inf``
-(the ``analyze-edge`` golden case).
+or writes is finite, or ``null`` in the JSON report.  The logs still
+reach a vertical arm (``incl_deg`` 90), whose unbounded lift exits 3.
 """
 
 import contextlib
@@ -40,7 +37,7 @@ json_values = st.one_of(
     st.floats(-2.0, 100.0),
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-3, 10**4),
-    st.sampled_from([0, 1e308, -1e308, 5e-324, True, False, None, "1.0", [], {}]),
+    st.sampled_from([0, 1e308, -1e308, 5e-324, 10**400, True, False, None, "1.0", [], {}]),
 )
 FLOAT_LITERALS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])
 
@@ -66,8 +63,6 @@ def _check_csv(path: Path) -> None:
     for row in rows[1:]:
         cells = dict(zip(header, row.split(",")))
         for name, cell in cells.items():
-            if path.name == "lift_force.csv" and name == "lift_N" and cell == "inf":
-                continue  # a vertical arm; thrust_angle.csv shows 90 on that row
             try:
                 value = float(cell)
             except ValueError:  # a label, such as the simulate regime
@@ -91,7 +86,6 @@ def _check_outputs(code: int, stdout: str, stderr: str, outputs: list[Path]) -> 
         elif path.is_dir():
             for csv in sorted(path.glob("*.csv")):
                 _check_csv(csv)
-            _check_vertical_lift(path)
         else:
             _check_csv(path)
 
@@ -105,14 +99,6 @@ def _check_json_numbers(value, where: str) -> None:
             _check_json_numbers(item, where)
     elif isinstance(value, float):
         assert math.isfinite(value), where
-
-
-def _check_vertical_lift(series: Path) -> None:
-    lifts = series.joinpath("lift_force.csv").read_text(encoding="utf-8").splitlines()[1:]
-    thrusts = series.joinpath("thrust_angle.csv").read_text(encoding="utf-8").splitlines()[1:]
-    for lift, thrust in zip(lifts, thrusts):
-        if lift.split(",")[1] == "inf":
-            assert thrust.split(",")[1] == "90", (lift, thrust)
 
 
 def _maybe_broken(draw, valid: st.SearchStrategy[str]) -> str:

@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from spiketrac import (
     CriticalDepthModel,
     DesignConstraints,
+    DesignEvaluation,
     DesignSpace,
     ParameterRange,
     SpikeDesign,
+    Violation,
+    critical_depth,
     evaluate_design,
     grid_search,
     pull_weight_ratio,
+    rake_angle,
+    thrust_angle,
 )
 
 
@@ -93,6 +98,73 @@ class TestEvaluateDesign:
         first = evaluate_design(LARGE_FIELD_DESIGN)
         second = evaluate_design(LARGE_FIELD_DESIGN)
         assert first == second
+
+
+def reference_evaluation(design, constraints, cd_model) -> DesignEvaluation:
+    """``evaluate_design`` as written before: ``rake_angle`` and a separate surface call."""
+    depth = design.design_depth_m
+    thrust = thrust_angle(design, depth)
+    window = design.initial_rake_deg - thrust_angle(design, 0.0)
+    zc = None
+    if constraints.require_lateral_at_design_depth:
+        zc = critical_depth(design.width_m, rake_angle(design, depth), cd_model)
+    low, high = constraints.window_low_deg, constraints.window_high_deg
+    violations = []
+    if thrust > constraints.max_thrust_deg:
+        violations.append(Violation(
+            "max_thrust", thrust - constraints.max_thrust_deg,
+            f"thrust {thrust:.2f} deg at design depth exceeds "
+            f"{constraints.max_thrust_deg:.2f} deg",
+        ))
+    if not low < window < high:
+        violations.append(Violation(
+            "penetration_window", low - window if window <= low else window - high,
+            f"alpha - gamma = {window:.2f} deg outside ({low}, {high})",
+        ))
+    if zc is not None and depth <= zc:
+        violations.append(Violation(
+            "critical_depth", zc - depth,
+            f"design depth {depth:.3f} m does not pass the critical depth {zc:.3f} m",
+        ))
+    return DesignEvaluation(
+        feasible=not violations,
+        violations=tuple(violations),
+        objective=pull_weight_ratio(design, depth, 1.0),
+        thrust_deg=thrust,
+        window_deg=window,
+        critical_depth_m=zc,
+    )
+
+
+@st.composite
+def spike_designs(draw) -> SpikeDesign:
+    radius = draw(st.floats(0.2, 3.0))
+    hinge = radius * draw(st.floats(0.01, 0.9))
+    return SpikeDesign(
+        radius_m=radius,
+        hinge_height_m=hinge,
+        initial_rake_deg=draw(st.floats(0.5, 89.5)),
+        diameter_mm=draw(st.floats(1.0, 200.0)),
+        design_depth_m=(radius - hinge) * draw(st.floats(0.01, 1.0)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    design=spike_designs(),
+    constraints=st.builds(
+        DesignConstraints,
+        max_thrust_deg=st.floats(1.0, 89.0),
+        window_low_deg=st.floats(-10.0, 30.0),
+        window_high_deg=st.floats(31.0, 90.0),
+        require_lateral_at_design_depth=st.just(True),
+    ),
+    cd_model=st.builds(CriticalDepthModel, k0=st.floats(0.5, 60.0), k1=st.floats(0.0, 3.0)),
+)
+def test_evaluate_design_equals_the_earlier_formulas(design, constraints, cd_model):
+    # == compares floats, so -0.0 passes for 0.0; repr tells them apart.
+    expected = reference_evaluation(design, constraints, cd_model)
+    assert repr(evaluate_design(design, constraints, cd_model)) == repr(expected)
 
 
 class TestParameterRange:

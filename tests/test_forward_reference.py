@@ -7,11 +7,15 @@ crescent force once, at the top of the crescent regime, and classifies a
 draft above it without a bisection.  That is exact because the maximized
 crescent force never decreases with depth, which the last test checks.
 Every ``PredictedStep`` field must come out the same, compared through
-``repr`` so that -0.0 and 0.0 count as different.
+``repr`` so that -0.0 and 0.0 count as different.  Where the reference
+reaches radius - hinge height, the arm stands vertical and
+``predict_series`` must raise, naming that draft.
 """
 
 import math
 from dataclasses import astuple
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,7 +34,7 @@ from spiketrac import (
     max_crescent_force,
     predict_series,
     rake_angle,
-    spike_state,
+    thrust_angle,
 )
 
 TOLERANCE_M = 1e-6
@@ -84,7 +88,8 @@ def reference_equilibrium(design: SpikeDesign, soil: SoilProperties, draft: floa
     return hi
 
 
-def reference_series(design, soil, drafts, cd_model) -> list[PredictedStep]:
+def reference_series(design, soil, drafts, cd_model) -> tuple[list[PredictedStep], float | None]:
+    """The predicted steps, up to the draft that stands the arm vertical, and that draft."""
     z_lateral = reference_onset(design, cd_model)
     steps = []
     depth = 0.0
@@ -97,19 +102,21 @@ def reference_series(design, soil, drafts, cd_model) -> list[PredictedStep]:
         else:
             target, regime, sustained = design.design_depth_m, FailureMode.CRESCENT, False
         depth = max(depth, target)
-        state = spike_state(design, depth)
+        if depth >= design.max_depth_m:
+            return steps, draft  # the arm stands vertical: no lift
+        thrust = thrust_angle(design, depth)
         steps.append(
             PredictedStep(
                 draft_n=draft,
                 depth_m=depth,
                 regime=regime,
                 sustained=sustained,
-                thrust_deg=state.thrust_deg,
-                rake_deg=state.rake_deg,
-                lift_n=lifting_force(draft, state.thrust_deg) if state.thrust_deg < 90 else math.inf,
+                thrust_deg=thrust,
+                rake_deg=rake_angle(design, depth),
+                lift_n=lifting_force(draft, thrust),
             )
         )
-    return steps
+    return steps, None
 
 
 def bits(steps: list[PredictedStep]) -> list[str]:
@@ -137,11 +144,13 @@ soils = st.builds(
 )
 cd_models = st.builds(CriticalDepthModel, k0=st.floats(0.5, 60.0), k1=st.floats(0.0, 3.0))
 
-# A surface onset (the golden ``simulate-surface`` design) and no onset.
+# A surface onset (the golden ``simulate-surface`` design), no onset, and
+# no onset with a design depth of radius - hinge height.
 SURFACE = SpikeDesign(radius_m=1.34, hinge_height_m=0.09, initial_rake_deg=20.0,
                       diameter_mm=21.0, design_depth_m=0.50)
 THICK = SpikeDesign(radius_m=1.34, hinge_height_m=0.09, initial_rake_deg=45.0,
                     diameter_mm=200.0, design_depth_m=0.50)
+VERTICAL = SpikeDesign(radius_m=1.0, hinge_height_m=0.1, design_depth_m=0.9)
 
 
 def schedule(design, soil, cd_model, fractions) -> list[float]:
@@ -166,12 +175,16 @@ def schedule(design, soil, cd_model, fractions) -> list[float]:
 )
 @example(design=SURFACE, soil=DRY_SAND, cd_model=CriticalDepthModel(k1=2.0), fractions=[0.5])
 @example(design=THICK, soil=DRY_SAND, cd_model=CriticalDepthModel(), fractions=[0.5, 1.2])
+@example(design=VERTICAL, soil=DRY_SAND, cd_model=CriticalDepthModel(k0=1000.0), fractions=[])
 def test_predict_series_matches_per_draft_loop(design, soil, cd_model, fractions):
     drafts = schedule(design, soil, cd_model, fractions)
     assert repr(lateral_onset_depth(design, cd_model)) == repr(reference_onset(design, cd_model))
-    assert bits(predict_series(design, soil, drafts, cd_model)) == bits(
-        reference_series(design, soil, drafts, cd_model)
-    )
+    steps, vertical = reference_series(design, soil, drafts, cd_model)
+    if vertical is None:
+        assert bits(predict_series(design, soil, drafts, cd_model)) == bits(steps)
+    else:
+        with pytest.raises(ValueError, match=rf"^draft_n \({vertical!r}\) stands the arm vertical"):
+            predict_series(design, soil, drafts, cd_model)
 
 
 def test_examples_cover_surface_onset_and_no_onset():

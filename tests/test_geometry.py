@@ -1,17 +1,21 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiketrac import (
     SpikeDesign,
     depth_from_inclination,
+    evaluate_design,
     lifting_force,
-    penetration_window_margin,
     rake_angle,
-    spike_state,
     thrust_angle,
     tip_displacement,
 )
+from spiketrac.geometry import rotated_rake
 
 
 class TestSpikeDesign:
@@ -99,23 +103,48 @@ class TestRakeAngle:
     def test_zero_depth_is_initial_rake(self, small_design):
         assert rake_angle(small_design, 0.0) == small_design.initial_rake_deg
 
-    def test_state_bundles_pose(self, large_design):
-        state = spike_state(large_design, 0.25)
-        assert state.depth_m == 0.25
-        assert state.thrust_deg == thrust_angle(large_design, 0.25)
-        assert state.rake_deg == rake_angle(large_design, 0.25)
+    # The grid search rotates whole arrays of rakes; each element must have
+    # the scalar's bits.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        radius=st.floats(0.3, 3.0),
+        hinge_fraction=st.floats(0.01, 0.9),
+        rakes=st.lists(st.floats(0.5, 89.5), min_size=1, max_size=4),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    )
+    def test_rotated_rake_over_arrays_equals_rake_angle(self, radius, hinge_fraction, rakes, fractions):
+        hinge = radius * hinge_fraction
+        arm = SpikeDesign(radius_m=radius, hinge_height_m=hinge, design_depth_m=radius - hinge)
+        depths = [arm.max_depth_m * fraction for fraction in fractions]
+        thrust = [thrust_angle(arm, z) for z in depths]
+        gamma0 = thrust_angle(arm, 0.0)
+        grid = rotated_rake(np.array(rakes)[:, None], np.array(thrust), gamma0)
+        for row, rake0 in zip(grid.tolist(), rakes):
+            design = replace(arm, initial_rake_deg=rake0)
+            scalar = [rake_angle(design, z).hex() for z in depths]
+            # The formula as rake_angle wrote it before rotated_rake.
+            written = [(rake0 + (gamma - gamma0)).hex() for gamma in thrust]
+            assert [value.hex() for value in row] == scalar == written
 
 
 class TestPenetrationWindow:
+    # alpha - gamma is evaluate_design's window_deg, checked against the
+    # default (15, 35) window.
+    @staticmethod
+    def window(design):
+        evaluation = evaluate_design(design)
+        violated = any(v.check == "penetration_window" for v in evaluation.violations)
+        return evaluation.window_deg, violated
+
     def test_small_design_sits_above_window(self, small_design):
-        margin = penetration_window_margin(small_design)
-        assert margin.difference_deg == pytest.approx(36.073204178952984)
-        assert not margin.in_window
+        window, violated = self.window(small_design)
+        assert window == pytest.approx(36.073204178952984)
+        assert violated
 
     def test_large_design_sits_above_window(self, large_design):
-        margin = penetration_window_margin(large_design)
-        assert margin.difference_deg == pytest.approx(41.14887687350229)
-        assert not margin.in_window
+        window, violated = self.window(large_design)
+        assert window == pytest.approx(41.14887687350229)
+        assert violated
 
     def test_mid_window_design(self):
         # alpha0 = 30 with gamma0 = 10 puts the margin at the window center.
@@ -124,9 +153,9 @@ class TestPenetrationWindow:
         design = SpikeDesign(
             radius_m=radius, hinge_height_m=hinge, initial_rake_deg=30.0, design_depth_m=0.5
         )
-        margin = penetration_window_margin(design)
-        assert margin.difference_deg == pytest.approx(20.0)
-        assert margin.in_window
+        window, violated = self.window(design)
+        assert window == pytest.approx(20.0)
+        assert not violated
 
 
 class TestLiftingForce:

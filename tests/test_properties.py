@@ -192,7 +192,7 @@ class TestTrialPipelineInvariants:
     def test_kappa_is_one_without_contradiction(self, log):
         series = derive_series(log)
         vehicle = VehicleConfig(total_mass_kg=1e9)  # nothing can lift this
-        design = log.metadata.spike_design()
+        design = log.metadata.spike_design
         result = estimate_effective_application(series, design, vehicle)
         assert result.kappa == 1.0
         assert not result.inconsistent

@@ -133,6 +133,36 @@ class TestParseTrialLog:
         assert str(excinfo.value) == f"line 1: {message}"
         assert excinfo.value.line == 1
 
+    # Each header value must make a valid design, rig and vehicle; a log
+    # with no steps is rejected at line 1 all the same.
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ("radius_m=1.34", "radius_m=-1",
+             "radius_m (-1.0) must exceed hinge_height_m (0.09) and both must be positive"),
+            ("hinge_m=0.09", "hinge_m=2",
+             "radius_m (1.34) must exceed hinge_height_m (2.0) and both must be positive"),
+            ("rake0_deg=45.0", "rake0_deg=90", "initial_rake_deg (90.0) must lie in (0, 90)"),
+            ("diameter_mm=21.0", "diameter_mm=-3", "diameter_mm (-3.0) must be positive"),
+            ("pulley_mu=0.23", "pulley_mu=1.5", "friction_coefficient (1.5) must lie in [0, 1)"),
+            ("vehicle_kg=50.0", "vehicle_kg=0", "total_mass_kg (0.0) must be positive"),
+            ("vehicle_kg=50.0", "vehicle_kg=1e308",
+             "vehicle weight overflows at total_mass_kg=1e+308"),
+        ],
+    )
+    def test_header_out_of_range(self, old, new, message):
+        with pytest.raises(TrialLogError) as excinfo:
+            parse_trial_log(io.StringIO(f"{HEADER.replace(old, new)}\n{COLUMNS}\n"))
+        assert str(excinfo.value) == f"line 1: bad metadata value: {message}"
+        assert excinfo.value.line == 1
+
+    def test_header_builds_its_design_rig_and_vehicle_once(self):
+        meta = log_from_rows().metadata
+        assert meta.spike_design is meta.spike_design
+        assert meta.pulley_rig is meta.pulley_rig
+        assert meta.vehicle is meta.vehicle
+        assert meta.spike_design.design_depth_m == meta.spike_design.max_depth_m
+
     def test_bad_column_header(self):
         text = HEADER + "\nstep,mass,motion,incl\n"
         with pytest.raises(TrialLogError, match="line 2"):
@@ -193,9 +223,11 @@ class TestDeriveSeries:
         assert series.depth_m[0] == 0.0
         assert series.airborne.tolist() == [True, False]
 
-    def test_vertical_arm_has_unbounded_lift(self):
-        series = derive_series(log_from_rows("0,0,0,10.0", "1,100,10,90.0"))
-        assert series.lift_n.tolist()[1] == math.inf
+    def test_vertical_arm_names_the_step(self):
+        # The lift at 90 degrees is unbounded.
+        log = log_from_rows("0,0,0,10.0", "3,100,10,90.0", "4,120,10,90.0")
+        with pytest.raises(ValueError, match=r"^the arm stands vertical at step 3: "):
+            derive_series(log)
 
     @pytest.mark.parametrize(
         "rows",
