@@ -4,7 +4,10 @@ For each draft force the spike is assumed to sink until the soil can
 react it.  While the failure regime is crescent-type, the available
 reaction is the maximized crescent force at the current depth, which
 grows monotonically with depth; the equilibrium depth solves
-max_crescent_force(z) = F by bisection.  Once the required depth crosses
+max_crescent_force(z) = F by bisection.  A schedule's drafts are
+bisected in lock step: one crescent kernel holds the shear-angle grid,
+and each step takes every draft's maximum at its own midpoint depth in
+one array pass.  Once the required depth crosses
 the critical depth the lateral regime takes over and is assumed to carry
 any remaining draft (no quantitative lateral model exists), so the
 predicted depth stops at the regime boundary.  Drafts the crescent
@@ -19,8 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import SpikeDesign, lifting_force, rotated_rake, thrust_angle
 from .soilmech import (
+    CrescentKernel,
     CriticalDepthModel,
     FailureMode,
     SoilProperties,
@@ -88,14 +94,47 @@ def lateral_onset_depth(
     return None
 
 
-def _crescent_equilibrium_depth(design: SpikeDesign, soil: SoilProperties, draft_n: float) -> float:
-    """Smallest depth whose maximized crescent force carries the draft; design depth must."""
-    if draft_n <= 0:
-        return 0.0
-    width = design.width_m
-    return _bisect(
-        lambda z: max_crescent_force(z, width, soil).force_n >= draft_n, 0.0, design.design_depth_m
-    )
+def _equilibrium_depths(
+    soil: SoilProperties, width_m: float, drafts: list[float], depth_m: float
+) -> tuple[dict[float, float], dict[float, float]]:
+    """Bisect max force(z) >= draft over [0, depth_m] for every draft at once.
+
+    Each lane halves its own bracket with :func:`_bisect`'s arithmetic and
+    tolerance, so it ends on the depth that a bisection of its draft alone
+    returns: the first result maps each draft to it.  A lane whose maximum
+    overflows stops at that depth; the second result maps its draft to it.
+    """
+    kernel = CrescentKernel.scan(soil)
+    need = np.array(drafts, dtype=float)
+    lo = np.zeros(len(drafts))
+    hi = np.full(len(drafts), depth_m)
+    overflows: dict[float, float] = {}
+    live = np.flatnonzero(hi - lo > _DEPTH_TOLERANCE_M)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        peaks = kernel.maxima(mid.tolist(), width_m)
+        holds = peaks >= need[live]
+        hi[live[holds]] = mid[holds]
+        lo[live[~holds]] = mid[~holds]
+        finite = np.isfinite(peaks)
+        for lane, z in zip(live[~finite].tolist(), mid[~finite].tolist()):
+            overflows[drafts[lane]] = z
+        live = live[finite & (hi[live] - lo[live] > _DEPTH_TOLERANCE_M)]
+    return dict(zip(drafts, hi.tolist())), overflows
+
+
+def _checked_prefix(drafts: list[float]) -> tuple[list[float], ValueError | None]:
+    """The drafts before the first negative or decreasing one, and that draft's error."""
+    previous = 0.0
+    for index, draft in enumerate(drafts):
+        if draft < 0:
+            return drafts[:index], ValueError(f"draft_n ({draft}) must be >= 0")
+        if draft < previous:
+            return drafts[:index], ValueError(
+                f"draft_n ({draft}) decreased (previous {previous}); weights are only added"
+            )
+        previous = draft
+    return drafts, None
 
 
 def predict_series(
@@ -108,34 +147,46 @@ def predict_series(
 
     A negative or decreasing draft raises ValueError: weights are only
     added.  So does a draft that drives the tip to radius - hinge height,
-    where the arm stands vertical and the lift is unbounded.
+    where the arm stands vertical and the lift is unbounded, and one whose
+    crescent force overflows.  The first of these in draft order is
+    raised, and only the drafts before it are scanned or bisected.
 
     The crescent regime ends at the lateral onset, or at the design depth
     without one.  Its crescent force there is scanned once, at the first
     positive draft; the force never decreases with depth, so a draft
-    above it is lateral or unsustained without a bisection.
+    above it is lateral or unsustained without a bisection.  The other
+    positive drafts are bisected together, one lane per distinct draft.
     """
     z_lateral = lateral_onset_depth(design, cd_model)
     gamma0 = thrust_angle(design, 0.0)
     top = design.design_depth_m if z_lateral is None else z_lateral
+    width = design.width_m
+    drafts, error = _checked_prefix(list(drafts_n))
     capacity = None
+    first = next((i for i, draft in enumerate(drafts) if draft > 0), None)
+    if first is not None:
+        try:
+            capacity = max_crescent_force(top, width, soil).force_n
+        except ValueError as exc:  # the scan runs at the first positive draft
+            drafts, error = drafts[:first], exc
+
+    def beyond_capacity(draft: float) -> bool:
+        return draft > 0 and draft > capacity
+
+    lanes = [d for d in dict.fromkeys(drafts) if not (d <= 0 or beyond_capacity(d))]
+    depths, overflows = (
+        _equilibrium_depths(soil, width, lanes, design.design_depth_m) if lanes else ({}, {})
+    )
+
     steps: list[PredictedStep] = []
     depth = 0.0
-    previous = 0.0
-    for draft in drafts_n:
-        if draft < 0:
-            raise ValueError(f"draft_n ({draft}) must be >= 0")
-        if draft < previous:
-            raise ValueError(
-                f"draft_n ({draft}) decreased (previous {previous}); weights are only added"
-            )
-        previous = draft
-        if draft > 0 and capacity is None:
-            capacity = max_crescent_force(top, design.width_m, soil).force_n
-        if draft > 0 and draft > capacity:
+    for draft in drafts:
+        if draft in overflows:  # the scan at the depth where the lane overflowed raises
+            max_crescent_force(overflows[draft], width, soil)
+        if beyond_capacity(draft):
             z_eq = math.inf
         else:
-            z_eq = _crescent_equilibrium_depth(design, soil, draft)
+            z_eq = depths.get(draft, 0.0)  # a zero draft needs no depth
         if z_eq <= top:
             target, regime, sustained = z_eq, FailureMode.CRESCENT, True
         elif z_lateral is not None:
@@ -160,4 +211,6 @@ def predict_series(
                 lift_n=lifting_force(draft, thrust),
             )
         )
+    if error is not None:
+        raise error
     return steps

@@ -110,12 +110,12 @@ def _check_beta(beta_deg: float) -> None:
         raise ValueError(f"beta_deg ({beta_deg}) must lie in (0, 90)")
 
 
-def _volume(depth_m, width_m: float, cot):
-    """Crescent volume from cot(beta); scalar or array, inf past the float range."""
+def _volume_terms(depth_m, width_m: float) -> tuple[float, float]:
+    """(a, c) of the crescent volume V = a cot(beta) + c cot(beta)^2; inf past the float range."""
     try:
-        return 0.5 * width_m * depth_m**2 * cot + (math.pi / 6.0) * depth_m**3 * cot**2
+        return 0.5 * width_m * depth_m**2, (math.pi / 6.0) * depth_m**3
     except OverflowError:  # a Python float power raises where numpy returns inf
-        return math.inf
+        return math.inf, math.inf
 
 
 def _finite(value: float, what: str, depth_m: float, width_m: float) -> float:
@@ -124,21 +124,70 @@ def _finite(value: float, what: str, depth_m: float, width_m: float) -> float:
     return value
 
 
-# An overflow, or a beta so small its cotangent divides by zero, gives inf
-# or nan; callers check the result, so numpy's warnings would add nothing.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _crescent_forces(
-    depth_m: float, width_m: float, soil: SoilProperties, law: ForceLaw, betas
-):
-    """Horizontal crescent force at each shear angle in ``betas`` (degrees)."""
-    cot = 1.0 / np.tan(np.radians(betas))
-    weight = soil.bulk_density_kg_m3 * soil.gravity_m_s2 * _volume(depth_m, width_m, cot)
-    phi = soil.friction_angle_deg
-    if law is ForceLaw.ACTIVE_WEDGE:
-        factor = np.where(betas > phi, np.tan(np.radians(betas - phi)), 0.0)
-    else:
-        factor = np.tan(np.radians(betas + phi))
-    return weight * factor
+_BLOCK_ROWS = 32  # depths per block in CrescentKernel.maxima: small temporaries
+
+
+class CrescentKernel:
+    """The crescent force at fixed shear angles, split into its depth-independent part.
+
+    cot(beta), cot(beta)^2, the wedge-friction factor and rho g are built
+    once per (soil, law, angles); each depth then costs
+    H = (rho g (a cot + c cot^2)) factor with (a, c) from the depth.  An
+    overflow, or a beta so small its cotangent divides by zero, gives inf
+    or nan; callers check the result, so numpy's warnings would add nothing.
+    """
+
+    @np.errstate(over="ignore", divide="ignore")
+    def __init__(self, soil: SoilProperties, law: ForceLaw, betas) -> None:
+        self.betas = betas
+        self.cot = 1.0 / np.tan(np.radians(betas))
+        self.cot2 = self.cot**2
+        phi = soil.friction_angle_deg
+        if law is ForceLaw.ACTIVE_WEDGE:
+            self.factor = np.where(betas > phi, np.tan(np.radians(betas - phi)), 0.0)
+        else:
+            self.factor = np.tan(np.radians(betas + phi))
+        self.rho_g = soil.bulk_density_kg_m3 * soil.gravity_m_s2
+
+    @classmethod
+    def scan(
+        cls,
+        soil: SoilProperties,
+        law: ForceLaw = ForceLaw.ACTIVE_WEDGE,
+        beta_min_deg: float | None = None,
+        beta_max_deg: float | None = None,
+    ) -> CrescentKernel:
+        """The kernel over :func:`max_crescent_force`'s closed beta grid."""
+        lo, hi = _scan_bounds(soil, law, beta_min_deg, beta_max_deg)
+        n = int(math.floor((hi - lo) / BETA_STEP_DEG + 1e-9))
+        return cls(soil, law, lo + BETA_STEP_DEG * np.arange(n + 1))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def forces(self, depth_m: float, width_m: float):
+        """Horizontal crescent force at each of the kernel's shear angles."""
+        a, c = _volume_terms(depth_m, width_m)
+        return (self.rho_g * (a * self.cot + c * self.cot2)) * self.factor
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def maxima(self, depths_m: list[float], width_m: float) -> np.ndarray:
+        """The maximum of :meth:`forces` at each depth, non-finite where it overflows.
+
+        Bit for bit ``forces(z, width_m).max()``: the same element-wise
+        operations, run on blocks of ``_BLOCK_ROWS`` depths at a time.
+        """
+        terms = np.array([_volume_terms(z, width_m) for z in depths_m]).reshape(-1, 2)
+        peaks = np.empty(len(terms))
+        block = np.empty((min(len(terms), _BLOCK_ROWS), self.cot.size))
+        side = np.empty_like(block)
+        for start in range(0, len(terms), _BLOCK_ROWS):
+            rows = terms[start : start + _BLOCK_ROWS]
+            out, cones = block[: len(rows)], side[: len(rows)]
+            np.multiply(rows[:, :1], self.cot, out=out)
+            out += np.multiply(rows[:, 1:], self.cot2, out=cones)
+            out *= self.rho_g
+            out *= self.factor
+            out.max(axis=1, out=peaks[start : start + len(rows)])
+        return peaks
 
 
 def _check_depth_width(depth_m: float, width_m: float) -> None:
@@ -156,8 +205,9 @@ def crescent_volume(depth_m: float, beta_deg: float, width_m: float) -> float:
     """
     _check_beta(beta_deg)
     _check_depth_width(depth_m, width_m)
-    volume = _volume(depth_m, width_m, 1.0 / math.tan(math.radians(beta_deg)))
-    return _finite(volume, "volume", depth_m, width_m)
+    cot = 1.0 / math.tan(math.radians(beta_deg))
+    a, c = _volume_terms(depth_m, width_m)
+    return _finite(a * cot + c * cot**2, "volume", depth_m, width_m)
 
 
 def crescent_force(
@@ -182,7 +232,7 @@ def crescent_force(
             f"passive wedge jams: beta_deg + friction_angle_deg = "
             f"{beta_deg + phi} must stay below 90"
         )
-    force = float(_crescent_forces(depth_m, width_m, soil, law, beta_deg))
+    force = float(CrescentKernel(soil, law, beta_deg).forces(depth_m, width_m))
     return _finite(force, "force", depth_m, width_m)
 
 
@@ -224,17 +274,15 @@ def max_crescent_force(
     smaller angle.  The maximum never decreases with depth.
     """
     _check_depth_width(depth_m, width_m)
-    lo, hi = _scan_bounds(soil, law, beta_min_deg, beta_max_deg)
-    n = int(math.floor((hi - lo) / BETA_STEP_DEG + 1e-9))
-    betas = lo + BETA_STEP_DEG * np.arange(n + 1)
-    forces = _crescent_forces(depth_m, width_m, soil, law, betas)
+    kernel = CrescentKernel.scan(soil, law, beta_min_deg, beta_max_deg)
+    forces = kernel.forces(depth_m, width_m)
 
     # The first maximum wins ties (smaller beta); argmax finds any inf or nan.
     best = int(np.argmax(forces))
     return CrescentResult(
-        beta_star_deg=float(betas[best]),
+        beta_star_deg=float(kernel.betas[best]),
         force_n=_finite(float(forces[best]), "force", depth_m, width_m),
-        curve=np.column_stack((betas, forces)),
+        curve=np.column_stack((kernel.betas, forces)),
     )
 
 

@@ -273,6 +273,10 @@ def _parse_metadata(line: str) -> TrialMetadata:
     return metadata
 
 
+def _step_values(fields: list[str]) -> tuple[int, float, float, float]:
+    return int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
+
+
 def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
     """Parse and validate a trial-log CSV into columns.
 
@@ -300,13 +304,19 @@ def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
     for offset, raw in enumerate(lines[2:], start=3):
         if not raw.strip():
             continue
-        fields = [part.strip() for part in raw.split(",")]
+        fields = raw.split(",")
         if len(fields) != 4:
             raise TrialLogError(f"expected 4 comma-separated fields, got {len(fields)}", line=offset)
         try:
-            step, kg, mm, deg = int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
-        except ValueError as exc:
-            raise TrialLogError(f"bad value: {exc}", line=offset) from exc
+            step, kg, mm, deg = _step_values(fields)
+        except ValueError:
+            # int and float skip the whitespace around a number, except
+            # U+001F, which strip also removes.  Strip only on a failure: the
+            # retry accepts such a field, and the message quotes it stripped.
+            try:
+                step, kg, mm, deg = _step_values([part.strip() for part in fields])
+            except ValueError as exc:
+                raise TrialLogError(f"bad value: {exc}", line=offset) from exc
         if not -(2**63) <= step < 2**63:
             raise TrialLogError(f"bad value: step index {step} is outside int64", line=offset)
         if not (math.isfinite(kg) and math.isfinite(mm) and math.isfinite(deg)):

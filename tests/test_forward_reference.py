@@ -6,6 +6,8 @@ lateral onset with a bisection of its own.  ``predict_series`` scans the
 crescent force once, at the top of the crescent regime, and classifies a
 draft above it without a bisection.  That is exact because the maximized
 crescent force never decreases with depth, which the last test checks.
+It bisects the other drafts in lock step over one ``CrescentKernel``,
+whose maxima must equal ``max_crescent_force``'s bit for bit.
 Every ``PredictedStep`` field must come out the same, compared through
 ``repr`` so that -0.0 and 0.0 count as different.  Where the reference
 reaches radius - hinge height, the arm stands vertical and
@@ -13,6 +15,8 @@ reaches radius - hinge height, the arm stands vertical and
 """
 
 import math
+import random
+import re
 from dataclasses import astuple
 
 import pytest
@@ -36,6 +40,7 @@ from spiketrac import (
     rake_angle,
     thrust_angle,
 )
+from spiketrac.soilmech import CrescentKernel
 
 TOLERANCE_M = 1e-6
 
@@ -123,6 +128,21 @@ def bits(steps: list[PredictedStep]) -> list[str]:
     return [repr(astuple(step)) for step in steps]
 
 
+def assert_matches_reference(design, soil, drafts, cd_model) -> None:
+    """``predict_series`` gives the reference's steps, or raises where the reference stops."""
+    try:
+        steps, vertical = reference_series(design, soil, drafts, cd_model)
+    except ValueError as exc:  # a depth just short of radius - hinge height rounds to 90 degrees
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            predict_series(design, soil, drafts, cd_model)
+        return
+    if vertical is None:
+        assert bits(predict_series(design, soil, drafts, cd_model)) == bits(steps)
+    else:
+        with pytest.raises(ValueError, match=rf"^draft_n \({vertical!r}\) stands the arm vertical"):
+            predict_series(design, soil, drafts, cd_model)
+
+
 @st.composite
 def designs(draw) -> SpikeDesign:
     radius = draw(st.floats(0.3, 2.0))
@@ -151,6 +171,10 @@ SURFACE = SpikeDesign(radius_m=1.34, hinge_height_m=0.09, initial_rake_deg=20.0,
 THICK = SpikeDesign(radius_m=1.34, hinge_height_m=0.09, initial_rake_deg=45.0,
                     diameter_mm=200.0, design_depth_m=0.50)
 VERTICAL = SpikeDesign(radius_m=1.0, hinge_height_m=0.1, design_depth_m=0.9)
+# A design depth one float short of radius - hinge height, where the
+# thrust angle already rounds to 90 degrees.
+ALMOST_VERTICAL = SpikeDesign(radius_m=1.0, hinge_height_m=0.5, initial_rake_deg=5.0,
+                              diameter_mm=63.0, design_depth_m=math.nextafter(0.5, 0.0))
 
 
 def schedule(design, soil, cd_model, fractions) -> list[float]:
@@ -179,12 +203,115 @@ def schedule(design, soil, cd_model, fractions) -> list[float]:
 def test_predict_series_matches_per_draft_loop(design, soil, cd_model, fractions):
     drafts = schedule(design, soil, cd_model, fractions)
     assert repr(lateral_onset_depth(design, cd_model)) == repr(reference_onset(design, cd_model))
-    steps, vertical = reference_series(design, soil, drafts, cd_model)
-    if vertical is None:
-        assert bits(predict_series(design, soil, drafts, cd_model)) == bits(steps)
-    else:
-        with pytest.raises(ValueError, match=rf"^draft_n \({vertical!r}\) stands the arm vertical"):
-            predict_series(design, soil, drafts, cd_model)
+    assert_matches_reference(design, soil, drafts, cd_model)
+
+
+def long_schedule(design, soil, cd_model, rng: random.Random, size: int = 300) -> list[float]:
+    """``size`` drafts up to 1.5 times the deeper capacity, a tenth of them repeated.
+
+    Every capacity and the floats either side of it come twice.
+    """
+    anchors = schedule(design, soil, cd_model, []) * 2
+    scale = max(anchors)
+    drawn = [rng.uniform(0.0, 1.5) * scale for _ in range(size - len(anchors) - size // 10)]
+    return sorted(anchors + drawn + rng.choices(drawn, k=size // 10))
+
+
+@settings(max_examples=10, deadline=None)
+@given(design=designs(), soil=soils, cd_model=cd_models, rng=st.randoms(use_true_random=False))
+@example(design=SURFACE, soil=DRY_SAND, cd_model=CriticalDepthModel(k1=2.0), rng=random.Random(1))
+@example(design=THICK, soil=DRY_SAND, cd_model=CriticalDepthModel(), rng=random.Random(2))
+@example(design=VERTICAL, soil=DRY_SAND, cd_model=CriticalDepthModel(k0=1000.0), rng=random.Random(3))
+@example(design=ALMOST_VERTICAL, soil=DRY_SAND, cd_model=CriticalDepthModel(k0=8.0, k1=0.0),
+         rng=random.Random(4))
+def test_long_schedules_match_per_draft_loop(design, soil, cd_model, rng):
+    drafts = long_schedule(design, soil, cd_model, rng)
+    assert len(drafts) == 300
+    assert_matches_reference(design, soil, drafts, cd_model)
+
+
+# A spike 10**6 m wide in soil so dense that the crescent force is finite at
+# the lateral onset (0.1106 m) but overflows at 0.25 m, the first midpoint
+# of every bisection over the 0.5 m design depth.
+WIDE = SpikeDesign(radius_m=1.34, hinge_height_m=0.09, initial_rake_deg=45.0,
+                   diameter_mm=1e9, design_depth_m=0.50)
+WIDE_ONSET = CriticalDepthModel(k0=1e-7)
+DENSE = SoilProperties(bulk_density_kg_m3=1e303, friction_angle_deg=30.0)
+DENSER = SoilProperties(bulk_density_kg_m3=1e305, friction_angle_deg=30.0)
+OVERFLOW = r"^crescent force overflows at depth_m=0\.25, width_m=1000000\.0$"
+# In DENSER soil the capacity scan itself overflows, at the lateral onset.
+ONSET_OVERFLOW = r"^crescent force overflows at depth_m=0\.110572265625, width_m=1000000\.0$"
+VERTICAL_NO_ONSET = CriticalDepthModel(k0=1000.0)
+NEGATIVE = r"^draft_n \(-1\.0\) must be >= 0$"
+DECREASED = r"^draft_n \(1\.0\) decreased \(previous "
+STANDS = r"^draft_n \(2000\.0\) stands the arm vertical at depth_m=0\.9: the lift is unbounded$"
+
+
+def test_error_examples_hold():
+    assert thrust_angle(ALMOST_VERTICAL, ALMOST_VERTICAL.design_depth_m) == 90.0
+    assert lateral_onset_depth(WIDE, WIDE_ONSET) == 0.110572265625
+    assert math.isfinite(max_crescent_force(0.110572265625, WIDE.width_m, DENSE).force_n)
+    with pytest.raises(ValueError, match=OVERFLOW):
+        max_crescent_force(0.25, WIDE.width_m, DENSE)
+    with pytest.raises(ValueError, match=ONSET_OVERFLOW):
+        max_crescent_force(0.110572265625, WIDE.width_m, DENSER)
+    assert max_crescent_force(0.9, VERTICAL.width_m, DRY_SAND).force_n < 2000.0
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    ("design", "soil", "cd_model", "drafts", "message"),
+    [
+        # An overflow, then an invalid draft; and the reverse.
+        (WIDE, DENSE, WIDE_ONSET, [0.0, 1e307, -1.0], OVERFLOW),
+        (WIDE, DENSE, WIDE_ONSET, [1e307, 1.0], OVERFLOW),
+        (WIDE, DENSE, WIDE_ONSET, [-1.0, 1e307], NEGATIVE),
+        (WIDE, DENSE, WIDE_ONSET, [1e308, 1.0, 1e307], DECREASED),
+        # Drafts past the capacity are not bisected; a later one is.
+        (WIDE, DENSE, WIDE_ONSET, [1e308, 1e308, 1e307], r"^draft_n \(1e\+307\) decreased"),
+        (WIDE, DENSE, WIDE_ONSET, [1e308], None),
+        # A nan draft is bisected, and never holds, before the capacity scan.
+        (WIDE, DENSE, WIDE_ONSET, [NAN], OVERFLOW),
+        (WIDE, DENSER, WIDE_ONSET, [1.0], ONSET_OVERFLOW),
+        (WIDE, DENSER, WIDE_ONSET, [-1.0, 1.0], NEGATIVE),
+        (WIDE, DENSER, WIDE_ONSET, [NAN, 1.0], OVERFLOW),
+        # The arm stands vertical, then an invalid draft; and the reverse.
+        (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [0.0, 2000.0, -1.0], STANDS),
+        (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [2000.0, 1.0], STANDS),
+        (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [-1.0, 2000.0], NEGATIVE),
+        (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [5.0, 1.0, 2000.0], DECREASED),
+    ],
+)
+def test_errors_come_in_draft_order(design, soil, cd_model, drafts, message):
+    if message is None:
+        assert [step.regime for step in predict_series(design, soil, drafts, cd_model)] == [
+            FailureMode.LATERAL
+        ]
+        return
+    with pytest.raises(ValueError, match=message):
+        predict_series(design, soil, drafts, cd_model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    depths=st.lists(st.floats(0.0, 50.0) | st.floats(0.0, 1e200), min_size=0, max_size=70),
+    width=st.floats(1e-3, 1.0) | st.floats(1.0, 1e300),
+    soil=soils,
+    law=st.sampled_from(ForceLaw),
+)
+@example(depths=[0.0, 1e154, 1e103, 0.3], width=0.021, soil=DRY_SAND, law=ForceLaw.ACTIVE_WEDGE)
+def test_kernel_maxima_equal_max_crescent_force(depths, width, soil, law):
+    peaks = CrescentKernel.scan(soil, law).maxima(depths, width).tolist()
+    assert len(peaks) == len(depths)
+    for depth, peak in zip(depths, peaks):
+        try:
+            force = max_crescent_force(depth, width, soil, law).force_n
+        except ValueError:
+            assert not math.isfinite(peak)
+        else:
+            assert repr(peak) == repr(force)
 
 
 def test_examples_cover_surface_onset_and_no_onset():

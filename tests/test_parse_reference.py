@@ -86,16 +86,24 @@ def reference_steps(lines: list[str]) -> list[ReferenceStep]:
     return steps
 
 
-# Whitespace that int, float and strip() all skip, and that does not end a line.
-_SPACE = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003", "\u3000"])
+# Whitespace that does not end a line: int and float skip all of it but
+# U+001F, which strip() removes too.
+_INLINE_SPACE = "".join(
+    c for c in map(chr, range(0x3001)) if c.isspace() and len(f"a{c}b".splitlines()) == 1
+)
+# Whitespace that str.splitlines() ends a line at, so it moves later lines down.
+_LINE_SPACE = "".join(
+    c for c in map(chr, range(0x3001)) if c.isspace() and len(f"a{c}b".splitlines()) == 2
+)
+_SPACE = st.text(st.sampled_from(_INLINE_SPACE), min_size=1, max_size=3)
 _PAD = _SPACE | st.just("")
 _NOT_NUMBERS = st.sampled_from(["", "abc", "1.5.2", "0x10", "--1", "1e", "\u00bd", "1 2"])
 _NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999"])
 # Number spellings float and int accept beside repr.
 _NUMBER_FORMS = st.sampled_from(["{}", "+{}", "{}e0", "0{}"])
 _KINDS = st.sampled_from([
-    "padded", "field_count", "not_number", "non_finite", "negative_basket",
-    "low_incl", "high_incl", "decreasing_basket", "decreasing_motion",
+    "padded", "padded_all", "line_space", "field_count", "not_number", "non_finite",
+    "negative_basket", "low_incl", "high_incl", "decreasing_basket", "decreasing_motion",
     "repeated_index", "lower_index", "integer_text",
 ])
 
@@ -121,6 +129,10 @@ def step_lines(draw) -> list[str]:
             column = draw(st.integers(0, len(fields) - 1))
             if kind == "padded":
                 fields[column] = draw(_SPACE) + fields[column] + draw(_PAD)
+            elif kind == "padded_all":
+                fields = [draw(_PAD) + field + draw(_PAD) for field in fields]
+            elif kind == "line_space":
+                fields[column] += draw(st.sampled_from(_LINE_SPACE)) + draw(_PAD)
             elif kind == "field_count":
                 fields = draw(st.sampled_from([fields[:1], fields[:3], fields + ["0"]]))
             elif kind == "not_number":
@@ -151,6 +163,9 @@ def step_lines(draw) -> list[str]:
 @given(step_lines())
 @example(["0,0,0,nan"])
 @example(["0, 1 ,2,\t3", "1,-1,0,100"])
+@example(["\x1f0\x1f,\u20051\u2005,2\x1f\t,\u30003"])
+@example(["0,1,2,3", "1,\x1f abc\u3000,2,3"])
+@example(["0,1\u2028,2,3", "1,1,2,3"])
 @example(["0,0,0,5", "1,1,1,-inf"])
 # Lines that break two rules against the line before.
 @example(["0,5,5,10", "1,4,4,10"])
