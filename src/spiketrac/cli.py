@@ -22,6 +22,8 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
@@ -78,8 +80,14 @@ _SERIES_CSVS = {
 }
 # The series the CSVs take from the report; the weight line is not one.
 _CSV_KEYS = frozenset(key for keys in _SERIES_CSVS.values() for key in keys) - {"weight_N"}
-# How repr spells the floats JSON writes as null.
+# Columns of the ranked design CSV: design fields, then evaluation fields.
+_DESIGN_KEYS = ("radius_m", "hinge_height_m", "initial_rake_deg", "diameter_mm", "design_depth_m")
+_EVALUATION_KEYS = ("objective", "thrust_deg", "window_deg")
+# How the float spec spells the floats JSON writes as null.
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
+# Every float the CLI writes: 6 significant digits.  For a float,
+# ``_FLOAT_SPEC % value == format(value, ".6g")``.
+_FLOAT_SPEC = "%.6g"
 
 
 class ConfigError(ValueError):
@@ -87,7 +95,36 @@ class ConfigError(ValueError):
 
 
 def _fmt(value: float) -> str:
-    return format(value, ".6g")
+    return _FLOAT_SPEC % value
+
+
+def _fmt_column(values: Iterable[float]) -> list[str]:
+    """``list(map(_fmt, values))`` in one C-level ``%`` pass."""
+    values = tuple(values)
+    return (f"{_FLOAT_SPEC}\n" * len(values) % values).split("\n")[:-1]
+
+
+# inf - inf is nan, which the test below counts as not plain.
+@np.errstate(invalid="ignore")
+def _json_numbers(column: np.ndarray, text: list[str]) -> list[str]:
+    """The JSON numbers of a float column whose ``_fmt`` strings are ``text``.
+
+    Each is ``repr(float(s))`` of its string ``s``, or ``null`` when not
+    finite.  That is ``s`` itself except when ``s`` has neither ``.``
+    nor ``e`` (an integer, ``nan`` or ``inf``), when its exponent is
+    ``e+06`` to ``e+15``, and when it is ``e-3xx``, where subnormals
+    get shorter.  A value ``x`` of the first two cases is not finite or
+    rounds to an integer at 6 digits, so it lies within 5e-6 * |x| of an
+    integer; one of the last case lies below 1e-299 in magnitude.  Only
+    the strings of values not finite, within 1e-5 * |x| of an integer or
+    below 1e-290 in magnitude are read back.
+    """
+    magnitude = np.abs(column)
+    plain = (np.abs(column - np.rint(column)) > 1e-5 * magnitude) & (magnitude >= 1e-290)
+    numbers = text.copy()
+    for i in np.flatnonzero(~plain).tolist():
+        numbers[i] = "null" if text[i] in _NON_FINITE else repr(float(text[i]))
+    return numbers
 
 
 def _json_ready(value):
@@ -120,8 +157,7 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines = chain([",".join(header)], map(",".join, rows))
     _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
@@ -326,10 +362,12 @@ def _write_report(
 
     The text is ``json.dumps(report, indent=2)`` with each column a
     series array of its values rounded as ``_json_ready`` rounds them.
-    A float column is formatted once with ``_fmt``; each JSON number is
-    that string read back, or ``null`` when not finite, so it carries
-    the digits of its CSV cell.  Columns are encoded and written one at
-    a time.  Returns the strings of the columns named in ``csv_keys``.
+    A float column is formatted once, in one ``_fmt_column`` pass; each
+    JSON number is that string read back, or ``null`` when not finite,
+    so it carries the digits of its CSV cell.  ``_json_numbers`` reads
+    back only the strings whose values reading back can change.
+    Columns are encoded and written one at a time.  Returns the strings
+    of the columns named in ``csv_keys``.
     """
     head, tail = json.dumps(report, indent=2).split('\n  "series": {},\n')
     kept = {}
@@ -338,15 +376,13 @@ def _write_report(
         yield head + '\n  "series": {'
         for i, (name, column) in enumerate(columns.items()):
             if column.dtype == bool:
-                array = json.dumps(column.tolist(), indent=2).replace("\n", "\n    ")
+                flags = ["true" if flag else "false" for flag in column.tolist()]
+                array = _json_array(flags, "    ")
             else:
-                text = list(map(_fmt, column.tolist()))
+                text = _fmt_column(column.tolist())
                 if name in csv_keys:
                     kept[name] = text
-                numbers = map(repr, map(float, text))
-                if not np.isfinite(column).all():
-                    numbers = ("null" if number in _NON_FINITE else number for number in numbers)
-                array = _json_array(numbers, "    ")
+                array = _json_array(_json_numbers(column, text), "    ")
             yield f'{"," if i else ""}\n    {json.dumps(name)}: {array}'
         yield "\n  },\n" + tail + "\n"
 
@@ -410,33 +446,20 @@ def run_crescent(args: argparse.Namespace) -> int:
         beta_max_deg=args.beta_max,
     )
     if args.out is not None:
-        _write_csv(
-            args.out,
-            ["beta_deg", "force_N"],
-            [[_fmt(beta), _fmt(force)] for beta, force in result.curve.tolist()],
-        )
+        columns = (_fmt_column(column) for column in result.curve.T.tolist())
+        _write_csv(args.out, ["beta_deg", "force_N"], zip(*columns))
     print(f"beta_star_deg={_fmt(result.beta_star_deg)} force_N={_fmt(result.force_n)}")
     return EXIT_OK
 
 
-def _design_rows(result: GridSearchResult, top: int | None) -> list[list[str]]:
+def _design_rows(result: GridSearchResult, top: int | None) -> list[tuple[str, ...]]:
+    """The ranked CSV's rows, formatted one column at a time."""
     ranked = result.ranked if top is None else result.ranked[:top]
-    rows = []
-    for item in ranked:
-        d, e = item.design, item.evaluation
-        rows.append(
-            [
-                _fmt(d.radius_m),
-                _fmt(d.hinge_height_m),
-                _fmt(d.initial_rake_deg),
-                _fmt(d.diameter_mm),
-                _fmt(d.design_depth_m),
-                _fmt(e.objective),
-                _fmt(e.thrust_deg),
-                _fmt(e.window_deg),
-            ]
-        )
-    return rows
+    designs = [item.design for item in ranked]
+    evaluations = [item.evaluation for item in ranked]
+    columns = [_fmt_column(map(attrgetter(key), designs)) for key in _DESIGN_KEYS]
+    columns += [_fmt_column(map(attrgetter(key), evaluations)) for key in _EVALUATION_KEYS]
+    return list(zip(*columns))
 
 
 def run_design(args: argparse.Namespace) -> int:
@@ -447,16 +470,7 @@ def run_design(args: argparse.Namespace) -> int:
     load_soil(args.soil)
     cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
     result = grid_search(space, constraints, cd_model)
-    header = [
-        "radius_m",
-        "hinge_height_m",
-        "initial_rake_deg",
-        "diameter_mm",
-        "design_depth_m",
-        "objective",
-        "thrust_deg",
-        "window_deg",
-    ]
+    header = [*_DESIGN_KEYS, *_EVALUATION_KEYS]
     rows = _design_rows(result, args.top)
     if args.out is not None:
         _write_csv(args.out, header, rows)

@@ -124,9 +124,11 @@ def _equilibrium_depths(
 
 
 def _checked_prefix(drafts: list[float]) -> tuple[list[float], ValueError | None]:
-    """The drafts before the first negative or decreasing one, and that draft's error."""
+    """The drafts before the first non-finite, negative or decreasing one, and its error."""
     previous = 0.0
     for index, draft in enumerate(drafts):
+        if not math.isfinite(draft):
+            return drafts[:index], ValueError(f"draft_n ({draft}) must be finite")
         if draft < 0:
             return drafts[:index], ValueError(f"draft_n ({draft}) must be >= 0")
         if draft < previous:
@@ -145,8 +147,9 @@ def predict_series(
 ) -> list[PredictedStep]:
     """Predicted pose series for a non-decreasing draft schedule.
 
-    A negative or decreasing draft raises ValueError: weights are only
-    added.  So does a draft that drives the tip to radius - hinge height,
+    A non-finite, negative or decreasing draft raises ValueError: weights
+    are only added.  So does a draft that drives the tip to radius - hinge
+    height, or so close to it that the thrust angle rounds to 90 degrees,
     where the arm stands vertical and the lift is unbounded, and one whose
     crescent force overflows.  The first of these in draft order is
     raised, and only the drafts before it are scanned or bisected.
@@ -194,12 +197,12 @@ def predict_series(
         else:
             target, regime, sustained = design.design_depth_m, FailureMode.CRESCENT, False
         depth = max(depth, target)
-        if depth >= design.max_depth_m:
+        thrust = thrust_angle(design, depth)
+        if depth >= design.max_depth_m or thrust >= 90.0:
             raise ValueError(
                 f"draft_n ({draft}) stands the arm vertical at depth_m={depth}: "
                 "the lift is unbounded"
             )
-        thrust = thrust_angle(design, depth)
         steps.append(
             PredictedStep(
                 draft_n=draft,

@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -514,6 +514,32 @@ def _applied_lift(design: SpikeDesign, kappa: float, draft: float, depth: float)
     return draft * math.tan(math.asin(sin_gamma))
 
 
+# np.arcsin and np.tan may differ from math.asin and math.tan by a few ulps,
+# which tan magnifies by 1/(sin cos): at most about 1e3 below this sine.
+_STEEP_SIN = 1.0 - 1e-6
+# Lifts this close to the limit, relative to it, are decided by _applied_lift.
+_LIFT_GUARD = 1e-9
+
+
+def _lifts_hold(
+    design: SpikeDesign, kappa: float, drafts: np.ndarray, depths: np.ndarray, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each ``_applied_lift`` at ``kappa`` is within ``limit``, decided on arrays.
+
+    The sine is the same bits as the scalar's; the lift may differ in
+    its last bits.  The second array marks the lanes that difference
+    could flip (or where ``math.asin`` raises): their first result is
+    meaningless and ``_applied_lift`` must decide them.
+    """
+    sin_gamma = (design.hinge_height_m + kappa * depths) / design.radius_m
+    with np.errstate(invalid="ignore"):
+        lift = drafts * np.tan(np.arcsin(sin_gamma))
+    undecided = ~(np.abs(sin_gamma) < _STEEP_SIN) | (
+        np.abs(lift - limit) <= _LIFT_GUARD * limit
+    )
+    return lift <= limit, undecided
+
+
 def estimate_effective_application(
     series: DerivedSeries,
     design: SpikeDesign,
@@ -536,16 +562,26 @@ def estimate_effective_application(
         return EffectiveApplication(kappa=1.0, inconsistent=False)
 
     limit = weight + 1e-9
+
+    def scalar_holds(kappa: float, drafts: np.ndarray, depths: np.ndarray) -> Iterator[bool]:
+        """``_applied_lift``'s test of each point, lazily and in point order."""
+        points = zip(drafts.tolist(), depths.tolist())
+        return (_applied_lift(design, kappa, draft, depth) <= limit for draft, depth in points)
+
     # Lift never decreases with kappa, so a point that holds at kappa = 1
     # holds at every kappa the bisection tries; only the others can fail.
-    points = [
-        (draft, depth)
-        for draft, depth in zip(series.draft_n.tolist(), series.depth_m.tolist())
-        if not _applied_lift(design, 1.0, draft, depth) <= limit
-    ]
+    drafts, depths = series.draft_n, series.depth_m
+    holds, undecided = _lifts_hold(design, 1.0, drafts, depths, limit)
+    holds[undecided] = list(scalar_holds(1.0, drafts[undecided], depths[undecided]))
+    drafts, depths = drafts[~holds], depths[~holds]
 
     def feasible(kappa: float) -> bool:
-        return all(_applied_lift(design, kappa, draft, depth) <= limit for draft, depth in points)
+        """Every point holds at ``kappa``; scalar tests run in point order, as ``all`` would."""
+        holds, undecided = _lifts_hold(design, kappa, drafts, depths, limit)
+        failing = np.flatnonzero(~(holds | undecided))
+        end = failing[0] if failing.size else len(drafts)
+        ask = np.flatnonzero(undecided[:end])
+        return all(scalar_holds(kappa, drafts[ask], depths[ask])) and not failing.size
 
     if not feasible(0.0):
         return EffectiveApplication(kappa=0.0, inconsistent=True)

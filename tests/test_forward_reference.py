@@ -10,13 +10,13 @@ It bisects the other drafts in lock step over one ``CrescentKernel``,
 whose maxima must equal ``max_crescent_force``'s bit for bit.
 Every ``PredictedStep`` field must come out the same, compared through
 ``repr`` so that -0.0 and 0.0 count as different.  Where the reference
-reaches radius - hinge height, the arm stands vertical and
-``predict_series`` must raise, naming that draft.
+reaches radius - hinge height, or a depth whose thrust angle rounds to
+90 degrees, the arm stands vertical and ``predict_series`` must raise,
+naming that draft.
 """
 
 import math
 import random
-import re
 from dataclasses import astuple
 
 import pytest
@@ -107,9 +107,9 @@ def reference_series(design, soil, drafts, cd_model) -> tuple[list[PredictedStep
         else:
             target, regime, sustained = design.design_depth_m, FailureMode.CRESCENT, False
         depth = max(depth, target)
-        if depth >= design.max_depth_m:
-            return steps, draft  # the arm stands vertical: no lift
         thrust = thrust_angle(design, depth)
+        if depth >= design.max_depth_m or thrust >= 90.0:
+            return steps, draft  # the arm stands vertical: no lift
         steps.append(
             PredictedStep(
                 draft_n=draft,
@@ -130,12 +130,7 @@ def bits(steps: list[PredictedStep]) -> list[str]:
 
 def assert_matches_reference(design, soil, drafts, cd_model) -> None:
     """``predict_series`` gives the reference's steps, or raises where the reference stops."""
-    try:
-        steps, vertical = reference_series(design, soil, drafts, cd_model)
-    except ValueError as exc:  # a depth just short of radius - hinge height rounds to 90 degrees
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            predict_series(design, soil, drafts, cd_model)
-        return
+    steps, vertical = reference_series(design, soil, drafts, cd_model)
     if vertical is None:
         assert bits(predict_series(design, soil, drafts, cd_model)) == bits(steps)
     else:
@@ -245,6 +240,8 @@ VERTICAL_NO_ONSET = CriticalDepthModel(k0=1000.0)
 NEGATIVE = r"^draft_n \(-1\.0\) must be >= 0$"
 DECREASED = r"^draft_n \(1\.0\) decreased \(previous "
 STANDS = r"^draft_n \(2000\.0\) stands the arm vertical at depth_m=0\.9: the lift is unbounded$"
+NOT_FINITE = r"^draft_n \(nan\) must be finite$"
+ALMOST_STANDS = r"^draft_n \(5000\.0\) stands the arm vertical at depth_m=0\.49999999999999994: "
 
 
 def test_error_examples_hold():
@@ -256,6 +253,10 @@ def test_error_examples_hold():
     with pytest.raises(ValueError, match=ONSET_OVERFLOW):
         max_crescent_force(0.110572265625, WIDE.width_m, DENSER)
     assert max_crescent_force(0.9, VERTICAL.width_m, DRY_SAND).force_n < 2000.0
+    assert lateral_onset_depth(ALMOST_VERTICAL, VERTICAL_NO_ONSET) is None
+    depth = ALMOST_VERTICAL.design_depth_m
+    assert depth < ALMOST_VERTICAL.max_depth_m
+    assert max_crescent_force(depth, ALMOST_VERTICAL.width_m, DRY_SAND).force_n < 5000.0
 
 
 NAN = math.nan
@@ -272,16 +273,28 @@ NAN = math.nan
         # Drafts past the capacity are not bisected; a later one is.
         (WIDE, DENSE, WIDE_ONSET, [1e308, 1e308, 1e307], r"^draft_n \(1e\+307\) decreased"),
         (WIDE, DENSE, WIDE_ONSET, [1e308], None),
-        # A nan draft is bisected, and never holds, before the capacity scan.
-        (WIDE, DENSE, WIDE_ONSET, [NAN], OVERFLOW),
+        # An overflow comes before a later non-finite draft.
+        (WIDE, DENSE, WIDE_ONSET, [1e307, NAN], OVERFLOW),
         (WIDE, DENSER, WIDE_ONSET, [1.0], ONSET_OVERFLOW),
         (WIDE, DENSER, WIDE_ONSET, [-1.0, 1.0], NEGATIVE),
-        (WIDE, DENSER, WIDE_ONSET, [NAN, 1.0], OVERFLOW),
+        (WIDE, DENSE, WIDE_ONSET, [0.0, 1e307, math.inf], OVERFLOW),
         # The arm stands vertical, then an invalid draft; and the reverse.
         (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [0.0, 2000.0, -1.0], STANDS),
         (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [2000.0, 1.0], STANDS),
         (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [-1.0, 2000.0], NEGATIVE),
         (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [5.0, 1.0, 2000.0], DECREASED),
+        # A non-finite draft is not scanned or bisected: it comes before an
+        # overflow, a capacity overflow and a vertical arm after it, and
+        # before the negative and decreasing checks of its own draft.
+        (WIDE, DENSE, WIDE_ONSET, [NAN], NOT_FINITE),
+        (WIDE, DENSER, WIDE_ONSET, [NAN, 1.0], NOT_FINITE),
+        (WIDE, DENSE, WIDE_ONSET, [0.0, math.inf, 1e307], r"^draft_n \(inf\) must be finite$"),
+        (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [5.0, -math.inf], r"^draft_n \(-inf\) must be"),
+        (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [NAN, 2000.0], NOT_FINITE),
+        (VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [2000.0, NAN], STANDS),
+        # The design depth is one float short of radius - hinge height, but
+        # the thrust angle there rounds to 90 degrees: the arm stands vertical.
+        (ALMOST_VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [0.0, 5000.0, NAN], ALMOST_STANDS),
     ],
 )
 def test_errors_come_in_draft_order(design, soil, cd_model, drafts, message):

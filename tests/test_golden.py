@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -116,6 +117,15 @@ def test_cli_output_matches_golden(case, tmp_path):
     assert sorted(outputs) == sorted(expected)
     for name, data in expected.items():
         assert outputs[name] == data, f"{case}: {name} differs from the golden file"
+
+
+def test_negative_penetration_work_is_a_result(tmp_path):
+    # The arm rises to 89 degrees while the hinge advances 4 mm: the tip
+    # swings back, so the work is negative and has no efficiency; exit 0.
+    outputs = run_case(CASES["analyze-edge"], tmp_path / "work")
+    summary = json.loads(outputs["report.json"])["summary"]
+    assert summary["penetration_work_J"] < 0
+    assert summary["efficiency_at_push"] is None
 
 
 def regenerate() -> None:

@@ -6,7 +6,8 @@ The references below are the earlier code, kept verbatim in spirit:
   report holding every series column, rounded one element at a time;
 * the CSVs formatted each column with ``_fmt``;
 * the first liftoff step came from one record per step;
-* the kappa bisection tested every step in each round.
+* the kappa bisection tested every step in each round, one
+  ``math.asin`` and ``math.tan`` at a time.
 
 ``analyze`` must write the same bytes, and ``estimate_effective_application``
 must return the same kappa bit for bit.
@@ -16,6 +17,7 @@ import contextlib
 import io
 import json
 import math
+import struct
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -175,7 +177,40 @@ def report_columns(draw):
     return columns
 
 
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Values where reading a 6-digit string back can change it: any float,
+# subnormals, integers, the decades where repr drops the exponent, and
+# values near a rounding boundary of the sixth digit.
+json_floats = st.one_of(
+    st.integers(0, 2**64 - 1).map(float_of_bits),
+    st.sampled_from(SPECIAL),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.integers(-(10**7), 10**7).map(float),
+    st.floats(1e6, 1e16),
+    st.floats(-1e16, -1e6),
+    st.builds(
+        lambda digits, offset, decade: (digits + offset) * 10.0**decade,
+        st.integers(-999999, 999999), st.floats(-0.6, 0.6), st.integers(-8, 11),
+    ),
+)
+
+
 class TestReportText:
+    @given(st.lists(json_floats, max_size=40))
+    @settings(max_examples=400)
+    @example([0.5, 99999.95, 999999.5, 9999995.0, 1e-300, 9.999995e-300, 4.94066e-324])
+    def test_column_strings_and_json_numbers_equal_one_value_at_a_time(self, values):
+        text = cli._fmt_column(values)
+        assert text == list(map(cli._fmt, values))
+        assert text == [format(value, ".6g") for value in values]
+        expected = [
+            repr(float(cli._fmt(value))) if math.isfinite(value) else "null" for value in values
+        ]
+        assert cli._json_numbers(np.array(values, float), text) == expected
+
     @given(report_fields, report_columns())
     @settings(max_examples=150)
     def test_report_text_equals_the_reference(self, fields, columns):
@@ -293,7 +328,57 @@ def kappa_cases(draw):
     return series, design, vehicle
 
 
+# The dyadic fractions a bisection to _KAPPA_TOLERANCE can try first.
+TRIED_KAPPAS = [k / 16 for k in range(17)]
+
+
+@st.composite
+def near_limit_kappa_cases(draw):
+    """Points whose lift at a kappa the bisection tries sits a few ulps from the limit.
+
+    Some put the arm within 1e-6 of vertical at that kappa, where np.tan
+    magnifies a last-bit difference of np.arcsin 1e3 times or more; their
+    depth may lie past radius - hinge height, so a larger kappa tips the
+    arm over.
+    """
+    design = draw(design_values)
+    vehicle = VehicleConfig(total_mass_kg=draw(st.floats(0.5, 100.0)))
+    limit = vehicle.weight_n + 1e-9
+    drafts, depths = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            gap = st.one_of(st.integers(0, 64).map(lambda k: k * 2.0**-53), st.floats(0.0, 1e-6))
+            sin_gamma = 1.0 - draw(gap)
+            kappa = draw(st.sampled_from(TRIED_KAPPAS[1:]))
+            depth = (sin_gamma * design.radius_m - design.hinge_height_m) / kappa
+        else:
+            depth = draw(st.floats(0.0, design.max_depth_m))
+            kappa = draw(st.sampled_from(TRIED_KAPPAS))
+        lift_per_newton = _applied_lift(design, kappa, 1.0, depth)
+        draft = limit / lift_per_newton if 0 < lift_per_newton < math.inf else 0.0
+        for _ in range(abs(ulps := draw(st.integers(-4, 4)))):
+            draft = math.nextafter(draft, math.copysign(math.inf, ulps))
+        drafts.append(draft)
+        depths.append(depth)
+    n = len(drafts)
+    series = DerivedSeries(
+        draft_n=drafts, depth_m=depths, thrust_deg=[0.0] * n,
+        lift_n=[_applied_lift(design, 1.0, d, z) for d, z in zip(drafts, depths)],
+        tip_x_m=[0.0] * n, cumulative_work_j=[0.0] * n, motion_m=[0.0] * n,
+        airborne=[False] * n,
+    )
+    return series, design, vehicle
+
+
 class TestKappaFilter:
+    @given(near_limit_kappa_cases())
+    @settings(max_examples=400)
+    def test_kappa_near_the_limit_equals_the_full_bisection(self, case):
+        series, design, vehicle = case
+        result = estimate_effective_application(series, design, vehicle)
+        kappa, inconsistent = reference_kappa(series, design, vehicle)
+        assert (result.kappa.hex(), result.inconsistent) == (kappa.hex(), inconsistent)
+
     @given(kappa_cases())
     @settings(max_examples=200)
     def test_kappa_equals_the_full_bisection(self, case):
