@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import SpikeDesign, rotated_rake, thrust_angle
+from .geometry import SpikeDesign, effective_sine, rotated_rake, thrust_angle
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
 # The search holds arrays over the whole grid: 10 million points took about 170 MiB.
@@ -94,7 +94,6 @@ class Violation:
 
     check: str
     margin: float
-    detail: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +144,7 @@ def pull_weight_ratio(
         raise ValueError(
             f"depth_m ({depth_m}) must lie in [0, {design.max_depth_m}]"
         )
-    sin_gamma = (design.hinge_height_m + application_fraction * depth_m) / design.radius_m
+    sin_gamma = effective_sine(design, depth_m, application_fraction)
     gamma = math.asin(min(sin_gamma, 1.0))
     tangent = math.tan(gamma)
     if tangent == 0.0:
@@ -198,42 +197,14 @@ def evaluate_design(
 
     violations: list[Violation] = []
     if failed["max_thrust"]:
-        violations.append(
-            Violation(
-                check="max_thrust",
-                margin=thrust - constraints.max_thrust_deg,
-                detail=(
-                    f"thrust {thrust:.2f} deg at design depth exceeds "
-                    f"{constraints.max_thrust_deg:.2f} deg"
-                ),
-            )
-        )
+        violations.append(Violation("max_thrust", thrust - constraints.max_thrust_deg))
     if failed["penetration_window"]:
-        if window <= constraints.window_low_deg:
-            margin = constraints.window_low_deg - window
-        else:
-            margin = window - constraints.window_high_deg
+        low, high = constraints.window_low_deg, constraints.window_high_deg
         violations.append(
-            Violation(
-                check="penetration_window",
-                margin=margin,
-                detail=(
-                    f"alpha - gamma = {window:.2f} deg outside "
-                    f"({constraints.window_low_deg}, {constraints.window_high_deg})"
-                ),
-            )
+            Violation("penetration_window", low - window if window <= low else window - high)
         )
     if failed.get("critical_depth"):
-        violations.append(
-            Violation(
-                check="critical_depth",
-                margin=zc - depth,
-                detail=(
-                    f"design depth {depth:.3f} m does not pass "
-                    f"the critical depth {zc:.3f} m"
-                ),
-            )
-        )
+        violations.append(Violation("critical_depth", zc - depth))
 
     return DesignEvaluation(
         feasible=not violations,

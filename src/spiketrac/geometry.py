@@ -6,7 +6,7 @@ arm rotates and drives the spike tip deeper.  Everything here follows from
 that single rigid rotation:
 
 * the thrust angle gamma is the inclination of the hinge-to-tip line,
-  sin(gamma) = (hinge_height + depth) / radius;
+  sin(gamma) = (hinge_height + depth) / radius (:func:`effective_sine`);
 * the spike body rotates with the arm, so its rake angle alpha turns
   from alpha0 by as much as gamma turns from gamma0 (:func:`rotated_rake`);
 * a horizontal draft F_D at the hinge produces a vertical lift
@@ -77,29 +77,13 @@ class SpikeDesign:
         return self.diameter_mm / 1000.0
 
 
-@dataclass(frozen=True)
-class DepthResult:
-    """Depth recovered from an arm inclination.
+def effective_sine(design: SpikeDesign, depth_m, kappa=1.0):
+    """sin(gamma_eff) = (hinge_height + kappa * depth) / radius.
 
-    tip_airborne is set when the inclination puts the tip above the soil
-    surface; depth_m is then clamped to zero.  Both are arrays when the
-    inclinations were.
+    The draft acts at fraction kappa of the tip depth.  Takes scalars or
+    arrays and checks nothing: each caller validates its own domain.
     """
-
-    depth_m: float
-    tip_airborne: bool
-
-
-@dataclass(frozen=True)
-class TipDisplacement:
-    """Ground-frame tip motion between two arm poses.
-
-    dx_m is horizontal (vehicle travel direction positive), dz_m vertical
-    (downward penetration positive).  Both are arrays when the poses were.
-    """
-
-    dx_m: float
-    dz_m: float
+    return (design.hinge_height_m + kappa * depth_m) / design.radius_m
 
 
 def thrust_angle(design: SpikeDesign, depth_m: float) -> float:
@@ -108,33 +92,33 @@ def thrust_angle(design: SpikeDesign, depth_m: float) -> float:
     gamma = arcsin((hinge_height + depth) / radius); strictly increasing
     in depth.  Raises ValueError outside 0 <= depth <= radius - hinge height.
     """
-    if depth_m < 0:
+    if not depth_m >= 0:
         raise ValueError(f"depth_m ({depth_m}) must be >= 0")
     if depth_m > design.max_depth_m:
         raise ValueError(
             f"depth_m ({depth_m}) exceeds the reachable maximum "
             f"radius_m - hinge_height_m = {design.max_depth_m}"
         )
-    ratio = (design.hinge_height_m + depth_m) / design.radius_m
+    ratio = effective_sine(design, depth_m)
     # depth is validated above; a ratio beyond 1 is pure rounding.
     return math.degrees(math.asin(min(ratio, 1.0)))
 
 
-def depth_from_inclination(design: SpikeDesign, arm_inclination_deg) -> DepthResult:
+def depth_from_inclination(design: SpikeDesign, arm_inclination_deg):
     """Tip depth implied by a measured lever-arm inclination.
 
     Exact inverse of :func:`thrust_angle`: z = radius * sin(delta) - hinge
     height.  Inclinations below the surface-contact angle gamma0 mean the
     tip is airborne; depth is clamped to 0 and flagged.  Inclinations above
-    90 degrees are a domain error.  Takes a scalar or an array of
-    inclinations; the result's fields then have its shape.
+    90 degrees, and nan, are a domain error.  Returns ``(depth_m,
+    tip_airborne)``, each of the inclinations' shape.
     """
-    if np.any(arm_inclination_deg > 90.0):
+    if not np.all(arm_inclination_deg <= 90.0):
         raise ValueError(
             f"arm_inclination_deg ({np.max(arm_inclination_deg)}) must be <= 90"
         )
     depth = design.radius_m * np.sin(np.radians(arm_inclination_deg)) - design.hinge_height_m
-    return DepthResult(depth_m=np.maximum(depth, 0.0), tip_airborne=depth < -1e-12)
+    return np.maximum(depth, 0.0), depth < -1e-12
 
 
 def rotated_rake(initial_rake_deg, thrust_deg, surface_thrust_deg):
@@ -165,9 +149,10 @@ def tip_displacement(
     inclination_start_deg,
     inclination_end_deg,
     hinge_advance_m,
-) -> TipDisplacement:
-    """Ground-frame tip motion between two arm poses with a hinge advance.
+):
+    """Ground-frame tip motion ``(dx_m, dz_m)`` between two arm poses with a hinge advance.
 
+    dx_m is positive along travel, dz_m positive downward:
     dz = r (sin(delta_end) - sin(delta_start)) and
     dx = hinge_advance - r (cos(delta_start) - cos(delta_end)):
     the hinge carries the tip forward while the rotation swings it
@@ -189,4 +174,4 @@ def tip_displacement(
     end = np.radians(inclination_end_deg)
     dz = design.radius_m * (np.sin(end) - np.sin(start))
     dx = hinge_advance_m - design.radius_m * (np.cos(start) - np.cos(end))
-    return TipDisplacement(dx_m=dx, dz_m=dz)
+    return dx, dz

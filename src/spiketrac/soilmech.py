@@ -334,7 +334,7 @@ def failure_mode(
     model: CriticalDepthModel = CriticalDepthModel(),
 ) -> FailureMode:
     """Classify the failure regime at a depth (boundary counts as crescent)."""
-    if depth_m < 0:
+    if not depth_m >= 0:
         raise ValueError(f"depth_m ({depth_m}) must be >= 0")
     zc = critical_depth(width_m, rake_deg, model)
     return FailureMode.CRESCENT if depth_m <= zc else FailureMode.LATERAL

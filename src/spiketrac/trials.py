@@ -35,6 +35,7 @@ import numpy as np
 from .geometry import (
     SpikeDesign,
     depth_from_inclination,
+    effective_sine,
     lifting_force,
     thrust_angle,
     tip_displacement,
@@ -388,23 +389,23 @@ def derive_series(log: TrialLog) -> DerivedSeries:
         step = log.index[vertical[0]]
         raise ValueError(f"the arm stands vertical at step {step}: the lift is unbounded")
     draft = draft_from_basket(basket_kg, rig)
-    pose = depth_from_inclination(design, incl_deg)
+    depth, airborne = depth_from_inclination(design, incl_deg)
     # Airborne poses track along the surface-contact pose.
     swing = np.maximum(incl_deg, thrust_angle(design, 0.0))
     tip_dx = np.zeros(len(log))
     advance_m = np.diff(motion_mm) / 1000.0
-    tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], advance_m).dx_m
+    tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], advance_m)[0]
     # Per element through math.tan: np.tan differs from it in the last bit
     # on some angles.
     lift = list(map(lifting_force, draft.tolist(), incl_deg.tolist()))
     series = DerivedSeries(
         draft_n=draft,
-        depth_m=pose.depth_m,
+        depth_m=depth,
         thrust_deg=incl_deg,
         lift_n=lift,
         tip_x_m=np.cumsum(tip_dx),
         motion_m=motion_mm / 1000.0,
-        airborne=pose.tip_airborne,
+        airborne=airborne,
     )
     series.cumulative_work_j = penetration_work(series)
     overflow = ~(
@@ -508,7 +509,7 @@ def stability_check(series: DerivedSeries, vehicle: VehicleConfig) -> StabilityC
 
 def _applied_lift(design: SpikeDesign, kappa: float, draft: float, depth: float) -> float:
     """Hinge lift with the draft applied at kappa of the tip depth; never decreases in kappa."""
-    sin_gamma = (design.hinge_height_m + kappa * depth) / design.radius_m
+    sin_gamma = effective_sine(design, depth, kappa)
     if sin_gamma >= 1.0:
         return math.inf
     return draft * math.tan(math.asin(sin_gamma))
@@ -531,7 +532,7 @@ def _lifts_hold(
     could flip (or where ``math.asin`` raises): their first result is
     meaningless and ``_applied_lift`` must decide them.
     """
-    sin_gamma = (design.hinge_height_m + kappa * depths) / design.radius_m
+    sin_gamma = effective_sine(design, depths, kappa)
     with np.errstate(invalid="ignore"):
         lift = drafts * np.tan(np.arcsin(sin_gamma))
     undecided = ~(np.abs(sin_gamma) < _STEEP_SIN) | (
@@ -556,7 +557,13 @@ def estimate_effective_application(
     stays within the vehicle weight at every step.  Returns kappa = 1
     when tip application already predicts stability everywhere; kappa = 0
     with the inconsistent flag when no kappa >= 0 reconciles the steps.
+    A depth outside [0, radius - hinge height], or nan, raises ValueError.
     """
+    depths = series.depth_m
+    outside = np.flatnonzero(~((depths >= 0.0) & (depths <= design.max_depth_m)))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"depth_m[{i}] ({depths[i]}) must lie in [0, {design.max_depth_m}]")
     weight = vehicle.weight_n
     if not np.any(series.lift_n > weight):
         return EffectiveApplication(kappa=1.0, inconsistent=False)
@@ -570,7 +577,7 @@ def estimate_effective_application(
 
     # Lift never decreases with kappa, so a point that holds at kappa = 1
     # holds at every kappa the bisection tries; only the others can fail.
-    drafts, depths = series.draft_n, series.depth_m
+    drafts = series.draft_n
     holds, undecided = _lifts_hold(design, 1.0, drafts, depths, limit)
     holds[undecided] = list(scalar_holds(1.0, drafts[undecided], depths[undecided]))
     drafts, depths = drafts[~holds], depths[~holds]

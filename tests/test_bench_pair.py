@@ -1,0 +1,89 @@
+"""tools/bench_pair.py aggregates canned result lines; no benchmark runs."""
+
+import argparse
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
+bench_pair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pair)
+
+MACHINE = "machine: nproc=2 cpu='Intel(R) Xeon(R) Processor' python=3.11.7 numpy=2.4.6"
+
+
+def result_line(wall_s: float, rss: float, failed: int = 0, attempted: int = 100) -> dict:
+    """A run's last stdout line, as ``benchmark/run.py --trace 0`` prints it."""
+    return {
+        "correct": failed == 0, "attempted": attempted, "failed": failed,
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                    "peak_rss_mib": {"value": rss, "unit": "MiB"}},
+    }
+
+
+def test_summarize_takes_medians_and_inclusive_quartiles():
+    pairs = [
+        {"parent": result_line(p, 30.0), "change": result_line(c, 31.0, failed=f)}
+        for p, c, f in [(1.0, 0.5, 0), (2.0, 2.5, 1), (3.0, 2.0, 0), (4.0, 3.0, 2)]
+    ]
+    entry = bench_pair.summarize(pairs)
+    assert entry["runs"] == {"parent": 4, "change": 4}
+    assert entry["failed"] == {"parent": "0 of 400", "change": "3 of 400"}
+    wall = entry["metrics"]["wall_s"]
+    assert wall == {
+        "unit": "s",
+        "parent": 2.5, "parent_quartiles": [1.75, 2.5, 3.25],
+        "change": 2.25, "change_quartiles": [1.625, 2.25, 2.625],
+    }
+    assert entry["metrics"]["peak_rss_mib"]["change_quartiles"] == [31.0] * 3
+    assert entry["wall_s_pairs_change_faster"] == "3 of 4"
+
+
+def test_summarize_rounds_to_six_places_and_takes_one_pair():
+    entry = bench_pair.summarize([{"parent": result_line(0.1234567, 1.0),
+                                   "change": result_line(0.1234564, 1.0)}])
+    assert entry["metrics"]["wall_s"]["parent_quartiles"] == [0.123457] * 3
+    assert entry["metrics"]["wall_s"]["change"] == 0.123456
+    assert entry["wall_s_pairs_change_faster"] == "1 of 1"
+
+
+def test_host_reads_the_machine_line():
+    assert bench_pair.host(MACHINE) == "2 vCPU Intel(R) Xeon(R) Processor, Python 3.11.7, numpy 2.4.6"
+
+
+def test_workload_pairs():
+    assert bench_pair.workload_pairs("design-grid:10") == ("design-grid", 10)
+    assert bench_pair.workload_pairs("field-session") == ("field-session", 1)
+    with pytest.raises(argparse.ArgumentTypeError, match="must be positive"):
+        bench_pair.workload_pairs("field-session:0")
+
+
+def test_sides_alternate_and_the_file_is_written(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        wall = 1.0 if tree.name == "old" else 0.9
+        return MACHINE, result_line(wall + len(calls) / 1000, 30.0)
+
+    monkeypatch.setattr(bench_pair, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    args = [str(tmp_path / "old"), str(tmp_path / "new"), "--workload", "design-grid:3",
+            "--workload", "field-session:1", "--seeds", "1", "2", "--seconds", "5",
+            "--out", str(out)]
+    assert bench_pair.main(args) == 0
+    assert [name for name, *_ in calls[:6]] == ["old", "new", "new", "old", "old", "new"]
+    assert {(w, s) for _, w, s, _ in calls} == {
+        ("design-grid", 1), ("design-grid", 2), ("field-session", 1), ("field-session", 2)
+    }
+    assert len(calls) == 2 * (3 + 3 + 1 + 1) and {c[3] for c in calls} == {5}
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["host"] == "2 vCPU Intel(R) Xeon(R) Processor, Python 3.11.7, numpy 2.4.6"
+    assert record["command"].endswith("--seconds 5 --trace 0")
+    assert list(record["workloads"]) == ["design-grid", "field-session"]
+    assert list(record["workloads"]["design-grid"]) == ["seed 1", "seed 2"]
+    assert record["workloads"]["design-grid"]["seed 1"]["wall_s_pairs_change_faster"] == "3 of 3"
+    assert record["workloads"]["field-session"]["seed 2"]["runs"] == {"parent": 1, "change": 1}

@@ -111,21 +111,13 @@ def reference_evaluation(design, constraints, cd_model) -> DesignEvaluation:
     low, high = constraints.window_low_deg, constraints.window_high_deg
     violations = []
     if thrust > constraints.max_thrust_deg:
-        violations.append(Violation(
-            "max_thrust", thrust - constraints.max_thrust_deg,
-            f"thrust {thrust:.2f} deg at design depth exceeds "
-            f"{constraints.max_thrust_deg:.2f} deg",
-        ))
+        violations.append(Violation("max_thrust", thrust - constraints.max_thrust_deg))
     if not low < window < high:
         violations.append(Violation(
-            "penetration_window", low - window if window <= low else window - high,
-            f"alpha - gamma = {window:.2f} deg outside ({low}, {high})",
+            "penetration_window", low - window if window <= low else window - high
         ))
     if zc is not None and depth <= zc:
-        violations.append(Violation(
-            "critical_depth", zc - depth,
-            f"design depth {depth:.3f} m does not pass the critical depth {zc:.3f} m",
-        ))
+        violations.append(Violation("critical_depth", zc - depth))
     return DesignEvaluation(
         feasible=not violations,
         violations=tuple(violations),

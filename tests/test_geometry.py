@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from spiketrac import (
     SpikeDesign,
     depth_from_inclination,
     evaluate_design,
+    failure_mode,
     lifting_force,
+    pull_weight_ratio,
     rake_angle,
     thrust_angle,
     tip_displacement,
 )
-from spiketrac.geometry import rotated_rake
+from spiketrac import trials
+from spiketrac.geometry import effective_sine, rotated_rake
 
 
 class TestSpikeDesign:
@@ -60,29 +64,101 @@ class TestThrustAngle:
             thrust_angle(small_design, 0.58)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: thrust_angle(d, math.nan), r"depth_m \(nan\) must be >= 0"),
+        (lambda d: rake_angle(d, math.nan), r"depth_m \(nan\) must be >= 0"),
+        (lambda d: failure_mode(math.nan, 0.021, 45.0), r"depth_m \(nan\) must be >= 0"),
+        (lambda d: depth_from_inclination(d, math.nan), r"arm_inclination_deg \(nan\) must be <= 90"),
+        (
+            lambda d: depth_from_inclination(d, np.array([30.0, math.nan])),
+            r"arm_inclination_deg \(nan\) must be <= 90",
+        ),
+    ],
+    ids=["thrust_angle", "rake_angle", "failure_mode", "inclination", "inclination_array"],
+)
+def test_nan_depth_or_inclination_is_rejected(large_design, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(large_design)
+
+
+# The formulas as each caller wrote sin(gamma_eff) = (h + kappa z) / r
+# before effective_sine; every result must keep their bits.
+def inline_thrust_angle(h, r, z):
+    return math.degrees(math.asin(min((h + z) / r, 1.0)))
+
+
+def inline_pull_weight_ratio(h, r, z, kappa):
+    tangent = math.tan(math.asin(min((h + kappa * z) / r, 1.0)))
+    return math.inf if tangent == 0.0 else 1.0 / tangent
+
+
+def inline_applied_lift(h, r, z, kappa, draft):
+    sin_gamma = (h + kappa * z) / r
+    return math.inf if sin_gamma >= 1.0 else draft * math.tan(math.asin(sin_gamma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    radius=st.floats(0.2, 3.0),
+    hinge_fraction=st.floats(0.01, 0.9),
+    kappa=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    fractions=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=6
+    ),
+    draft=st.floats(0.0, 1e5),
+)
+def test_effective_sine_keeps_the_inline_bits(radius, hinge_fraction, kappa, fractions, draft):
+    hinge = radius * hinge_fraction
+    design = SpikeDesign(radius_m=radius, hinge_height_m=hinge, design_depth_m=radius - hinge)
+    h, r = design.hinge_height_m, design.radius_m
+    depths = [design.max_depth_m * fraction for fraction in fractions]
+    for z in (0.0, design.max_depth_m, *depths):
+        assert thrust_angle(design, z).hex() == inline_thrust_angle(h, r, z).hex()
+        assert pull_weight_ratio(design, z, kappa).hex() == (
+            inline_pull_weight_ratio(h, r, z, kappa).hex()
+        )
+        assert trials._applied_lift(design, kappa, draft, z).hex() == (
+            inline_applied_lift(h, r, z, kappa, draft).hex()
+        )
+
+    seen = []
+
+    def recording(*args):
+        seen.append(effective_sine(*args))
+        return seen[-1]
+
+    with mock.patch.object(trials, "effective_sine", recording):
+        trials._lifts_hold(design, kappa, np.full(len(depths), draft), np.array(depths), 1.0)
+    assert [value.hex() for value in seen[0].tolist()] == [
+        ((h + kappa * z) / r).hex() for z in depths
+    ]
+
+
 class TestDepthFromInclination:
     def test_moist_trial_point(self, small_design):
         # 28 deg arm inclination corresponds to the recorded 18 cm depth.
-        result = depth_from_inclination(small_design, 28.0)
-        assert result.depth_m == pytest.approx(0.18229350641581663)
-        assert not result.tip_airborne
+        depth, airborne = depth_from_inclination(small_design, 28.0)
+        assert depth == pytest.approx(0.18229350641581663)
+        assert not airborne
 
     def test_surface_contact_is_zero(self, small_design):
         gamma0 = thrust_angle(small_design, 0.0)
-        result = depth_from_inclination(small_design, gamma0)
-        assert result.depth_m == pytest.approx(0.0, abs=1e-12)
-        assert not result.tip_airborne
+        depth, airborne = depth_from_inclination(small_design, gamma0)
+        assert depth == pytest.approx(0.0, abs=1e-12)
+        assert not airborne
 
     def test_round_trip_at_design_depth(self, large_design):
         gamma = thrust_angle(large_design, 0.50)
-        assert depth_from_inclination(large_design, gamma).depth_m == pytest.approx(
+        assert depth_from_inclination(large_design, gamma)[0] == pytest.approx(
             0.50, abs=1e-9
         )
 
     def test_airborne_tip_flagged(self, small_design):
-        result = depth_from_inclination(small_design, 2.0)
-        assert result.depth_m == 0.0
-        assert result.tip_airborne
+        depth, airborne = depth_from_inclination(small_design, 2.0)
+        assert depth == 0.0
+        assert airborne
 
     def test_rejects_inclination_above_vertical(self, small_design):
         with pytest.raises(ValueError, match="arm_inclination_deg"):
@@ -179,22 +255,22 @@ class TestLiftingForce:
 
 class TestTipDisplacement:
     def test_pure_translation(self, small_design):
-        move = tip_displacement(small_design, 30.0, 30.0, 0.10)
-        assert move.dx_m == pytest.approx(0.10)
-        assert move.dz_m == pytest.approx(0.0)
+        dx, dz = tip_displacement(small_design, 30.0, 30.0, 0.10)
+        assert dx == pytest.approx(0.10)
+        assert dz == pytest.approx(0.0)
 
     def test_pure_rotation_swings_tip_backward(self, large_design):
         gamma0 = thrust_angle(large_design, 0.0)
-        move = tip_displacement(large_design, gamma0, 26.1, 0.0)
-        assert move.dz_m == pytest.approx(0.4995184876069263)
-        assert move.dx_m == pytest.approx(-0.13361724419286874)
+        dx, dz = tip_displacement(large_design, gamma0, 26.1, 0.0)
+        assert dz == pytest.approx(0.4995184876069263)
+        assert dx == pytest.approx(-0.13361724419286874)
 
     def test_small_spike_trial_motion(self, small_design):
         # 22 cm of hinge advance while rotating from surface contact to 28 deg.
         gamma0 = thrust_angle(small_design, 0.0)
-        move = tip_displacement(small_design, gamma0, 28.0, 0.22)
-        assert move.dz_m == pytest.approx(0.18229350641581663)
-        assert move.dx_m == pytest.approx(0.15913490982710615)
+        dx, dz = tip_displacement(small_design, gamma0, 28.0, 0.22)
+        assert dz == pytest.approx(0.18229350641581663)
+        assert dx == pytest.approx(0.15913490982710615)
 
     def test_rejects_pose_above_surface_contact(self, small_design):
         with pytest.raises(ValueError, match="inclination_start_deg"):

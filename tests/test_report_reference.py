@@ -314,7 +314,8 @@ def kappa_cases(draw):
     n = draw(st.integers(0, 8))
     drafts = draw(st.lists(st.floats(0.0, 3000.0), min_size=n, max_size=n))
     depths = draw(st.lists(
-        st.one_of(st.floats(0.0, design.radius_m), st.just(0.0)), min_size=n, max_size=n
+        st.one_of(st.floats(0.0, design.max_depth_m), st.sampled_from([0.0, design.max_depth_m])),
+        min_size=n, max_size=n,
     ))
     lifts = draw(st.lists(
         st.one_of(st.floats(0.0, 3000.0), st.just(math.inf)), min_size=n, max_size=n
@@ -337,9 +338,9 @@ def near_limit_kappa_cases(draw):
     """Points whose lift at a kappa the bisection tries sits a few ulps from the limit.
 
     Some put the arm within 1e-6 of vertical at that kappa, where np.tan
-    magnifies a last-bit difference of np.arcsin 1e3 times or more; their
-    depth may lie past radius - hinge height, so a larger kappa tips the
-    arm over.
+    magnifies a last-bit difference of np.arcsin 1e3 times or more.  The
+    estimate rejects depths past radius - hinge height, so such a depth
+    is clamped to it, where the arm stands vertical at kappa = 1.
     """
     design = draw(design_values)
     vehicle = VehicleConfig(total_mass_kg=draw(st.floats(0.5, 100.0)))
@@ -350,7 +351,9 @@ def near_limit_kappa_cases(draw):
             gap = st.one_of(st.integers(0, 64).map(lambda k: k * 2.0**-53), st.floats(0.0, 1e-6))
             sin_gamma = 1.0 - draw(gap)
             kappa = draw(st.sampled_from(TRIED_KAPPAS[1:]))
-            depth = (sin_gamma * design.radius_m - design.hinge_height_m) / kappa
+            depth = min(
+                (sin_gamma * design.radius_m - design.hinge_height_m) / kappa, design.max_depth_m
+            )
         else:
             depth = draw(st.floats(0.0, design.max_depth_m))
             kappa = draw(st.sampled_from(TRIED_KAPPAS))

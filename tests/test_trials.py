@@ -467,3 +467,15 @@ class TestEffectiveApplication:
         result = estimate_effective_application(series, design, VehicleConfig(5.0))
         assert result.kappa == 0.0
         assert result.inconsistent
+
+    # Only a hand-built series holds such depths.  At 5 kg the 100 N lift
+    # needs the bisection; at 50 kg tip application is already stable.
+    @pytest.mark.parametrize("vehicle_kg", [5.0, 50.0])
+    @pytest.mark.parametrize(
+        "depth", [-5.0, -0.5, math.nextafter(LARGE_FIELD_DESIGN.max_depth_m, math.inf), math.nan]
+    )
+    def test_rejects_depth_outside_reach(self, depth, vehicle_kg):
+        series = make_series(draft_n=[730.0, 730.0], depth_m=[0.34, depth], lift_n=[100.0] * 2)
+        message = f"depth_m[1] ({depth}) must lie in [0, {LARGE_FIELD_DESIGN.max_depth_m}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_effective_application(series, LARGE_FIELD_DESIGN, VehicleConfig(vehicle_kg))

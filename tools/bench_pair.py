@@ -1,0 +1,153 @@
+"""Benchmark two source trees in alternating pairs and record a BENCH_*.json file.
+
+Run from anywhere, with two checkouts of the repository:
+
+    python3 tools/bench_pair.py PARENT_TREE CHANGE_TREE --out BENCH.json \\
+        --workload design-grid:10 --workload analyze-long-log:3 --seeds 1 2 --seconds 10
+
+Each pair runs ``python3 benchmark/run.py --trace 0`` once in each tree,
+from that tree's root, and the side that runs first alternates from pair
+to pair.  Runs go one at a time.  For every workload and seed the file
+keeps each end-to-end metric's median over one side's runs and its
+quartiles (inclusive method), the failed operations of each side, and
+how many pairs the change won on ``wall_s``.  A run that exits non-zero
+stops the recorder with its standard error.  Uses the standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 600
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> tuple[str, dict]:
+    """One benchmark run in ``tree``: its machine line and its result object."""
+    proc = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=False,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pair: {workload} seed {seed} in {tree} exited "
+                         f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    lines = proc.stdout.splitlines()
+    machine = next((line for line in lines if line.startswith("machine: ")), "")
+    return machine, json.loads(lines[-1])
+
+
+def host(machine: str) -> str:
+    """``machine: nproc=2 cpu='X' python=3.11.7 numpy=2.4.6`` as ``2 vCPU X, Python 3.11.7, numpy 2.4.6``."""
+    found = re.fullmatch(r"machine: nproc=(\d+) cpu=(.*) python=(\S+) numpy=(\S+)", machine)
+    if not found:
+        return machine
+    nproc, cpu, python, numpy = found.groups()
+    return f"{nproc} vCPU {ast.literal_eval(cpu)}, Python {python}, numpy {numpy}"
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile, inclusive method."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(pairs: list[dict[str, dict]]) -> dict:
+    """One workload and seed: ``pairs`` holds one result object per side and pair."""
+    entry = {
+        "runs": {side: len(pairs) for side in SIDES},
+        "failed": {
+            side: f"{sum(p[side]['failed'] for p in pairs)} of "
+                  f"{sum(p[side]['attempted'] for p in pairs)}"
+            for side in SIDES
+        },
+        "metrics": {},
+    }
+    for name, metric in pairs[0]["parent"]["metrics"].items():
+        record = {"unit": metric["unit"]}
+        for side in SIDES:
+            values = [p[side]["metrics"][name]["value"] for p in pairs]
+            record[side] = round(statistics.median(values), 6)
+            record[f"{side}_quartiles"] = [round(q, 6) for q in quartiles(values)]
+        entry["metrics"][name] = record
+    faster = sum(
+        p["change"]["metrics"]["wall_s"]["value"] < p["parent"]["metrics"]["wall_s"]["value"]
+        for p in pairs
+    )
+    entry["wall_s_pairs_change_faster"] = f"{faster} of {len(pairs)}"
+    return entry
+
+
+def parent_commit(tree: Path) -> str | None:
+    """The parent tree's short commit id, or None outside a git checkout."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return proc.stdout.strip() or None
+
+
+def workload_pairs(text: str) -> tuple[str, int]:
+    name, _, pairs = text.partition(":")
+    count = int(pairs) if pairs else 1
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{text}: the pair count must be positive")
+    return name, count
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("change", type=Path, help="root of the changed checkout")
+    parser.add_argument("--workload", type=workload_pairs, action="append", required=True,
+                        metavar="NAME[:PAIRS]", help="a workload and its pairs per seed")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    machine = ""
+    workloads = {}
+    for workload, count in args.workload:
+        for seed in args.seeds:
+            pairs = []
+            for pair in range(count):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                results = {}
+                for side in order:
+                    tree = args.parent if side == "parent" else args.change
+                    machine, results[side] = run_once(tree, workload, seed, args.seconds)
+                pairs.append(results)
+                print(f"{workload} seed {seed} pair {pair + 1}/{count}: wall_s "
+                      + ", ".join(f"{side} {results[side]['metrics']['wall_s']['value']:.6f}"
+                                  for side in SIDES), file=sys.stderr)
+            workloads.setdefault(workload, {})[f"seed {seed}"] = summarize(pairs)
+
+    counts = ", ".join(f"{name} {count}" for name, count in args.workload)
+    record = {
+        "command": "python3 benchmark/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {args.seconds} --trace 0",
+        "host": host(machine),
+        "parent": parent_commit(args.parent),
+        "note": "Each value is the median over one side's runs; parent and change runs "
+                "alternate, and the side that runs first alternates from pair to pair. "
+                "Times are the benchmark's scaled CPU times (see benchmark/README.md). "
+                f"Quartiles are over runs (inclusive method). Pairs per seed: {counts}.",
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
