@@ -23,7 +23,6 @@ import os
 import sys
 from dataclasses import asdict, fields
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
@@ -452,13 +451,29 @@ def run_crescent(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _fmt_keyed(values: np.ndarray, key: np.ndarray) -> list[str]:
+    """``_fmt_column(values)``, formatting once per distinct key; equal keys hold equal values."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return np.array(_fmt_column(values[first].tolist()), dtype=object)[inverse].tolist()
+
+
 def _design_rows(result: GridSearchResult, top: int | None) -> list[tuple[str, ...]]:
-    """The ranked CSV's rows, formatted one column at a time."""
-    ranked = result.ranked if top is None else result.ranked[:top]
-    designs = [item.design for item in ranked]
-    evaluations = [item.evaluation for item in ranked]
-    columns = [_fmt_column(map(attrgetter(key), designs)) for key in _DESIGN_KEYS]
-    columns += [_fmt_column(map(attrgetter(key), evaluations)) for key in _EVALUATION_KEYS]
+    """The ranked CSV's rows.
+
+    Each axis value is formatted once, and so are the objective and
+    thrust of each (radius, hinge, depth) arm and the window of each
+    (arm, rake); the strings are gathered by grid index.
+    """
+    index = [axis_index[:top] for axis_index in result.index]
+    columns = [_fmt_keyed(np.asarray(axis)[i], i) for axis, i in zip(result.axes, index)]
+    ir, ih, ia, _, iz = index
+    sizes = [len(axis) for axis in result.axes]
+    arm = np.ravel_multi_index((ir, ih, iz), (sizes[0], sizes[1], sizes[4]))
+    columns += [
+        _fmt_keyed(result.objective[:top], arm),
+        _fmt_keyed(result.thrust_deg[:top], arm),
+        _fmt_keyed(result.window_deg[:top], arm * sizes[2] + ia),
+    ]
     return list(zip(*columns))
 
 
@@ -476,9 +491,9 @@ def run_design(args: argparse.Namespace) -> int:
         _write_csv(args.out, header, rows)
     print(
         f"evaluated {result.evaluated} designs ({result.invalid} invalid grid points): "
-        f"{len(result.ranked)} feasible"
+        f"{result.feasible} feasible"
     )
-    if not result.ranked:
+    if not result.feasible:
         worst = result.most_common_violation()
         if worst is not None:
             print(f"no feasible designs; most common violation: {worst}")

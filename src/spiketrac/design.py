@@ -112,12 +112,44 @@ class RankedDesign:
     evaluation: DesignEvaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSearchResult:
-    ranked: tuple[RankedDesign, ...]
+    """The feasible designs of a grid search, ranked, as columns.
+
+    ``axes`` holds the five grid axes' values in :class:`DesignSpace`
+    field order, and ``index[k][n]`` is the position of the n-th ranked
+    design on axis ``k``.  ``objective``, ``thrust_deg``, ``window_deg``
+    and ``critical_depth_m`` (``None`` when the lateral check is off) are
+    that design's evaluation, bit for bit :func:`evaluate_design`'s.
+    """
+
+    axes: tuple[list[float], ...]
+    index: tuple[np.ndarray, ...]
+    objective: np.ndarray
+    thrust_deg: np.ndarray
+    window_deg: np.ndarray
+    critical_depth_m: np.ndarray | None
     evaluated: int
     invalid: int
     violation_counts: dict[str, int]
+
+    @property
+    def feasible(self) -> int:
+        return len(self.objective)
+
+    @property
+    def ranked(self) -> tuple[RankedDesign, ...]:
+        """The ranked designs as records, built on each access."""
+        points = zip(
+            *([axis[i] for i in index.tolist()] for axis, index in zip(self.axes, self.index))
+        )
+        zc = self.critical_depth_m
+        zc = [None] * self.feasible if zc is None else zc.tolist()
+        columns = (self.objective.tolist(), self.thrust_deg.tolist(), self.window_deg.tolist(), zc)
+        return tuple(
+            RankedDesign(SpikeDesign(*point), DesignEvaluation(True, (), *evaluation))
+            for point, *evaluation in zip(points, *columns)
+        )
 
     def most_common_violation(self) -> str | None:
         if not self.violation_counts:
@@ -244,12 +276,12 @@ def grid_search(
     The grid is the product of the five ranges in field order, evaluated
     as arrays over that product.  The transcendental parts (thrust at
     design depth and at the surface, and the objective) depend only on
-    the (radius, hinge, depth) arm, so :func:`thrust_angle` and
-    :func:`pull_weight_ratio` run once per arm.  Window, rake, critical
-    depth and the checks are float64 array arithmetic broadcast over the
-    grid, in the scalar code's operation order, so every point is judged
-    exactly as :func:`evaluate_design` judges it.  Each feasible design's
-    record comes from :func:`evaluate_design`.
+    the (radius, hinge, depth) arm, so :func:`evaluate_design` and the
+    surface :func:`thrust_angle` run once per arm.  Window, rake,
+    critical depth and the checks are float64 array arithmetic broadcast
+    over the grid, in the scalar code's operation order, so every point
+    is judged and valued exactly as :func:`evaluate_design` judges and
+    values it.  The result holds the ranked designs as columns.
 
     Sorted by objective descending, ties broken by smaller radius, then
     smaller diameter, then grid order.  Grid points with inconsistent
@@ -270,10 +302,13 @@ def grid_search(
             arm = SpikeDesign(radius[i], hinge[j], design_depth_m=depth[k])
         except ValueError:
             continue
+        # Thrust and objective depend on the arm alone; the default
+        # constraints make no critical-depth call.
+        evaluation = evaluate_design(arm)
         arm_ok[i, j, k] = True
-        thrust[i, j, k] = thrust_angle(arm, depth[k])
+        thrust[i, j, k] = evaluation.thrust_deg
         gamma0[i, j, k] = thrust_angle(arm, 0.0)
-        objective[i, j, k] = pull_weight_ratio(arm, depth[k])
+        objective[i, j, k] = evaluation.objective
 
     # Validity is separable: a rake or a diameter is valid when the last
     # valid arm's design stays valid with it swapped in.
@@ -313,19 +348,16 @@ def grid_search(
     order = np.lexsort(
         (np.asarray(diameter)[idiam], np.asarray(radius)[ir], -objective[ir, ih, iz])
     )
-    columns = (
-        [axis[i] for i in axis_index[order].tolist()] for axis, axis_index in zip(values, index)
-    )
-    ranked = []
-    for point in zip(*columns):
-        design = SpikeDesign(*point)
-        evaluation = evaluate_design(design, constraints, cd_model)
-        if not evaluation.feasible:
-            raise RuntimeError(f"grid search kept an infeasible design: {design}")
-        ranked.append(RankedDesign(design=design, evaluation=evaluation))
+    index = tuple(axis_index[order] for axis_index in index)
+    ir, ih, ia, _, iz = index
     evaluated = int(np.count_nonzero(valid))
     return GridSearchResult(
-        ranked=tuple(ranked),
+        axes=tuple(values),
+        index=index,
+        objective=objective[ir, ih, iz],
+        thrust_deg=thrust[ir, ih, iz],
+        window_deg=window[ir, ih, ia, 0, iz],
+        critical_depth_m=None if zc is None else zc[index],
         evaluated=evaluated,
         invalid=valid.size - evaluated,
         violation_counts=violation_counts,

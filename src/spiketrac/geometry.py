@@ -139,6 +139,8 @@ def rake_angle(design: SpikeDesign, depth_m: float) -> float:
 
 def lifting_force(draft_n: float, thrust_deg: float) -> float:
     """Vertical lift at the hinge from a horizontal draft: F_L = F_D tan(gamma)."""
+    if not math.isfinite(draft_n):
+        raise ValueError(f"draft_n ({draft_n}) must be finite")
     if not 0 <= thrust_deg < 90:
         raise ValueError(f"thrust_deg ({thrust_deg}) must lie in [0, 90)")
     return draft_n * math.tan(math.radians(thrust_deg))

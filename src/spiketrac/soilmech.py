@@ -191,9 +191,9 @@ class CrescentKernel:
 
 
 def _check_depth_width(depth_m: float, width_m: float) -> None:
-    if depth_m < 0:
+    if not depth_m >= 0:
         raise ValueError(f"depth_m ({depth_m}) must be >= 0")
-    if width_m <= 0:
+    if not width_m > 0:
         raise ValueError(f"width_m ({width_m}) must be positive")
 
 
@@ -308,7 +308,7 @@ def critical_depth(
     past vertical, so rakes in (0, 180) are accepted; the stub tops out
     just below 90 degrees and any rake beyond that is evaluated there.
     """
-    if width_m <= 0:
+    if not width_m > 0:
         raise ValueError(f"width_m ({width_m}) must be positive")
     if not 0 < rake_deg < 180:
         raise ValueError(f"rake_deg ({rake_deg}) must lie in (0, 180)")

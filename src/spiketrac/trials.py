@@ -231,7 +231,7 @@ class EffectiveApplication:
 
 def draft_from_basket(basket_mass_kg, rig: PulleyRig = PulleyRig()):
     """Draft force from basket mass: F_D = m g (1 - mu_pulleys); scalar or array."""
-    if np.any(basket_mass_kg < 0):
+    if not np.all(basket_mass_kg >= 0):
         raise ValueError(f"basket_mass_kg ({np.min(basket_mass_kg)}) must be >= 0")
     return basket_mass_kg * GRAVITY_M_S2 * (1.0 - rig.friction_coefficient)
 
@@ -396,8 +396,10 @@ def derive_series(log: TrialLog) -> DerivedSeries:
     advance_m = np.diff(motion_mm) / 1000.0
     tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], advance_m)[0]
     # Per element through math.tan: np.tan differs from it in the last bit
-    # on some angles.
-    lift = list(map(lifting_force, draft.tolist(), incl_deg.tolist()))
+    # on some angles.  lifting_force rejects an overflowed draft, which the
+    # check below reports by step, so it gets a zero in its place.
+    finite_draft = np.where(np.isfinite(draft), draft, 0.0)
+    lift = list(map(lifting_force, finite_draft.tolist(), incl_deg.tolist()))
     series = DerivedSeries(
         draft_n=draft,
         depth_m=depth,

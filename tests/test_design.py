@@ -1,9 +1,16 @@
+import contextlib
+import io
 import itertools
+import json
 import math
+import tempfile
+from dataclasses import asdict, fields
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from trial_data import LARGE_FIELD_DESIGN
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spiketrac import (
@@ -21,6 +28,8 @@ from spiketrac import (
     rake_angle,
     thrust_angle,
 )
+from spiketrac import design as design_module
+from spiketrac.cli import _DESIGN_KEYS, _EVALUATION_KEYS, main
 
 
 def point(value: float) -> ParameterRange:
@@ -333,6 +342,27 @@ def coarse_ranges(draw, starts, steps, max_count=3):
     return ParameterRange(start, start + step * (count - 1), step)
 
 
+# Dyadic radii, hinges and depths are exact in binary, so equal (h + z)/r,
+# hence equal objectives, occur across radii; the rake and diameter sets
+# reach invalid values (0, 90 and beyond).
+SMALL_SPACES = st.builds(
+    DesignSpace,
+    radius_m=coarse_ranges([0.25, 0.5, 1.0], [0.25, 0.5]),
+    hinge_height_m=coarse_ranges([0.0625, 0.125, 0.25], [0.0625, 0.125], 2),
+    initial_rake_deg=coarse_ranges([0.0, 20.0, 40.0, 60.0], [10.0, 20.0]),
+    diameter_mm=coarse_ranges([0.0, 8.0, 12.0, 24.0], [4.0, 12.0], 2),
+    design_depth_m=coarse_ranges([0.0625, 0.125, 0.25, 0.5], [0.125, 0.25]),
+)
+CONSTRAINTS = st.builds(
+    DesignConstraints,
+    max_thrust_deg=st.sampled_from([20.0, 30.0, 45.0, 60.0]),
+    window_low_deg=st.sampled_from([0.0, 10.0, 15.0]),
+    window_high_deg=st.sampled_from([35.0, 50.0, 75.0]),
+    require_lateral_at_design_depth=st.booleans(),
+)
+CD_MODELS = st.builds(CriticalDepthModel, k0=st.floats(0.5, 20.0), k1=st.floats(0.0, 2.0))
+
+
 class TestArraySearchEqualsBruteForce:
     def test_rejected_critical_depth_input_stops_the_search(self):
         # 1e-322 mm is a valid diameter whose width underflows to 0 m; the
@@ -346,30 +376,8 @@ class TestArraySearchEqualsBruteForce:
         with pytest.raises(ValueError, match=r"width_m \(0.0\) must be positive"):
             _brute_force(space, constraints, CriticalDepthModel())
 
-    # Dyadic radii, hinges and depths are exact in binary, so equal
-    # (h + z)/r, hence equal objectives, occur across radii; the rake and
-    # diameter sets reach invalid values (0, 90 and beyond).
     @settings(max_examples=150, deadline=None)
-    @given(
-        space=st.builds(
-            DesignSpace,
-            radius_m=coarse_ranges([0.25, 0.5, 1.0], [0.25, 0.5]),
-            hinge_height_m=coarse_ranges([0.0625, 0.125, 0.25], [0.0625, 0.125], 2),
-            initial_rake_deg=coarse_ranges([0.0, 20.0, 40.0, 60.0], [10.0, 20.0]),
-            diameter_mm=coarse_ranges([0.0, 8.0, 12.0, 24.0], [4.0, 12.0], 2),
-            design_depth_m=coarse_ranges([0.0625, 0.125, 0.25, 0.5], [0.125, 0.25]),
-        ),
-        constraints=st.builds(
-            DesignConstraints,
-            max_thrust_deg=st.sampled_from([20.0, 30.0, 45.0, 60.0]),
-            window_low_deg=st.sampled_from([0.0, 10.0, 15.0]),
-            window_high_deg=st.sampled_from([35.0, 50.0, 75.0]),
-            require_lateral_at_design_depth=st.booleans(),
-        ),
-        cd_model=st.builds(
-            CriticalDepthModel, k0=st.floats(0.5, 20.0), k1=st.floats(0.0, 2.0)
-        ),
-    )
+    @given(space=SMALL_SPACES, constraints=CONSTRAINTS, cd_model=CD_MODELS)
     def test_random_small_spaces(self, space, constraints, cd_model):
         assert_matches_brute_force(space, constraints, cd_model)
 
@@ -407,3 +415,142 @@ class TestArraySearchEqualsBruteForce:
         assert [(d.hinge_height_m, d.diameter_mm, d.design_depth_m) for d in tied] == [
             (0.125, 12.0, 0.375), (0.25, 12.0, 0.25), (0.125, 24.0, 0.375), (0.25, 24.0, 0.25),
         ]
+
+
+def _hex(values) -> list[str | None]:
+    """Each float's exact bits, so that -0.0 and 0.0 differ; None stays None."""
+    return [None if value is None else float(value).hex() for value in values]
+
+
+class TestRankedColumns:
+    # The example clamps the critical depth of the 10-degree rake to zero.
+    @settings(max_examples=150, deadline=None)
+    @given(space=SMALL_SPACES, constraints=CONSTRAINTS, cd_model=CD_MODELS)
+    @example(
+        space=DesignSpace(
+            point(1.0), point(0.0625), ParameterRange(10.0, 20.0, 10.0), point(12.0), point(0.0625)
+        ),
+        constraints=DesignConstraints(20.0, 0.0, 35.0, require_lateral_at_design_depth=True),
+        cd_model=CriticalDepthModel(k0=6.0, k1=2.0),
+    )
+    def test_columns_are_evaluate_design_bit_for_bit(self, space, constraints, cd_model):
+        result = grid_search(space, constraints, cd_model)
+        ranked, _, _, _ = _brute_force(space, constraints, cd_model)
+        assert result.feasible == len(ranked)
+        for axis, axis_index, field in zip(result.axes, result.index, fields(DesignSpace)):
+            assert _hex(axis[i] for i in axis_index.tolist()) == _hex(
+                getattr(design, field.name) for design, _ in ranked
+            )
+        for key in _EVALUATION_KEYS + ("critical_depth_m",):
+            column = getattr(result, key)
+            expected = [getattr(evaluation, key) for _, evaluation in ranked]
+            if column is None:
+                assert not constraints.require_lateral_at_design_depth
+                assert expected == [None] * len(ranked)
+            else:
+                assert _hex(column.tolist()) == _hex(expected)
+
+    def test_cli_builds_records_per_arm_not_per_feasible_design(self, tmp_path, monkeypatch):
+        # Three (radius, hinge, depth) arms, 12 feasible designs.
+        space = DesignSpace(
+            ParameterRange(1.2, 1.8, 0.3), point(0.09), ParameterRange(25.0, 45.0, 10.0),
+            ParameterRange(21.0, 34.0, 13.0), point(0.40),
+        )
+        assert grid_search(space).feasible == 12
+        (tmp_path / "space.json").write_text(json.dumps(asdict(space)), encoding="utf-8")
+        built = []
+
+        def evaluation(*args, **kwargs):
+            built.append(args)
+            return DesignEvaluation(*args, **kwargs)
+
+        monkeypatch.setattr(design_module, "DesignEvaluation", evaluation)
+        monkeypatch.setattr(design_module, "RankedDesign", None)
+        assert main(["design", "--space", str(tmp_path / "space.json")]) == 0
+        assert len(built) == 3
+
+
+def _reference_design_output(space, constraints, cd_model, top, to_file):
+    """``design``'s stdout and ``--out`` text, one record per ranked design.
+
+    The rows are formatted from ``evaluate_design`` records, as the CLI
+    did before it formatted columns.
+    """
+    ranked, evaluated, invalid, counts = _brute_force(space, constraints, cd_model)
+    kept = ranked if top is None else ranked[:top]
+    designs = [design for design, _ in kept]
+    evaluations = [evaluation for _, evaluation in kept]
+    columns = [[format(v, ".6g") for v in map(attrgetter(key), designs)] for key in _DESIGN_KEYS]
+    columns += [
+        [format(v, ".6g") for v in map(attrgetter(key), evaluations)] for key in _EVALUATION_KEYS
+    ]
+    csv = "\n".join([",".join(_DESIGN_KEYS + _EVALUATION_KEYS), *map(",".join, zip(*columns))])
+    stdout = (
+        f"evaluated {evaluated} designs ({invalid} invalid grid points): "
+        f"{len(ranked)} feasible\n"
+    )
+    if not ranked:
+        if counts:
+            worst = max(counts.items(), key=lambda item: (item[1], item[0]))[0]
+            stdout += f"no feasible designs; most common violation: {worst}\n"
+    elif not to_file:
+        stdout += csv + "\n"
+    return stdout, csv + "\n"
+
+
+class TestDesignOutputBytes:
+    @staticmethod
+    def run_design(space, constraints, cd_model, top, to_file):
+        with tempfile.TemporaryDirectory() as directory:
+            root = Path(directory)
+            (root / "space.json").write_text(json.dumps(asdict(space)), encoding="utf-8")
+            (root / "constraints.json").write_text(
+                json.dumps(asdict(constraints)), encoding="utf-8"
+            )
+            argv = [
+                "design", "--space", str(root / "space.json"),
+                "--constraints", str(root / "constraints.json"),
+                "--k0", repr(cd_model.k0), "--k1", repr(cd_model.k1),
+            ]
+            argv += [] if top is None else ["--top", str(top)]
+            argv += ["--out", str(root / "ranked.csv")] if to_file else []
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(argv) == 0
+            written = (root / "ranked.csv").read_bytes() if to_file else None
+        return stdout.getvalue(), written
+
+    def assert_matches_reference(self, space, constraints, cd_model, top, to_file):
+        stdout, written = self.run_design(space, constraints, cd_model, top, to_file)
+        expected_stdout, expected_csv = _reference_design_output(
+            space, constraints, cd_model, top, to_file
+        )
+        assert stdout == expected_stdout
+        if to_file:
+            assert written == expected_csv.encode()
+        return stdout
+
+    # --top below, at and above the feasible count, or absent.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        space=SMALL_SPACES,
+        constraints=CONSTRAINTS,
+        cd_model=CD_MODELS,
+        top_offset=st.sampled_from([None, -1, 0, 1]),
+        to_file=st.booleans(),
+    )
+    def test_random_small_spaces(self, space, constraints, cd_model, top_offset, to_file):
+        feasible = grid_search(space, constraints, cd_model).feasible
+        top = None if top_offset is None else max(feasible + top_offset, 1)
+        self.assert_matches_reference(space, constraints, cd_model, top, to_file)
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_no_feasible_design_names_the_most_common_violation(self, to_file):
+        space = DesignSpace(
+            ParameterRange(1.2, 1.8, 0.3), point(0.09), ParameterRange(25.0, 45.0, 10.0),
+            point(21.0), point(0.40),
+        )
+        stdout = self.assert_matches_reference(
+            space, DesignConstraints(max_thrust_deg=1.0), CriticalDepthModel(), 2, to_file
+        )
+        assert stdout.endswith("no feasible designs; most common violation: max_thrust\n")

@@ -252,6 +252,11 @@ class TestLiftingForce:
         with pytest.raises(ValueError, match="thrust_deg"):
             lifting_force(100.0, -1.0)
 
+    @pytest.mark.parametrize("draft", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_draft(self, draft):
+        with pytest.raises(ValueError, match=rf"draft_n \({draft}\) must be finite"):
+            lifting_force(draft, 30.0)
+
 
 class TestTipDisplacement:
     def test_pure_translation(self, small_design):

@@ -270,3 +270,26 @@ def test_overflow_raises_without_a_numpy_warning(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="crescent force overflows"):
             call()
+
+
+# nan fails every comparison, so it gets the range message, not an overflow.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: crescent_volume(math.nan, 45.0, 0.021), r"depth_m \(nan\) must be >= 0"),
+        (lambda: crescent_volume(0.3, 45.0, math.nan), r"width_m \(nan\) must be positive"),
+        (lambda: crescent_force(math.nan, 45.0, 0.021, DRY_SAND), r"depth_m \(nan\) must be >= 0"),
+        (lambda: crescent_force(0.3, 45.0, math.nan, DRY_SAND), r"width_m \(nan\) must be positive"),
+        (lambda: max_crescent_force(math.nan, 0.021, DRY_SAND), r"depth_m \(nan\) must be >= 0"),
+        (lambda: max_crescent_force(0.3, math.nan, DRY_SAND), r"width_m \(nan\) must be positive"),
+        (lambda: critical_depth(math.nan, 45.0), r"width_m \(nan\) must be positive"),
+        (lambda: failure_mode(0.3, math.nan, 45.0), r"width_m \(nan\) must be positive"),
+    ],
+    ids=[
+        "volume-depth", "volume-width", "force-depth", "force-width",
+        "max-depth", "max-width", "critical-depth-width", "failure-mode-width",
+    ],
+)
+def test_nan_depth_or_width_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -71,6 +71,14 @@ class TestDraftFromBasket:
         with pytest.raises(ValueError, match="basket_mass_kg"):
             draft_from_basket(-1.0)
 
+    @pytest.mark.parametrize(
+        "mass", [math.nan, np.array([1.0, math.nan]), np.array([math.nan, -1.0])],
+        ids=["scalar", "array", "array-with-negative"],
+    )
+    def test_rejects_nan_mass(self, mass):
+        with pytest.raises(ValueError, match=r"basket_mass_kg \(nan\) must be >= 0"):
+            draft_from_basket(mass, PulleyRig())
+
 
 class TestParseTrialLog:
     def test_well_formed_rows(self):
