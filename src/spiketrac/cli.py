@@ -318,7 +318,9 @@ def load_draft_schedule(path: Path) -> list[float]:
     return drafts
 
 
-def _build_report(log: TrialLog, series: DerivedSeries, push_distance_m: float | None) -> dict:
+def _build_report(
+    log: TrialLog, series: DerivedSeries, events: list[int], push_distance_m: float | None
+) -> dict:
     """The report with an empty ``series`` block, rounded for JSON."""
     meta = log.metadata
     summary: dict = {
@@ -334,8 +336,8 @@ def _build_report(log: TrialLog, series: DerivedSeries, push_distance_m: float |
         summary["max_draft_N"] = series.draft_n.max()
         summary["final_depth_m"] = series.depth_m[-1]
         summary["penetration_work_J"] = series.cumulative_work_j[-1]
-        stability = stability_check(series, meta.vehicle)
-        summary["stability"]["first_liftoff_step"] = stability.first_liftoff()
+        liftoff = np.flatnonzero(stability_check(series, meta.vehicle))
+        summary["stability"]["first_liftoff_step"] = int(liftoff[0]) if liftoff.size else None
         summary["kappa_estimate"] = kappa.kappa
         if push_distance_m is not None:
             try:
@@ -348,7 +350,7 @@ def _build_report(log: TrialLog, series: DerivedSeries, push_distance_m: float |
     report = {
         "metadata": asdict(meta),
         "series": {},
-        "events": series.events,
+        "events": events,
         "summary": summary,
     }
     return _json_ready(report)
@@ -405,7 +407,6 @@ def run_analyze(args: argparse.Namespace) -> int:
         raise TrialLogError(f"{args.log}: {exc}") from exc
     series = derive_series(log)
     events = detect_landslides(series, args.depth_threshold, args.motion_threshold)
-    series.events = events
     filtered = landslide_filter(series, events)
 
     columns = {
@@ -421,7 +422,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         "thrust_filtered_deg": filtered.thrust_deg,
         "lift_filtered_N": filtered.lift_n,
     }
-    report = _build_report(log, series, args.push_distance)
+    report = _build_report(log, series, events, args.push_distance)
     csv_keys = _CSV_KEYS if args.series is not None else ()
     text = _write_report(args.out, report, columns, csv_keys)
     if args.series is not None:

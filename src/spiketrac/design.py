@@ -51,9 +51,9 @@ class ParameterRange:
     step: float
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
+        if not 0 < self.step < math.inf:
             raise ValueError(f"step ({self.step}) must be positive")
-        if self.stop < self.start:
+        if not self.stop >= self.start:
             raise ValueError(f"stop ({self.stop}) must be >= start ({self.start})")
         if not math.isfinite((self.stop - self.start) / self.step):
             raise ValueError(f"(stop - start) / step overflows at step {self.step}")

@@ -47,7 +47,7 @@ class SpikeDesign:
     tip_mass_kg: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.radius_m > self.hinge_height_m > 0:
+        if not math.inf > self.radius_m > self.hinge_height_m > 0:
             raise ValueError(
                 f"radius_m ({self.radius_m}) must exceed hinge_height_m "
                 f"({self.hinge_height_m}) and both must be positive"
@@ -61,9 +61,9 @@ class SpikeDesign:
             raise ValueError(
                 f"initial_rake_deg ({self.initial_rake_deg}) must lie in (0, 90)"
             )
-        if self.diameter_mm <= 0:
+        if not 0 < self.diameter_mm < math.inf:
             raise ValueError(f"diameter_mm ({self.diameter_mm}) must be positive")
-        if self.tip_mass_kg < 0:
+        if not 0 <= self.tip_mass_kg < math.inf:
             raise ValueError(f"tip_mass_kg ({self.tip_mass_kg}) must be >= 0")
 
     @property

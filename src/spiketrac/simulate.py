@@ -165,18 +165,12 @@ def predict_series(
     top = design.design_depth_m if z_lateral is None else z_lateral
     width = design.width_m
     drafts, error = _checked_prefix(list(drafts_n))
-    capacity = None
-    first = next((i for i, draft in enumerate(drafts) if draft > 0), None)
-    if first is not None:
-        try:
-            capacity = max_crescent_force(top, width, soil).force_n
-        except ValueError as exc:  # the scan runs at the first positive draft
-            drafts, error = drafts[:first], exc
-
-    def beyond_capacity(draft: float) -> bool:
-        return draft > 0 and draft > capacity
-
-    lanes = [d for d in dict.fromkeys(drafts) if not (d <= 0 or beyond_capacity(d))]
+    capacity = math.inf
+    # Scanned at the first positive draft: the zero drafts before it never
+    # raise, so a scan error here is the first error in draft order.
+    if any(draft > 0 for draft in drafts):
+        capacity = max_crescent_force(top, width, soil).force_n
+    lanes = [d for d in dict.fromkeys(drafts) if 0 < d <= capacity]
     depths, overflows = (
         _equilibrium_depths(soil, width, lanes, design.design_depth_m) if lanes else ({}, {})
     )
@@ -186,7 +180,7 @@ def predict_series(
     for draft in drafts:
         if draft in overflows:  # the scan at the depth where the lane overflowed raises
             max_crescent_force(overflows[draft], width, soil)
-        if beyond_capacity(draft):
+        if draft > capacity:  # never a zero draft: the crescent force is never negative
             z_eq = math.inf
         else:
             z_eq = depths.get(draft, 0.0)  # a zero draft needs no depth

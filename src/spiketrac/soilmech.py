@@ -55,7 +55,7 @@ class SoilProperties:
     gravity_m_s2: float = 9.81
 
     def __post_init__(self) -> None:
-        if self.bulk_density_kg_m3 <= 0:
+        if not 0 < self.bulk_density_kg_m3 < math.inf:
             raise ValueError(
                 f"bulk_density_kg_m3 ({self.bulk_density_kg_m3}) must be positive"
             )
@@ -63,7 +63,7 @@ class SoilProperties:
             raise ValueError(
                 f"friction_angle_deg ({self.friction_angle_deg}) must lie in (0, 90)"
             )
-        if self.gravity_m_s2 <= 0:
+        if not 0 < self.gravity_m_s2 < math.inf:
             raise ValueError(f"gravity_m_s2 ({self.gravity_m_s2}) must be positive")
         if self.moisture_label not in ("dry", "moist"):
             raise ValueError(
@@ -90,9 +90,9 @@ class CriticalDepthModel:
     k1: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.k0 <= 0:
+        if not 0 < self.k0 < math.inf:
             raise ValueError(f"k0 ({self.k0}) must be positive")
-        if self.k1 < 0:
+        if not 0 <= self.k1 < math.inf:
             raise ValueError(f"k1 ({self.k1}) must be >= 0")
 
 

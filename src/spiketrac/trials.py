@@ -28,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class VehicleConfig:
     total_mass_kg: float
 
     def __post_init__(self) -> None:
-        if self.total_mass_kg <= 0:
+        if not self.total_mass_kg > 0:
             raise ValueError(f"total_mass_kg ({self.total_mass_kg}) must be positive")
         if not math.isfinite(self.weight_n):
             raise ValueError(f"vehicle weight overflows at total_mass_kg={self.total_mass_kg}")
@@ -172,8 +172,8 @@ class DerivedSeries:
     converted.  tip_x_m accumulates the horizontal tip motion from the
     first recorded pose; cumulative_work_j is the running draft-force work
     integral along the tip path.  airborne flags steps whose inclination
-    put the tip above the surface (depth clamped to zero).  events holds
-    detected landslide indices.  Series are equal when every column is.
+    put the tip above the surface (depth clamped to zero).  Series are
+    equal when every column is.
     """
 
     draft_n: np.ndarray = field(default_factory=list)
@@ -184,35 +184,16 @@ class DerivedSeries:
     cumulative_work_j: np.ndarray = field(default_factory=list)
     motion_m: np.ndarray = field(default_factory=list)
     airborne: np.ndarray = field(default_factory=list)
-    events: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name != "events":
-                dtype = bool if f.name == "airborne" else float
-                setattr(self, f.name, np.asarray(getattr(self, f.name), dtype))
+            dtype = bool if f.name == "airborne" else float
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype))
 
     __eq__ = _columns_equal
 
     def __len__(self) -> int:
         return len(self.draft_n)
-
-
-@dataclass(frozen=True, eq=False)
-class StabilityCheck:
-    """Calculated lift vs vehicle weight at every step, as columns."""
-
-    lift_n: np.ndarray
-    weight_n: float
-
-    @property
-    def liftoff(self) -> np.ndarray:
-        return self.lift_n > self.weight_n
-
-    def first_liftoff(self) -> int | None:
-        """Index of the first step whose lift exceeds the weight, or None."""
-        steps = np.flatnonzero(self.liftoff)
-        return int(steps[0]) if steps.size else None
 
 
 @dataclass(frozen=True)
@@ -431,7 +412,7 @@ def detect_landslides(
     the previous step reaches the respective threshold (stress stored
     over several load steps releasing at once).
     """
-    if depth_jump_threshold_m <= 0 or motion_jump_threshold_m <= 0:
+    if not (0 < depth_jump_threshold_m < math.inf and 0 < motion_jump_threshold_m < math.inf):
         raise ValueError("landslide thresholds must be positive")
     jumps = (np.diff(series.depth_m) >= depth_jump_threshold_m) | (
         np.diff(series.motion_m) >= motion_jump_threshold_m
@@ -468,7 +449,7 @@ def landslide_filter(series: DerivedSeries, events: Sequence[int]) -> DerivedSer
         column = getattr(series, name)
         filtered[name] = column.copy()
         filtered[name][between] = column[left] + t * (column[right] - column[left])
-    return replace(series, events=event_set, **filtered)
+    return replace(series, **filtered)
 
 
 def penetration_work(series: DerivedSeries) -> np.ndarray:
@@ -490,7 +471,7 @@ def tractive_efficiency(
     push_distance_m: float,
 ) -> float:
     """Push work over push plus penetration work; OverflowError when that sum overflows."""
-    if penetration_work_j < 0 or draft_n < 0 or push_distance_m < 0:
+    if not (penetration_work_j >= 0 and draft_n >= 0 and push_distance_m >= 0):
         raise ValueError("penetration work, draft, and push distance must be >= 0")
     push_work = draft_n * push_distance_m
     total = push_work + penetration_work_j
@@ -504,9 +485,9 @@ def tractive_efficiency(
     return push_work / total
 
 
-def stability_check(series: DerivedSeries, vehicle: VehicleConfig) -> StabilityCheck:
-    """Compare the calculated hinge lift against the vehicle weight per step."""
-    return StabilityCheck(lift_n=series.lift_n, weight_n=vehicle.weight_n)
+def stability_check(series: DerivedSeries, vehicle: VehicleConfig) -> np.ndarray:
+    """Whether the calculated hinge lift exceeds the vehicle weight, per step."""
+    return series.lift_n > vehicle.weight_n
 
 
 def _applied_lift(design: SpikeDesign, kappa: float, draft: float, depth: float) -> float:
@@ -526,21 +507,23 @@ _LIFT_GUARD = 1e-9
 
 def _lifts_hold(
     design: SpikeDesign, kappa: float, drafts: np.ndarray, depths: np.ndarray, limit: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Whether each ``_applied_lift`` at ``kappa`` is within ``limit``, decided on arrays.
 
     The sine is the same bits as the scalar's; the lift may differ in
-    its last bits.  The second array marks the lanes that difference
-    could flip (or where ``math.asin`` raises): their first result is
-    meaningless and ``_applied_lift`` must decide them.
+    its last bits.  ``_applied_lift`` decides the lanes that difference
+    could flip, and those whose sine rounded past 1.
     """
     sin_gamma = effective_sine(design, depths, kappa)
     with np.errstate(invalid="ignore"):
         lift = drafts * np.tan(np.arcsin(sin_gamma))
-    undecided = ~(np.abs(sin_gamma) < _STEEP_SIN) | (
-        np.abs(lift - limit) <= _LIFT_GUARD * limit
-    )
-    return lift <= limit, undecided
+    holds = lift <= limit
+    undecided = ~(sin_gamma < _STEEP_SIN) | (np.abs(lift - limit) <= _LIFT_GUARD * limit)
+    points = zip(drafts[undecided].tolist(), depths[undecided].tolist())
+    holds[undecided] = [
+        _applied_lift(design, kappa, draft, depth) <= limit for draft, depth in points
+    ]
+    return holds
 
 
 def estimate_effective_application(
@@ -571,26 +554,13 @@ def estimate_effective_application(
         return EffectiveApplication(kappa=1.0, inconsistent=False)
 
     limit = weight + 1e-9
-
-    def scalar_holds(kappa: float, drafts: np.ndarray, depths: np.ndarray) -> Iterator[bool]:
-        """``_applied_lift``'s test of each point, lazily and in point order."""
-        points = zip(drafts.tolist(), depths.tolist())
-        return (_applied_lift(design, kappa, draft, depth) <= limit for draft, depth in points)
-
     # Lift never decreases with kappa, so a point that holds at kappa = 1
     # holds at every kappa the bisection tries; only the others can fail.
-    drafts = series.draft_n
-    holds, undecided = _lifts_hold(design, 1.0, drafts, depths, limit)
-    holds[undecided] = list(scalar_holds(1.0, drafts[undecided], depths[undecided]))
-    drafts, depths = drafts[~holds], depths[~holds]
+    failing = ~_lifts_hold(design, 1.0, series.draft_n, depths, limit)
+    drafts, depths = series.draft_n[failing], depths[failing]
 
     def feasible(kappa: float) -> bool:
-        """Every point holds at ``kappa``; scalar tests run in point order, as ``all`` would."""
-        holds, undecided = _lifts_hold(design, kappa, drafts, depths, limit)
-        failing = np.flatnonzero(~(holds | undecided))
-        end = failing[0] if failing.size else len(drafts)
-        ask = np.flatnonzero(undecided[:end])
-        return all(scalar_holds(kappa, drafts[ask], depths[ask])) and not failing.size
+        return _lifts_hold(design, kappa, drafts, depths, limit).all()
 
     if not feasible(0.0):
         return EffectiveApplication(kappa=0.0, inconsistent=True)

@@ -13,6 +13,19 @@ bench_pair = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pair)
 
 MACHINE = "machine: nproc=2 cpu='Intel(R) Xeon(R) Processor' python=3.11.7 numpy=2.4.6"
+END_TO_END = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.1},
+]
+
+
+def change_tree(tmp_path: Path) -> Path:
+    """A change checkout holding only the BENCHMARK.json the recorder reads bounds from."""
+    tree = tmp_path / "new"
+    tree.mkdir()
+    spec = json.dumps({"end_to_end": END_TO_END})
+    (tree / "BENCHMARK.json").write_text(spec, encoding="utf-8")
+    return tree
 
 
 def result_line(wall_s: float, rss: float, failed: int = 0, attempted: int = 100) -> dict:
@@ -50,6 +63,38 @@ def test_summarize_rounds_to_six_places_and_takes_one_pair():
     assert entry["wall_s_pairs_change_faster"] == "1 of 1"
 
 
+def test_summarize_flags_only_the_metric_beyond_its_bound():
+    bounds = {metric["name"]: metric for metric in END_TO_END}
+    pairs = [{"parent": result_line(1.0, 40.0), "change": result_line(1.2, 45.0)}]
+    wall, rss = bench_pair.summarize(pairs, bounds)["metrics"].values()
+    assert (wall["change_vs_parent"], wall["beyond_bound"]) == (0.2, False)
+    assert (rss["change_vs_parent"], rss["beyond_bound"]) == (0.125, True)
+    assert "beyond_bound" not in bench_pair.summarize(pairs)["metrics"]["wall_s"]
+
+
+def test_summarize_honours_higher_is_better():
+    bounds = {"wall_s": {"name": "wall_s", "better": "higher", "bound": 0.1}}
+    rising = [{"parent": result_line(1.0, 1.0), "change": result_line(1.5, 1.0)}]
+    falling = [{"parent": result_line(1.0, 1.0), "change": result_line(0.8, 1.0)}]
+    assert bench_pair.summarize(rising, bounds)["metrics"]["wall_s"]["beyond_bound"] is False
+    assert bench_pair.summarize(falling, bounds)["metrics"]["wall_s"]["beyond_bound"] is True
+
+
+def test_main_prints_one_line_per_metric_beyond_its_bound(tmp_path, monkeypatch, capsys):
+    def fake_run(tree, workload, seed, seconds):
+        return MACHINE, result_line(1.0, 40.0 if tree.name == "old" else 45.0)
+
+    monkeypatch.setattr(bench_pair, "run_once", fake_run)
+    args = [str(tmp_path / "old"), str(change_tree(tmp_path)), "--workload", "design-grid:2",
+            "--seeds", "1", "--seconds", "5", "--out", str(tmp_path / "bench.json")]
+    assert bench_pair.main(args) == 0
+    flagged = [line for line in capsys.readouterr().err.splitlines() if "bound" in line]
+    assert flagged == [
+        "bench_pair: design-grid seed 1: peak_rss_mib 40.0 -> 45.0 (+12.5%) is worse "
+        "than its bound of 10%"
+    ]
+
+
 def test_host_reads_the_machine_line():
     assert bench_pair.host(MACHINE) == "2 vCPU Intel(R) Xeon(R) Processor, Python 3.11.7, numpy 2.4.6"
 
@@ -71,7 +116,7 @@ def test_sides_alternate_and_the_file_is_written(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pair, "run_once", fake_run)
     out = tmp_path / "bench.json"
-    args = [str(tmp_path / "old"), str(tmp_path / "new"), "--workload", "design-grid:3",
+    args = [str(tmp_path / "old"), str(change_tree(tmp_path)), "--workload", "design-grid:3",
             "--workload", "field-session:1", "--seeds", "1", "2", "--seconds", "5",
             "--out", str(out)]
     assert bench_pair.main(args) == 0

@@ -160,4 +160,3 @@ def test_array_reduction_matches_per_step_loops(log, depth_jump, motion_jump):
         assert same_bits(getattr(filtered, name), column, np.float64), name
     for name in ("draft_n", "tip_x_m", "cumulative_work_j", "motion_m", "airborne"):
         assert getattr(filtered, name) is getattr(series, name)
-    assert filtered.events == events

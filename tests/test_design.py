@@ -184,6 +184,19 @@ class TestParameterRange:
                      ParameterRange(0.0, 1.0, 0.1), ParameterRange(0.3, 0.5, 0.1)):
             assert axis.count() == len(axis.values())
 
+    @pytest.mark.parametrize(
+        "start, stop, step, message",
+        [
+            (0.0, 1.0, math.nan, r"step \(nan\) must be positive"),
+            (0.0, 1.0, math.inf, r"step \(inf\) must be positive"),
+            (math.nan, 1.0, 0.1, r"stop \(1.0\) must be >= start \(nan\)"),
+            (0.0, math.nan, 0.1, r"stop \(nan\) must be >= start \(0.0\)"),
+        ],
+    )
+    def test_rejects_nan_and_inf(self, start, stop, step, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ParameterRange(start, stop, step)
+
     def test_rejects_a_count_that_overflows(self):
         with pytest.raises(ValueError, match=r"\(stop - start\) / step overflows at step 5e-324"):
             ParameterRange(0.0, 1.0, 5e-324)

@@ -295,6 +295,9 @@ NAN = math.nan
         # The design depth is one float short of radius - hinge height, but
         # the thrust angle there rounds to 90 degrees: the arm stands vertical.
         (ALMOST_VERTICAL, DRY_SAND, VERTICAL_NO_ONSET, [0.0, 5000.0, NAN], ALMOST_STANDS),
+        # Zero drafts before the capacity overflow need no scan and raise nothing.
+        (WIDE, DENSER, WIDE_ONSET, [0.0, 0.0, 1.0], ONSET_OVERFLOW),
+        (WIDE, DENSER, WIDE_ONSET, [0.0, 1.0, -1.0], ONSET_OVERFLOW),
     ],
 )
 def test_errors_come_in_draft_order(design, soil, cd_model, drafts, message):

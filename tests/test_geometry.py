@@ -41,6 +41,23 @@ class TestSpikeDesign:
         assert design.width_m == pytest.approx(0.021)
 
 
+# nan fails every range check, and an infinite field is out of range.
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("radius_m", math.inf, r"radius_m \(inf\) must exceed hinge_height_m"),
+        ("radius_m", math.nan, r"radius_m \(nan\) must exceed hinge_height_m"),
+        ("diameter_mm", math.nan, r"diameter_mm \(nan\) must be positive$"),
+        ("diameter_mm", math.inf, r"diameter_mm \(inf\) must be positive$"),
+        ("tip_mass_kg", math.nan, r"tip_mass_kg \(nan\) must be >= 0$"),
+        ("tip_mass_kg", math.inf, r"tip_mass_kg \(inf\) must be >= 0$"),
+    ],
+)
+def test_spike_design_rejects_nan_and_inf(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SpikeDesign(**{"radius_m": 1.0, "design_depth_m": 0.5, field: value})
+
+
 class TestThrustAngle:
     def test_large_design_at_design_depth(self, large_design):
         # Design-depth thrust quoted as 26 deg for the 134 cm radius spike.

@@ -183,7 +183,7 @@ class TestTrialPipelineInvariants:
             motion_m=[0.0] * 12,
             airborne=[False] * 12,
         )
-        flags = stability_check(series, VehicleConfig(total_mass_kg=50.0)).liftoff.tolist()
+        flags = stability_check(series, VehicleConfig(total_mass_kg=50.0)).tolist()
         assert flags == sorted(flags)  # False ... False True ... True
         assert any(flags) and not all(flags)
 

@@ -98,8 +98,8 @@ def reference_analyze(log: TrialLog, push_distance_m: float | None) -> tuple[str
     meta = log.metadata
     vehicle = meta.vehicle
     series = derive_series(log)
-    series.events = detect_landslides(series)
-    filtered = landslide_filter(series, series.events)
+    events = detect_landslides(series)
+    filtered = landslide_filter(series, events)
     columns = {
         "draft_N": series.draft_n, "depth_m": series.depth_m,
         "thrust_deg": series.thrust_deg, "lift_N": series.lift_n,
@@ -132,7 +132,7 @@ def reference_analyze(log: TrialLog, push_distance_m: float | None) -> tuple[str
                 pass
     report = {
         "metadata": asdict(meta), "series": columns,
-        "events": series.events, "summary": summary,
+        "events": events, "summary": summary,
     }
     text = {name: [cli._fmt(v) for v in column.tolist()] for name, column in columns.items()}
     text["weight_N"] = [cli._fmt(vehicle.weight_n)] * len(series)

@@ -293,3 +293,25 @@ def test_overflow_raises_without_a_numpy_warning(call):
 def test_nan_depth_or_width_is_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SoilProperties(math.nan, 30.0), r"bulk_density_kg_m3 \(nan\) must be positive"),
+        (lambda: SoilProperties(math.inf, 30.0), r"bulk_density_kg_m3 \(inf\) must be positive"),
+        (lambda: SoilProperties(1720.0, 30.0, gravity_m_s2=math.nan), r"gravity_m_s2 \(nan\)"),
+        (lambda: SoilProperties(1720.0, 30.0, gravity_m_s2=math.inf), r"gravity_m_s2 \(inf\)"),
+        (lambda: CriticalDepthModel(k0=math.nan), r"k0 \(nan\) must be positive"),
+        (lambda: CriticalDepthModel(k0=math.inf), r"k0 \(inf\) must be positive"),
+        (lambda: CriticalDepthModel(k1=math.nan), r"k1 \(nan\) must be >= 0"),
+        (lambda: CriticalDepthModel(k1=math.inf), r"k1 \(inf\) must be >= 0"),
+    ],
+    ids=[
+        "density-nan", "density-inf", "gravity-nan", "gravity-inf",
+        "k0-nan", "k0-inf", "k1-nan", "k1-inf",
+    ],
+)
+def test_records_reject_nan_and_inf(build, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()

@@ -2,6 +2,7 @@ import io
 import math
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -350,6 +351,13 @@ class TestLandslideFilter:
         out = landslide_filter(series, [])
         assert out.depth_m[1] == pytest.approx(0.05)
 
+    def test_result_holds_the_columns_only(self):
+        out = landslide_filter(make_series(draft_n=[0.0, 1.0]), [1])
+        assert [f.name for f in fields(out)] == [
+            "draft_n", "depth_m", "thrust_deg", "lift_n",
+            "tip_x_m", "cumulative_work_j", "motion_m", "airborne",
+        ]
+
     def test_rejects_bad_event_index(self):
         series = make_series(draft_n=[0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="event index"):
@@ -410,6 +418,25 @@ class TestTractiveEfficiency:
             tractive_efficiency(work, draft, distance)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: VehicleConfig(total_mass_kg=math.nan), r"total_mass_kg \(nan\) must be positive"),
+        (lambda: detect_landslides(make_series(draft_n=[0.0]), math.nan, math.nan), "thresholds"),
+        (lambda: detect_landslides(make_series(draft_n=[0.0]), 0.01, math.inf), "thresholds"),
+        (lambda: tractive_efficiency(math.nan, 1.0, 1.0), "must be >= 0"),
+        (lambda: tractive_efficiency(1.0, math.nan, 1.0), "must be >= 0"),
+        (lambda: tractive_efficiency(1.0, 1.0, math.nan), "must be >= 0"),
+    ],
+    ids=[
+        "vehicle-mass", "thresholds-nan", "threshold-inf", "work-nan", "draft-nan", "distance-nan",
+    ],
+)
+def test_nan_and_inf_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_vehicle_weight_overflow_is_rejected():
     with pytest.raises(ValueError, match="vehicle weight overflows at total_mass_kg=1e"):
         VehicleConfig(total_mass_kg=1e308)
@@ -418,34 +445,35 @@ def test_vehicle_weight_overflow_is_rejected():
 class TestStabilityCheck:
     def test_light_vehicle_lifts_off(self):
         series = make_series(draft_n=[730.0], lift_n=[237.19])
-        check = stability_check(series, VehicleConfig(total_mass_kg=5.0))
-        assert check.liftoff.tolist() == [True]
-        assert check.weight_n == pytest.approx(49.05)
-        assert check.lift_n.tolist() == [237.19]
+        vehicle = VehicleConfig(total_mass_kg=5.0)
+        assert stability_check(series, vehicle).tolist() == [True]
+        assert vehicle.weight_n == pytest.approx(49.05)
+        assert series.lift_n.tolist() == [237.19]
 
     def test_zero_lift_margin_is_weight(self):
         series = make_series(draft_n=[0.0], lift_n=[0.0])
-        check = stability_check(series, VehicleConfig(total_mass_kg=50.0))
-        assert check.liftoff.tolist() == [False]
-        assert check.weight_n - check.lift_n[0] == pytest.approx(490.5)
+        vehicle = VehicleConfig(total_mass_kg=50.0)
+        assert stability_check(series, vehicle).tolist() == [False]
+        assert vehicle.weight_n - series.lift_n[0] == pytest.approx(490.5)
 
     def test_calculated_liftoff_despite_observed_stability(self):
         # 600 N of calculated lift against a 490.5 N vehicle flags liftoff.
         series = make_series(draft_n=[2000.0], lift_n=[600.0])
-        check = stability_check(series, VehicleConfig(total_mass_kg=50.0))
-        assert check.first_liftoff() == 0
+        liftoff = stability_check(series, VehicleConfig(total_mass_kg=50.0))
+        assert np.flatnonzero(liftoff).tolist() == [0]
 
     def test_columns_and_first_liftoff(self):
         vehicle = VehicleConfig(total_mass_kg=50.0)
         weight = vehicle.weight_n
         series = make_series(draft_n=[1.0] * 4, lift_n=[0.0, weight, math.inf, weight + 1.0])
-        check = stability_check(series, vehicle)
+        liftoff = stability_check(series, vehicle)
         # Lift equal to the weight does not lift the vehicle off.
-        assert check.liftoff.tolist() == [False, False, True, True]
-        assert check.first_liftoff() == 2
+        assert liftoff.dtype == bool
+        assert liftoff.tolist() == [False, False, True, True]
+        assert np.flatnonzero(liftoff)[0] == 2
         quiet = make_series(draft_n=[1.0, 1.0], lift_n=[0.0, weight])
-        assert stability_check(quiet, vehicle).first_liftoff() is None
-        assert stability_check(make_series(draft_n=[]), vehicle).first_liftoff() is None
+        assert not stability_check(quiet, vehicle).any()
+        assert stability_check(make_series(draft_n=[]), vehicle).tolist() == []
 
 
 class TestEffectiveApplication:

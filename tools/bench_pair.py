@@ -5,14 +5,22 @@ Run from anywhere, with two checkouts of the repository:
     python3 tools/bench_pair.py PARENT_TREE CHANGE_TREE --out BENCH.json \\
         --workload design-grid:10 --workload analyze-long-log:3 --seeds 1 2 --seconds 10
 
+Give the two checkouts directory paths of the same length.  On a 2-vCPU
+Xeon, two checkouts of identical sources whose paths differed by three
+characters read 3-7% apart on ``simulate-schedules`` ``wall_s`` in 6 of
+6 pairs; with paths of equal length they read the same.
+
 Each pair runs ``python3 benchmark/run.py --trace 0`` once in each tree,
 from that tree's root, and the side that runs first alternates from pair
 to pair.  Runs go one at a time.  For every workload and seed the file
 keeps each end-to-end metric's median over one side's runs and its
 quartiles (inclusive method), the failed operations of each side, and
-how many pairs the change won on ``wall_s``.  A run that exits non-zero
-stops the recorder with its standard error.  Uses the standard library
-only.
+how many pairs the change won on ``wall_s``.  Each end-to-end metric
+that the change tree's ``BENCHMARK.json`` bounds also gets
+``change / parent - 1`` of the medians and whether the change is worse
+than the parent by more than the bound; a line on standard error names
+each one that is.  A run that exits non-zero stops the recorder with its
+standard error.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -61,8 +69,19 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(pairs: list[dict[str, dict]]) -> dict:
-    """One workload and seed: ``pairs`` holds one result object per side and pair."""
+def end_to_end_bounds(tree: Path) -> dict[str, dict]:
+    """The ``end_to_end`` entries of ``tree``'s BENCHMARK.json, by metric name."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric for metric in spec["end_to_end"]}
+
+
+def summarize(pairs: list[dict[str, dict]], bounds: dict[str, dict] | None = None) -> dict:
+    """One workload and seed: ``pairs`` holds one result object per side and pair.
+
+    A metric named in ``bounds`` also gets its relative change of the
+    medians and whether that is worse than its ``bound``, honouring
+    ``better``; a metric whose parent median is zero gets neither.
+    """
     entry = {
         "runs": {side: len(pairs) for side in SIDES},
         "failed": {
@@ -78,6 +97,12 @@ def summarize(pairs: list[dict[str, dict]]) -> dict:
             values = [p[side]["metrics"][name]["value"] for p in pairs]
             record[side] = round(statistics.median(values), 6)
             record[f"{side}_quartiles"] = [round(q, 6) for q in quartiles(values)]
+        spec = (bounds or {}).get(name)
+        if spec and record["parent"]:
+            ratio = record["change"] / record["parent"] - 1
+            record["change_vs_parent"] = round(ratio, 6)
+            worse = ratio if spec["better"] == "lower" else -ratio
+            record["beyond_bound"] = worse > spec["bound"]
         entry["metrics"][name] = record
     faster = sum(
         p["change"]["metrics"]["wall_s"]["value"] < p["parent"]["metrics"]["wall_s"]["value"]
@@ -116,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    bounds = end_to_end_bounds(args.change)
     machine = ""
     workloads = {}
     for workload, count in args.workload:
@@ -131,7 +157,13 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed} pair {pair + 1}/{count}: wall_s "
                       + ", ".join(f"{side} {results[side]['metrics']['wall_s']['value']:.6f}"
                                   for side in SIDES), file=sys.stderr)
-            workloads.setdefault(workload, {})[f"seed {seed}"] = summarize(pairs)
+            entry = summarize(pairs, bounds)
+            workloads.setdefault(workload, {})[f"seed {seed}"] = entry
+            for name, record in entry["metrics"].items():
+                if record.get("beyond_bound"):
+                    print(f"bench_pair: {workload} seed {seed}: {name} {record['parent']} -> "
+                          f"{record['change']} ({record['change_vs_parent']:+.1%}) is worse "
+                          f"than its bound of {bounds[name]['bound']:.0%}", file=sys.stderr)
 
     counts = ", ".join(f"{name} {count}" for name, count in args.workload)
     record = {
