@@ -512,24 +512,20 @@ def run_simulate(args: argparse.Namespace) -> int:
     cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
     steps = predict_series(design, soil, drafts, cd_model)
     header = ["draft_N", "depth_m", "regime", "sustained", "thrust_deg", "rake_deg", "lift_N"]
+    draft, depth, thrust, rake, lift = (
+        _fmt_column([getattr(s, name) for s in steps])
+        for name in ("draft_n", "depth_m", "thrust_deg", "rake_deg", "lift_n")
+    )
     rows = [
-        [
-            _fmt(s.draft_n),
-            _fmt(s.depth_m),
-            s.regime.value,
-            "true" if s.sustained else "false",
-            _fmt(s.thrust_deg),
-            _fmt(s.rake_deg),
-            _fmt(s.lift_n),
-        ]
-        for s in steps
+        [d, z, s.regime.value, "true" if s.sustained else "false", t, r, f]
+        for s, d, z, t, r, f in zip(steps, draft, depth, thrust, rake, lift)
     ]
     if args.out is not None:
         _write_csv(args.out, header, rows)
     if steps:
         final = steps[-1]
         print(
-            f"{len(steps)} steps: final depth {_fmt(final.depth_m)} m, "
+            f"{len(steps)} steps: final depth {depth[-1]} m, "
             f"regime {final.regime.value}, sustained {'yes' if final.sustained else 'no'}"
         )
     else:

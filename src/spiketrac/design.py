@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import SpikeDesign, effective_sine, rotated_rake, thrust_angle
+from .geometry import SpikeDesign, effective_sine, finite_rule, rotated_rake, thrust_angle
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
 # The search holds arrays over the whole grid: 10 million points took about 170 MiB.
@@ -52,9 +52,11 @@ class ParameterRange:
 
     def __post_init__(self) -> None:
         if not 0 < self.step < math.inf:
-            raise ValueError(f"step ({self.step}) must be positive")
+            raise ValueError(f"step ({self.step}) must be {finite_rule('positive', self.step)}")
         if not self.stop >= self.start:
             raise ValueError(f"stop ({self.stop}) must be >= start ({self.start})")
+        if math.isinf(self.start) or math.isinf(self.stop):
+            raise ValueError(f"start ({self.start}) and stop ({self.stop}) must be finite")
         if not math.isfinite((self.stop - self.start) / self.step):
             raise ValueError(f"(stop - start) / step overflows at step {self.step}")
 

@@ -29,6 +29,11 @@ import numpy as np
 DEFAULT_HINGE_HEIGHT_M = 0.09
 
 
+def finite_rule(rule: str, *values: float) -> str:
+    """``rule``, or "finite and ``rule``" when a value is infinite and may satisfy ``rule``."""
+    return f"finite and {rule}" if any(map(math.isinf, values)) else rule
+
+
 @dataclass(frozen=True, slots=True)
 class SpikeDesign:
     """Geometry of one articulated spike.
@@ -48,9 +53,10 @@ class SpikeDesign:
 
     def __post_init__(self) -> None:
         if not math.inf > self.radius_m > self.hinge_height_m > 0:
+            rule = finite_rule("positive", self.radius_m, self.hinge_height_m)
             raise ValueError(
                 f"radius_m ({self.radius_m}) must exceed hinge_height_m "
-                f"({self.hinge_height_m}) and both must be positive"
+                f"({self.hinge_height_m}) and both must be {rule}"
             )
         if not 0 < self.design_depth_m <= self.max_depth_m:
             raise ValueError(
@@ -62,9 +68,11 @@ class SpikeDesign:
                 f"initial_rake_deg ({self.initial_rake_deg}) must lie in (0, 90)"
             )
         if not 0 < self.diameter_mm < math.inf:
-            raise ValueError(f"diameter_mm ({self.diameter_mm}) must be positive")
+            rule = finite_rule("positive", self.diameter_mm)
+            raise ValueError(f"diameter_mm ({self.diameter_mm}) must be {rule}")
         if not 0 <= self.tip_mass_kg < math.inf:
-            raise ValueError(f"tip_mass_kg ({self.tip_mass_kg}) must be >= 0")
+            rule = finite_rule(">= 0", self.tip_mass_kg)
+            raise ValueError(f"tip_mass_kg ({self.tip_mass_kg}) must be {rule}")
 
     @property
     def max_depth_m(self) -> float:
@@ -84,6 +92,20 @@ def effective_sine(design: SpikeDesign, depth_m, kappa=1.0):
     arrays and checks nothing: each caller validates its own domain.
     """
     return (design.hinge_height_m + kappa * depth_m) / design.radius_m
+
+
+def margins_hold(margins: np.ndarray, guard: float, exact, *columns: np.ndarray) -> np.ndarray:
+    """Whether each lane's margin is >= 0, with ``exact`` deciding the lanes near zero.
+
+    An array formula can differ from its scalar counterpart in the last
+    bits (``np.arcsin`` against ``math.asin``).  Lanes whose margin lies
+    within ``guard`` of zero, or is nan, are decided by
+    ``exact(*values)`` on their values of ``columns`` instead.
+    """
+    holds = margins >= 0
+    near = np.flatnonzero(~(np.abs(margins) > guard))
+    holds[near] = [exact(*lane) for lane in zip(*(column[near].tolist() for column in columns))]
+    return holds
 
 
 def thrust_angle(design: SpikeDesign, depth_m: float) -> float:

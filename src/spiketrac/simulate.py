@@ -6,8 +6,9 @@ reaction is the maximized crescent force at the current depth, which
 grows monotonically with depth; the equilibrium depth solves
 max_crescent_force(z) = F by bisection.  A schedule's drafts are
 bisected in lock step: one crescent kernel holds the shear-angle grid,
-and each step takes every draft's maximum at its own midpoint depth in
-one array pass.  Once the required depth crosses
+and each step takes the maximum at every distinct midpoint depth in one
+array pass, over a window of angles around the lane's previous maximum
+where that is exact.  Once the required depth crosses
 the critical depth the lateral regime takes over and is assumed to carry
 any remaining draft (no quantitative lateral model exists), so the
 predicted depth stops at the regime boundary.  Drafts the crescent
@@ -24,17 +25,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SpikeDesign, lifting_force, rotated_rake, thrust_angle
+from .geometry import (
+    SpikeDesign,
+    effective_sine,
+    lifting_force,
+    margins_hold,
+    rotated_rake,
+    thrust_angle,
+)
 from .soilmech import (
     CrescentKernel,
     CriticalDepthModel,
     FailureMode,
     SoilProperties,
     critical_depth,
+    critical_depths,
     max_crescent_force,
 )
 
 _DEPTH_TOLERANCE_M = 1e-6
+_ONSET_SAMPLES = 1000  # grid steps over the design depth in the onset search
+_ONSET_GUARD = 1e-9  # margins this close to zero, relative to the depth scale, go to the scalar
 
 
 def _bisect(holds, lo: float, hi: float) -> float:
@@ -72,6 +83,10 @@ def lateral_onset_depth(
     first crossing is located on a fine grid and refined by bisection.
     Returns None when the spike stays above its critical depth over the
     whole design range.
+
+    The grid's margins z - z_c are computed on arrays; the scalar test
+    decides the samples whose margin lies within a guard of zero, since
+    ``np.arcsin`` may differ from ``math.asin`` in the last bits.
     """
     width = design.width_m
     rake0 = design.initial_rake_deg
@@ -83,14 +98,23 @@ def lateral_onset_depth(
 
     if crossed(0.0):
         return 0.0
-    samples = 1000
     z_max = design.design_depth_m
-    prev_z = 0.0
-    for i in range(1, samples + 1):
-        z = z_max * i / samples
-        if crossed(z):
-            return _bisect(crossed, prev_z, z)
-        prev_z = z
+    samples = z_max * np.arange(1, _ONSET_SAMPLES + 1) / _ONSET_SAMPLES
+    # z_max * 1000 / 1000 can round above radius - hinge height, where the
+    # scalar walk raises on reaching it.
+    beyond = samples[-1] > design.max_depth_m
+    if beyond:
+        samples = samples[:-1]
+    thrust = np.degrees(np.arcsin(np.minimum(effective_sine(design, samples), 1.0)))
+    margins = samples - critical_depths(width, rotated_rake(rake0, thrust, gamma0), cd_model)
+    # z_c <= k0 w (1 + k1): the arcsin's few ulps move it far less than this.
+    guard = _ONSET_GUARD * (z_max + cd_model.k0 * width * (1.0 + cd_model.k1))
+    hits = np.flatnonzero(margins_hold(margins, guard, crossed, samples))
+    if hits.size:
+        first = int(hits[0])
+        return _bisect(crossed, float(samples[first - 1]) if first else 0.0, float(samples[first]))
+    if beyond:  # the walk reaches its last sample, past the arm's reach, and raises there
+        crossed(z_max * _ONSET_SAMPLES / _ONSET_SAMPLES)
     return None
 
 
@@ -103,16 +127,23 @@ def _equilibrium_depths(
     tolerance, so it ends on the depth that a bisection of its draft alone
     returns: the first result maps each draft to it.  A lane whose maximum
     overflows stops at that depth; the second result maps its draft to it.
+    Lanes often share a midpoint, and each distinct one is evaluated once,
+    starting from the shear angle that maximized the force at the
+    previous midpoint of one of its lanes.
     """
     kernel = CrescentKernel.scan(soil)
     need = np.array(drafts, dtype=float)
     lo = np.zeros(len(drafts))
     hi = np.full(len(drafts), depth_m)
+    best = np.zeros(len(drafts), dtype=np.intp)  # each lane's last maximizing angle index
     overflows: dict[float, float] = {}
     live = np.flatnonzero(hi - lo > _DEPTH_TOLERANCE_M)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        peaks = kernel.maxima(mid.tolist(), width_m)
+        depths, first, inverse = np.unique(mid, return_index=True, return_inverse=True)
+        peaks, index = kernel.peaks(depths.tolist(), width_m, best[live[first]])
+        peaks = peaks[inverse]
+        best[live] = index[inverse]
         holds = peaks >= need[live]
         hi[live[holds]] = mid[holds]
         lo[live[~holds]] = mid[~holds]

@@ -22,8 +22,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .geometry import finite_rule
 
 BETA_STEP_DEG = 0.1  # the shear-angle scan's grid step
 _SCAN_MARGIN_DEG = 0.1  # keep the scan strictly inside the law's domain
@@ -56,15 +59,15 @@ class SoilProperties:
 
     def __post_init__(self) -> None:
         if not 0 < self.bulk_density_kg_m3 < math.inf:
-            raise ValueError(
-                f"bulk_density_kg_m3 ({self.bulk_density_kg_m3}) must be positive"
-            )
+            rule = finite_rule("positive", self.bulk_density_kg_m3)
+            raise ValueError(f"bulk_density_kg_m3 ({self.bulk_density_kg_m3}) must be {rule}")
         if not 0 < self.friction_angle_deg < 90:
             raise ValueError(
                 f"friction_angle_deg ({self.friction_angle_deg}) must lie in (0, 90)"
             )
         if not 0 < self.gravity_m_s2 < math.inf:
-            raise ValueError(f"gravity_m_s2 ({self.gravity_m_s2}) must be positive")
+            rule = finite_rule("positive", self.gravity_m_s2)
+            raise ValueError(f"gravity_m_s2 ({self.gravity_m_s2}) must be {rule}")
         if self.moisture_label not in ("dry", "moist"):
             raise ValueError(
                 f"moisture_label ({self.moisture_label!r}) must be 'dry' or 'moist'"
@@ -91,9 +94,9 @@ class CriticalDepthModel:
 
     def __post_init__(self) -> None:
         if not 0 < self.k0 < math.inf:
-            raise ValueError(f"k0 ({self.k0}) must be positive")
+            raise ValueError(f"k0 ({self.k0}) must be {finite_rule('positive', self.k0)}")
         if not 0 <= self.k1 < math.inf:
-            raise ValueError(f"k1 ({self.k1}) must be >= 0")
+            raise ValueError(f"k1 ({self.k1}) must be {finite_rule('>= 0', self.k1)}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,14 @@ def _finite(value: float, what: str, depth_m: float, width_m: float) -> float:
 
 
 _BLOCK_ROWS = 32  # depths per block in CrescentKernel.maxima: small temporaries
+_WINDOW = 8  # grid angles either side of a hint in CrescentKernel.peaks
+_EDGE_GUARD = 1e-9  # how far below a window's peak its edges must lie, relative to it
+_TINY = np.finfo(float).tiny
+
+
+def _terms(depths_m: list[float], width_m: float) -> np.ndarray:
+    """One (a, c) row per depth, from Python floats as :func:`_volume_terms` takes them."""
+    return np.array([_volume_terms(z, width_m) for z in depths_m]).reshape(-1, 2)
 
 
 class CrescentKernel:
@@ -143,6 +154,11 @@ class CrescentKernel:
         self.cot = 1.0 / np.tan(np.radians(betas))
         self.cot2 = self.cot**2
         phi = soil.friction_angle_deg
+        # With u = cot(beta) and t = tan(phi) the active force is
+        # rho g u (a + c u) (1 - t u) / (u + t).  Its log has second derivative
+        # -1/u^2 - c^2/(a + c u)^2 - t^2/(1 - t u)^2 + 1/(u + t)^2 < 0, since
+        # u + t > u: the force is strictly unimodal in beta.
+        self.unimodal = law is ForceLaw.ACTIVE_WEDGE
         if law is ForceLaw.ACTIVE_WEDGE:
             self.factor = np.where(betas > phi, np.tan(np.radians(betas - phi)), 0.0)
         else:
@@ -168,15 +184,19 @@ class CrescentKernel:
         a, c = _volume_terms(depth_m, width_m)
         return (self.rho_g * (a * self.cot + c * self.cot2)) * self.factor
 
-    @np.errstate(over="ignore", invalid="ignore")
     def maxima(self, depths_m: list[float], width_m: float) -> np.ndarray:
         """The maximum of :meth:`forces` at each depth, non-finite where it overflows.
 
         Bit for bit ``forces(z, width_m).max()``: the same element-wise
         operations, run on blocks of ``_BLOCK_ROWS`` depths at a time.
         """
-        terms = np.array([_volume_terms(z, width_m) for z in depths_m]).reshape(-1, 2)
+        return self._rows(_terms(depths_m, width_m))[0]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _rows(self, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each full row's maximum and the index of its first maximum, in blocks."""
         peaks = np.empty(len(terms))
+        index = np.empty(len(terms), dtype=np.intp)
         block = np.empty((min(len(terms), _BLOCK_ROWS), self.cot.size))
         side = np.empty_like(block)
         for start in range(0, len(terms), _BLOCK_ROWS):
@@ -186,8 +206,63 @@ class CrescentKernel:
             out += np.multiply(rows[:, 1:], self.cot2, out=cones)
             out *= self.rho_g
             out *= self.factor
-            out.max(axis=1, out=peaks[start : start + len(rows)])
-        return peaks
+            best = out.argmax(axis=1)  # finds any nan, as max would
+            index[start : start + len(rows)] = best
+            peaks[start : start + len(rows)] = out[np.arange(len(rows)), best]
+        return peaks, index
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def peaks(
+        self, depths_m: list[float], width_m: float, hints: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`maxima` at each depth, bit for bit, and the index of its first maximum.
+
+        A unimodal kernel first takes the maximum over ``_WINDOW`` grid
+        angles either side of each depth's hint index, with the same
+        element-wise operations.  Each window edge must lie below that
+        maximum by ``_EDGE_GUARD`` relatively, or sit at the end of the
+        grid; then the peak lies strictly inside the window, every angle
+        outside it gives less, and the window's first maximum is the
+        row's.  That holds while every value of the row errs from the
+        exact force only by its rounding, about 1e-13 relatively: no value
+        overflows, the peak is of normal magnitude, and no sum
+        a cot + c cot^2 is subnormal, whose rounding rho g would magnify.
+        Bounds built from the extreme cot, cot^2 and factor check this.
+        The other depths get full rows.
+        """
+        terms = _terms(depths_m, width_m)
+        if not self.unimodal:
+            return self._rows(terms)
+        n = self.cot.size
+        span = min(2 * _WINDOW + 1, n)
+        start = np.clip(hints - _WINDOW, 0, n - span)
+        cols = start[:, None] + np.arange(span)
+        out = terms[:, :1] * self.cot[cols]
+        out += terms[:, 1:] * self.cot2[cols]
+        out *= self.rho_g
+        out *= self.factor[cols]
+        best = out.argmax(axis=1)
+        peak = out[np.arange(len(out)), best]
+        edge = peak * (1.0 - _EDGE_GUARD)
+        (cot_lo, cot2_lo), (cot_hi, cot2_hi, factor_hi) = self._extremes
+        a, c = terms.T
+        accept = (
+            ((start == 0) | (out[:, 0] < edge))
+            & ((start == n - span) | (out[:, -1] < edge))
+            & (peak >= _TINY)
+            & np.isfinite((a * cot_hi + c * cot2_hi) * self.rho_g * factor_hi)
+            & (a * cot_lo + c * cot2_lo >= _TINY)
+        )
+        index = start + best
+        full = np.flatnonzero(~accept)
+        if full.size:
+            peak[full], index[full] = self._rows(terms[full])
+        return peak, index
+
+    @cached_property
+    def _extremes(self) -> tuple[tuple[float, float], tuple[float, float, float]]:
+        """The least cot and cot^2, and the greatest cot, cot^2 and factor."""
+        return (self.cot.min(), self.cot2.min()), (self.cot.max(), self.cot2.max(), self.factor.max())
 
 
 def _check_depth_width(depth_m: float, width_m: float) -> None:

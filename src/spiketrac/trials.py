@@ -36,7 +36,9 @@ from .geometry import (
     SpikeDesign,
     depth_from_inclination,
     effective_sine,
+    finite_rule,
     lifting_force,
+    margins_hold,
     thrust_angle,
     tip_displacement,
 )
@@ -471,8 +473,12 @@ def tractive_efficiency(
     push_distance_m: float,
 ) -> float:
     """Push work over push plus penetration work; OverflowError when that sum overflows."""
-    if not (penetration_work_j >= 0 and draft_n >= 0 and push_distance_m >= 0):
-        raise ValueError("penetration work, draft, and push distance must be >= 0")
+    values = (penetration_work_j, draft_n, push_distance_m)
+    if not all(0 <= value < math.inf for value in values):
+        raise ValueError(
+            f"penetration_work_j ({penetration_work_j}), draft_n ({draft_n}) and "
+            f"push_distance_m ({push_distance_m}) must be {finite_rule('>= 0', *values)}"
+        )
     push_work = draft_n * push_distance_m
     total = push_work + penetration_work_j
     if not math.isfinite(total):
@@ -512,18 +518,19 @@ def _lifts_hold(
 
     The sine is the same bits as the scalar's; the lift may differ in
     its last bits.  ``_applied_lift`` decides the lanes that difference
-    could flip, and those whose sine rounded past 1.
+    could flip: a lift near the limit, or a sine at or above
+    ``_STEEP_SIN``, where tan magnifies it past any guard.
     """
     sin_gamma = effective_sine(design, depths, kappa)
     with np.errstate(invalid="ignore"):
         lift = drafts * np.tan(np.arcsin(sin_gamma))
-    holds = lift <= limit
-    undecided = ~(sin_gamma < _STEEP_SIN) | (np.abs(lift - limit) <= _LIFT_GUARD * limit)
-    points = zip(drafts[undecided].tolist(), depths[undecided].tolist())
-    holds[undecided] = [
-        _applied_lift(design, kappa, draft, depth) <= limit for draft, depth in points
-    ]
-    return holds
+    margins = limit - lift
+    margins[sin_gamma >= _STEEP_SIN] = np.nan  # no guard covers tan's error here
+
+    def exact(draft: float, depth: float) -> bool:
+        return _applied_lift(design, kappa, draft, depth) <= limit
+
+    return margins_hold(margins, _LIFT_GUARD * limit, exact, drafts, depths)
 
 
 def estimate_effective_application(

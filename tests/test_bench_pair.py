@@ -95,6 +95,20 @@ def test_main_prints_one_line_per_metric_beyond_its_bound(tmp_path, monkeypatch,
     ]
 
 
+def test_checkout_paths_of_unequal_length_are_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pair, "run_once", lambda *args: pytest.fail("a benchmark ran"))
+    parent = tmp_path / "older"
+    args = [str(parent), str(change_tree(tmp_path)), "--workload", "design-grid:2",
+            "--seeds", "1", "--seconds", "5", "--out", str(tmp_path / "bench.json")]
+    assert bench_pair.main(args) == 2
+    lengths = (len(str(parent.resolve())), len(str(parent.resolve())) - 2)
+    assert capsys.readouterr().err == (
+        f"bench_pair: the checkout paths differ in length (parent {lengths[0]}, "
+        f"change {lengths[1]} characters); use paths of one length\n"
+    )
+    assert not (tmp_path / "bench.json").exists()
+
+
 def test_host_reads_the_machine_line():
     assert bench_pair.host(MACHINE) == "2 vCPU Intel(R) Xeon(R) Processor, Python 3.11.7, numpy 2.4.6"
 

@@ -188,9 +188,11 @@ class TestParameterRange:
         "start, stop, step, message",
         [
             (0.0, 1.0, math.nan, r"step \(nan\) must be positive"),
-            (0.0, 1.0, math.inf, r"step \(inf\) must be positive"),
+            (0.0, 1.0, math.inf, r"step \(inf\) must be finite and positive"),
             (math.nan, 1.0, 0.1, r"stop \(1.0\) must be >= start \(nan\)"),
             (0.0, math.nan, 0.1, r"stop \(nan\) must be >= start \(0.0\)"),
+            (-math.inf, 0.0, 1.0, r"start \(-inf\) and stop \(0.0\) must be finite"),
+            (0.0, math.inf, 1.0, r"start \(0.0\) and stop \(inf\) must be finite"),
         ],
     )
     def test_rejects_nan_and_inf(self, start, stop, step, message):

@@ -7,7 +7,10 @@ crescent force once, at the top of the crescent regime, and classifies a
 draft above it without a bisection.  That is exact because the maximized
 crescent force never decreases with depth, which the last test checks.
 It bisects the other drafts in lock step over one ``CrescentKernel``,
-whose maxima must equal ``max_crescent_force``'s bit for bit.
+whose maxima must equal ``max_crescent_force``'s bit for bit, and whose
+windowed peaks must equal its full rows.  The reference's onset walks its
+1,000 samples one at a time; ``lateral_onset_depth`` computes them on
+arrays, and must agree on onsets within a few ulps of a sample.
 Every ``PredictedStep`` field must come out the same, compared through
 ``repr`` so that -0.0 and 0.0 count as different.  Where the reference
 reaches radius - hinge height, or a depth whose thrust angle rounds to
@@ -19,6 +22,7 @@ import math
 import random
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from hypothesis import example, given, settings
@@ -330,9 +334,151 @@ def test_kernel_maxima_equal_max_crescent_force(depths, width, soil, law):
             assert repr(peak) == repr(force)
 
 
+DEPTH_EXTREMES = [0.0, 5e-324, 1e-160, 1e-100, 1e103, 1e154, 1e200]
+
+
+@st.composite
+def hinted_depths(draw, n: int) -> tuple[list[float], list[tuple[str, int]]]:
+    """Depths, ordinary and extreme, each with a hint into a grid of ``n`` angles.
+
+    A hint is ``("at", index)``: anywhere on the grid or at either end of
+    it; or ``("near", offset)`` from the depth's own maximum.
+    """
+    depths = draw(st.lists(
+        st.floats(0.0, 50.0) | st.floats(0.0, 1e200) | st.sampled_from(DEPTH_EXTREMES),
+        min_size=1, max_size=40,
+    ))
+    hint = st.tuples(st.just("at"), st.integers(0, n - 1) | st.sampled_from([0, n - 1])) | (
+        st.tuples(st.just("near"), st.integers(-30, 30))
+    )
+    return depths, draw(st.lists(hint, min_size=len(depths), max_size=len(depths)))
+
+
+def assert_peaks_equal_full_rows(kernel, width, depths, hints) -> None:
+    """``peaks`` gives ``maxima`` bit for bit, and the first maximizing index of each row."""
+    n = kernel.cot.size
+    best = [int(np.argmax(kernel.forces(depth, width))) for depth in depths]
+    at = [b + h if kind == "near" else h for b, (kind, h) in zip(best, hints)]
+    peaks, index = kernel.peaks(depths, width, np.clip(at, 0, n - 1))
+    assert [repr(peak) for peak in peaks.tolist()] == [
+        repr(peak) for peak in kernel.maxima(depths, width).tolist()
+    ]
+    assert index.tolist() == best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    soil=soils | st.just(DENSE),
+    width=st.floats(1e-3, 1.0) | st.floats(1.0, 1e300),
+    law=st.sampled_from(ForceLaw),
+    data=st.data(),
+)
+def test_windowed_peaks_equal_full_rows(soil, width, law, data):
+    """Random soils, widths, depths and hints; the passive law always takes full rows."""
+    kernel = CrescentKernel.scan(soil, law)
+    depths, hints = data.draw(hinted_depths(kernel.cot.size))
+    assert_peaks_equal_full_rows(kernel, width, depths, hints)
+
+
+TINY_WEIGHT = SoilProperties(bulk_density_kg_m3=1e-300, friction_angle_deg=30.0, gravity_m_s2=1.0)
+
+
+@pytest.mark.parametrize(
+    ("soil", "width", "depths", "hints"),
+    [
+        (DRY_SAND, 0.021, [0.0, 5e-324, 1e-160, 0.25, 0.25, 0.3, 1e154, 1e103],
+         [("at", 0), ("at", -1), ("at", 0), ("near", 0), ("at", -1), ("near", -5), ("at", 0),
+          ("at", -1)]),
+        # The smallest angles overflow at this depth, but not the peak.
+        (DRY_SAND, 0.021, [2e101], [("at", 149)]),
+        # a cot + c cot^2 is subnormal, and rho g magnifies its rounding: a
+        # force outside the window beats the window's peak.
+        (DENSE, 1e-3, [3.7708660259934207e-160], [("at", 287)]),
+        # A subnormal peak: its rounding does the same.
+        (TINY_WEIGHT, 1e-3, [3.2471610924231986e-10], [("at", 240)]),
+        # A grid of 14 angles, narrower than a window.
+        (SoilProperties(1720.0, 88.5), 0.021, [0.3, 0.0, 1e154], [("at", 5), ("at", 0), ("at", -1)]),
+    ],
+    ids=["extremes", "row-overflows", "subnormal-sum", "subnormal-peak", "narrow-grid"],
+)
+def test_windows_that_are_not_exact_take_full_rows(soil, width, depths, hints):
+    kernel = CrescentKernel.scan(soil)
+    assert (soil.friction_angle_deg < 80) == (kernel.cot.size > 17)
+    hints = [(kind, h % kernel.cot.size if kind == "at" else h) for kind, h in hints]
+    assert_peaks_equal_full_rows(kernel, width, depths, hints)
+
+
+def test_the_window_decides_most_bisection_steps(monkeypatch):
+    """On a long schedule, full shear-angle rows stay under a tenth of the depths evaluated."""
+    design = SpikeDesign(radius_m=1.34, hinge_height_m=0.09, initial_rake_deg=45.0,
+                         diameter_mm=21.0, design_depth_m=0.5, tip_mass_kg=2.9)
+    top = 1.5 * max_crescent_force(design.design_depth_m, design.width_m, DRY_SAND).force_n
+    rng = random.Random(1)
+    drafts = [round(top * (i + rng.random()) / 300, 4) if i else 0.0 for i in range(300)]
+    counts = {"depths": 0, "full": 0}
+    peaks, rows = CrescentKernel.peaks, CrescentKernel._rows
+
+    def counted_peaks(kernel, depths, width, hints):
+        counts["depths"] += len(depths)
+        return peaks(kernel, depths, width, hints)
+
+    def counted_rows(kernel, terms):
+        counts["full"] += len(terms)
+        return rows(kernel, terms)
+
+    monkeypatch.setattr(CrescentKernel, "peaks", counted_peaks)
+    monkeypatch.setattr(CrescentKernel, "_rows", counted_rows)
+    steps = predict_series(design, DRY_SAND, drafts, CriticalDepthModel(k0=40.0))
+    assert not steps[-1].sustained
+    assert counts["depths"] > 1000
+    assert counts["full"] < 0.1 * counts["depths"]
+
+
 def test_examples_cover_surface_onset_and_no_onset():
     assert lateral_onset_depth(SURFACE, CriticalDepthModel(k1=2.0)) == 0.0
     assert lateral_onset_depth(THICK) is None
+
+
+def onset_near_sample(design: SpikeDesign, sample: int, k1: float, ulps: int) -> CriticalDepthModel:
+    """A model whose critical depth at grid sample ``sample`` is that sample, moved by ``ulps``."""
+    z = design.design_depth_m * sample / 1000
+    stretch = 1.0 + k1 * (rake_angle(design, z) - 45.0) / 45.0
+    k0 = z / (design.width_m * stretch)
+    for _ in range(abs(ulps)):
+        k0 = math.nextafter(k0, math.copysign(math.inf, ulps))
+    return CriticalDepthModel(k0=k0, k1=k1)
+
+
+@pytest.mark.parametrize("ulps", range(-3, 4))
+@pytest.mark.parametrize("k1", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("sample", [1, 137, 500, 999, 1000])
+@pytest.mark.parametrize("design", [
+    SpikeDesign(radius_m=1.34),
+    SpikeDesign(radius_m=0.61, hinge_height_m=0.07, diameter_mm=12.0, design_depth_m=0.37),
+])
+def test_onset_within_ulps_of_a_sample(design, sample, k1, ulps):
+    cd_model = onset_near_sample(design, sample, k1, ulps)
+    assert repr(lateral_onset_depth(design, cd_model)) == repr(reference_onset(design, cd_model))
+
+
+# radius - hinge height is 0.9497, and 0.9497 * 1000 / 1000 rounds above it.
+ROUNDS_PAST = SpikeDesign(radius_m=1.0, hinge_height_m=0.0503, design_depth_m=1.0 - 0.0503)
+
+
+def test_last_sample_past_the_reachable_depth_raises_as_the_walk_does():
+    assert ROUNDS_PAST.design_depth_m * 1000 / 1000 > ROUNDS_PAST.max_depth_m
+    message = r"^depth_m \(0\.9497000000000001\) exceeds the reachable maximum"
+    # No onset, one beyond the design depth, and one between the last two samples.
+    last = CriticalDepthModel(k0=0.9496 / ROUNDS_PAST.width_m, k1=0.0)
+    for cd_model in (VERTICAL_NO_ONSET, CriticalDepthModel(k0=44.0), last):
+        with pytest.raises(ValueError, match=message):
+            reference_onset(ROUNDS_PAST, cd_model)
+        with pytest.raises(ValueError, match=message):
+            lateral_onset_depth(ROUNDS_PAST, cd_model)
+    # An onset before the last sample never reaches it.
+    onset = lateral_onset_depth(ROUNDS_PAST, CriticalDepthModel())
+    assert onset is not None
+    assert repr(onset) == repr(reference_onset(ROUNDS_PAST, CriticalDepthModel()))
 
 
 @settings(max_examples=300, deadline=None)

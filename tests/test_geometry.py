@@ -46,11 +46,13 @@ class TestSpikeDesign:
     "field, value, message",
     [
         ("radius_m", math.inf, r"radius_m \(inf\) must exceed hinge_height_m"),
+        ("hinge_height_m", math.inf, r"radius_m \(1.0\) must exceed hinge_height_m \(inf\) and both "
+         "must be finite and positive$"),
         ("radius_m", math.nan, r"radius_m \(nan\) must exceed hinge_height_m"),
         ("diameter_mm", math.nan, r"diameter_mm \(nan\) must be positive$"),
-        ("diameter_mm", math.inf, r"diameter_mm \(inf\) must be positive$"),
+        ("diameter_mm", math.inf, r"diameter_mm \(inf\) must be finite and positive$"),
         ("tip_mass_kg", math.nan, r"tip_mass_kg \(nan\) must be >= 0$"),
-        ("tip_mass_kg", math.inf, r"tip_mass_kg \(inf\) must be >= 0$"),
+        ("tip_mass_kg", math.inf, r"tip_mass_kg \(inf\) must be finite and >= 0$"),
     ],
 )
 def test_spike_design_rejects_nan_and_inf(field, value, message):

@@ -299,13 +299,16 @@ def test_nan_depth_or_width_is_rejected(call, message):
     "build, message",
     [
         (lambda: SoilProperties(math.nan, 30.0), r"bulk_density_kg_m3 \(nan\) must be positive"),
-        (lambda: SoilProperties(math.inf, 30.0), r"bulk_density_kg_m3 \(inf\) must be positive"),
+        (lambda: SoilProperties(math.inf, 30.0), r"bulk_density_kg_m3 \(inf\) must be finite and positive"),
         (lambda: SoilProperties(1720.0, 30.0, gravity_m_s2=math.nan), r"gravity_m_s2 \(nan\)"),
-        (lambda: SoilProperties(1720.0, 30.0, gravity_m_s2=math.inf), r"gravity_m_s2 \(inf\)"),
+        (
+            lambda: SoilProperties(1720.0, 30.0, gravity_m_s2=math.inf),
+            r"gravity_m_s2 \(inf\) must be finite and positive",
+        ),
         (lambda: CriticalDepthModel(k0=math.nan), r"k0 \(nan\) must be positive"),
-        (lambda: CriticalDepthModel(k0=math.inf), r"k0 \(inf\) must be positive"),
+        (lambda: CriticalDepthModel(k0=math.inf), r"k0 \(inf\) must be finite and positive"),
         (lambda: CriticalDepthModel(k1=math.nan), r"k1 \(nan\) must be >= 0"),
-        (lambda: CriticalDepthModel(k1=math.inf), r"k1 \(inf\) must be >= 0"),
+        (lambda: CriticalDepthModel(k1=math.inf), r"k1 \(inf\) must be finite and >= 0"),
     ],
     ids=[
         "density-nan", "density-inf", "gravity-nan", "gravity-inf",

@@ -427,9 +427,15 @@ class TestTractiveEfficiency:
         (lambda: tractive_efficiency(math.nan, 1.0, 1.0), "must be >= 0"),
         (lambda: tractive_efficiency(1.0, math.nan, 1.0), "must be >= 0"),
         (lambda: tractive_efficiency(1.0, 1.0, math.nan), "must be >= 0"),
+        (
+            lambda: tractive_efficiency(math.inf, 1.0, 1.0),
+            r"^penetration_work_j \(inf\), draft_n \(1.0\) and push_distance_m \(1.0\) "
+            r"must be finite and >= 0$",
+        ),
     ],
     ids=[
         "vehicle-mass", "thresholds-nan", "threshold-inf", "work-nan", "draft-nan", "distance-nan",
+        "work-inf",
     ],
 )
 def test_nan_and_inf_are_rejected(call, message):

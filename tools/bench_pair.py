@@ -5,10 +5,11 @@ Run from anywhere, with two checkouts of the repository:
     python3 tools/bench_pair.py PARENT_TREE CHANGE_TREE --out BENCH.json \\
         --workload design-grid:10 --workload analyze-long-log:3 --seeds 1 2 --seconds 10
 
-Give the two checkouts directory paths of the same length.  On a 2-vCPU
-Xeon, two checkouts of identical sources whose paths differed by three
-characters read 3-7% apart on ``simulate-schedules`` ``wall_s`` in 6 of
-6 pairs; with paths of equal length they read the same.
+The two checkouts' resolved directory paths must have the same length;
+the recorder exits 2 otherwise.  On a 2-vCPU Xeon, two checkouts of
+identical sources whose paths differed by three characters read 3-7%
+apart on ``simulate-schedules`` ``wall_s`` in 6 of 6 pairs; with paths
+of equal length they read the same.
 
 Each pair runs ``python3 benchmark/run.py --trace 0`` once in each tree,
 from that tree's root, and the side that runs first alternates from pair
@@ -141,6 +142,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    lengths = [len(str(tree.resolve())) for tree in (args.parent, args.change)]
+    if lengths[0] != lengths[1]:
+        print(f"bench_pair: the checkout paths differ in length (parent {lengths[0]}, "
+              f"change {lengths[1]} characters); use paths of one length", file=sys.stderr)
+        return 2
     bounds = end_to_end_bounds(args.change)
     machine = ""
     workloads = {}
