@@ -5,10 +5,10 @@ react it.  While the failure regime is crescent-type, the available
 reaction is the maximized crescent force at the current depth, which
 grows monotonically with depth; the equilibrium depth solves
 max_crescent_force(z) = F by bisection.  A schedule's drafts are
-bisected in lock step: one crescent kernel holds the shear-angle grid,
-and each step takes the maximum at every distinct midpoint depth in one
-array pass, over a window of angles around the lane's previous maximum
-where that is exact.  Once the required depth crosses
+bisected in lock step over one crescent kernel, and since the maximum
+never decreases with depth, a midpoint is evaluated only where the
+depths already evaluated around the lane's estimated root leave it
+open.  Once the required depth crosses
 the critical depth the lateral regime takes over and is assumed to carry
 any remaining draft (no quantitative lateral model exists), so the
 predicted depth stops at the regime boundary.  Drafts the crescent
@@ -46,6 +46,9 @@ from .soilmech import (
 _DEPTH_TOLERANCE_M = 1e-6
 _ONSET_SAMPLES = 1000  # grid steps over the design depth in the onset search
 _ONSET_GUARD = 1e-9  # margins this close to zero, relative to the depth scale, go to the scalar
+_NEWTON_STEPS = 8  # from within a factor 2 of a cubic's root to past float precision
+_ROOT_ANGLES = 2  # the least root over this many grid angles either side of the last best
+_SEED_SPREAD = 1e-9  # relative offsets either side of an estimated root that bracket it
 
 
 def _bisect(holds, lo: float, hi: float) -> float:
@@ -99,12 +102,8 @@ def lateral_onset_depth(
     if crossed(0.0):
         return 0.0
     z_max = design.design_depth_m
-    samples = z_max * np.arange(1, _ONSET_SAMPLES + 1) / _ONSET_SAMPLES
-    # z_max * 1000 / 1000 can round above radius - hinge height, where the
-    # scalar walk raises on reaching it.
-    beyond = samples[-1] > design.max_depth_m
-    if beyond:
-        samples = samples[:-1]
+    # z_max * 1000 / 1000 can round above radius - hinge height.
+    samples = np.minimum(z_max * np.arange(1, _ONSET_SAMPLES + 1) / _ONSET_SAMPLES, design.max_depth_m)
     thrust = np.degrees(np.arcsin(np.minimum(effective_sine(design, samples), 1.0)))
     margins = samples - critical_depths(width, rotated_rake(rake0, thrust, gamma0), cd_model)
     # z_c <= k0 w (1 + k1): the arcsin's few ulps move it far less than this.
@@ -113,11 +112,18 @@ def lateral_onset_depth(
     if hits.size:
         first = int(hits[0])
         return _bisect(crossed, float(samples[first - 1]) if first else 0.0, float(samples[first]))
-    if beyond:  # the walk reaches its last sample, past the arm's reach, and raises there
-        crossed(z_max * _ONSET_SAMPLES / _ONSET_SAMPLES)
     return None
 
 
+def _cubic_roots(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The positive root of a z^2 + b z^3 = q, element-wise: Newton's method from above."""
+    z = np.minimum(np.sqrt(q / a), np.cbrt(q / b))  # the root has a z^2 <= q and b z^3 <= q
+    for _ in range(_NEWTON_STEPS):
+        z -= (z * z * (a + b * z) - q) / (z * (2.0 * a + 3.0 * b * z))
+    return z
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a wild root estimate is skipped
 def _equilibrium_depths(
     soil: SoilProperties, width_m: float, drafts: list[float], depth_m: float
 ) -> tuple[dict[float, float], dict[float, float]]:
@@ -127,29 +133,55 @@ def _equilibrium_depths(
     tolerance, so it ends on the depth that a bisection of its draft alone
     returns: the first result maps each draft to it.  A lane whose maximum
     overflows stops at that depth; the second result maps its draft to it.
-    Lanes often share a midpoint, and each distinct one is evaluated once,
-    starting from the shear angle that maximized the force at the
-    previous midpoint of one of its lanes.
+    The maximum never decreases with depth, so a midpoint fails unevaluated
+    at or below ``below``, the deepest depth whose finite maximum fell short
+    of the lane's draft, and holds at or above ``above``, the shallowest
+    whose finite maximum carried it, up to ``reach``, the deepest with a
+    finite maximum.  Evaluations at the design depth and around each lane's
+    fixed-angle root narrow these first; each distinct midpoint left is
+    evaluated once, hinted with its lane's last maximizing angle.
     """
     kernel = CrescentKernel.scan(soil)
     need = np.array(drafts, dtype=float)
-    lo = np.zeros(len(drafts))
-    hi = np.full(len(drafts), depth_m)
-    best = np.zeros(len(drafts), dtype=np.intp)  # each lane's last maximizing angle index
+    below, above = np.zeros(need.size), np.full(need.size, math.inf)
+    best = np.zeros(need.size, dtype=np.intp)  # each lane's last maximizing angle index
+    reach = 0.0
+
+    def evaluate(lanes: np.ndarray, depths: np.ndarray) -> np.ndarray:
+        nonlocal reach
+        values, first, inverse = np.unique(depths, return_index=True, return_inverse=True)
+        peaks, index = kernel.peaks(values.tolist(), width_m, best[lanes[first]])
+        peaks, best[lanes] = peaks[inverse], index[inverse]
+        finite, holds = np.isfinite(peaks), peaks >= need[lanes]
+        short, carry = finite & ~holds, finite & holds
+        below[lanes[short]] = np.maximum(below[lanes[short]], depths[short])
+        above[lanes[carry]] = np.minimum(above[lanes[carry]], depths[carry])
+        reach = max(reach, float(depths[finite].max(initial=0.0)))
+        return peaks
+
+    evaluate(np.arange(need.size), np.full(need.size, depth_m))
+    near = np.arange(-_ROOT_ANGLES, _ROOT_ANGLES + 1)
+    for scales in ((1.0,), (1.0 - _SEED_SPREAD, 1.0 + _SEED_SPREAD)):
+        index = np.clip(best[:, None] + near, 0, kernel.cot.size - 1)
+        root = _cubic_roots(*kernel.cubic(index, width_m), need[:, None]).min(axis=1)
+        for z in (root * scale for scale in scales):
+            inside = np.flatnonzero((z > below) & (z < above))  # none for nan: skipped
+            evaluate(inside, z[inside])
+    lo, hi = np.zeros(need.size), np.full(need.size, depth_m)
     overflows: dict[float, float] = {}
     live = np.flatnonzero(hi - lo > _DEPTH_TOLERANCE_M)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        depths, first, inverse = np.unique(mid, return_index=True, return_inverse=True)
-        peaks, index = kernel.peaks(depths.tolist(), width_m, best[live[first]])
-        peaks = peaks[inverse]
-        best[live] = index[inverse]
-        holds = peaks >= need[live]
+        holds = (mid >= above[live]) & (mid <= reach)
+        ask = np.flatnonzero(~holds & (mid > below[live]))
+        finite = np.ones(live.size, dtype=bool)
+        if ask.size:
+            peaks = evaluate(live[ask], mid[ask])
+            holds[ask], finite[ask] = peaks >= need[live[ask]], np.isfinite(peaks)
+            for lane, z in zip(live[~finite].tolist(), mid[~finite].tolist()):
+                overflows[drafts[lane]] = z
         hi[live[holds]] = mid[holds]
         lo[live[~holds]] = mid[~holds]
-        finite = np.isfinite(peaks)
-        for lane, z in zip(live[~finite].tolist(), mid[~finite].tolist()):
-            overflows[drafts[lane]] = z
         live = live[finite & (hi[live] - lo[live] > _DEPTH_TOLERANCE_M)]
     return dict(zip(drafts, hi.tolist())), overflows
 
@@ -207,7 +239,7 @@ def predict_series(
     )
 
     steps: list[PredictedStep] = []
-    depth = 0.0
+    depth, thrust = 0.0, None
     for draft in drafts:
         if draft in overflows:  # the scan at the depth where the lane overflowed raises
             max_crescent_force(overflows[draft], width, soil)
@@ -221,13 +253,15 @@ def predict_series(
             target, regime, sustained = z_lateral, FailureMode.LATERAL, True
         else:
             target, regime, sustained = design.design_depth_m, FailureMode.CRESCENT, False
-        depth = max(depth, target)
-        thrust = thrust_angle(design, depth)
-        if depth >= design.max_depth_m or thrust >= 90.0:
-            raise ValueError(
-                f"draft_n ({draft}) stands the arm vertical at depth_m={depth}: "
-                "the lift is unbounded"
-            )
+        if thrust is None or target > depth:  # else the pose is the previous step's
+            depth = max(depth, target)
+            thrust = thrust_angle(design, depth)
+            if depth >= design.max_depth_m or thrust >= 90.0:
+                raise ValueError(
+                    f"draft_n ({draft}) stands the arm vertical at depth_m={depth}: "
+                    "the lift is unbounded"
+                )
+            rake = rotated_rake(design.initial_rake_deg, thrust, gamma0)
         steps.append(
             PredictedStep(
                 draft_n=draft,
@@ -235,7 +269,7 @@ def predict_series(
                 regime=regime,
                 sustained=sustained,
                 thrust_deg=thrust,
-                rake_deg=rotated_rake(design.initial_rake_deg, thrust, gamma0),
+                rake_deg=rake,
                 lift_n=lifting_force(draft, thrust),
             )
         )

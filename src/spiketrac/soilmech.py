@@ -184,6 +184,12 @@ class CrescentKernel:
         a, c = _volume_terms(depth_m, width_m)
         return (self.rho_g * (a * self.cot + c * self.cot2)) * self.factor
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def cubic(self, index: np.ndarray, width_m: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B) with :meth:`forces` = A z^2 + B z^3 at the angles ``index``, up to rounding."""
+        weight, (a, c) = self.rho_g * self.factor[index], _volume_terms(1.0, width_m)
+        return weight * a * self.cot[index], weight * c * self.cot2[index]
+
     def maxima(self, depths_m: list[float], width_m: float) -> np.ndarray:
         """The maximum of :meth:`forces` at each depth, non-finite where it overflows.
 

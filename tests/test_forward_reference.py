@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from spiketrac import (
     DRY_SAND,
+    MOIST_SAND,
     CriticalDepthModel,
     FailureMode,
     ForceLaw,
@@ -44,6 +45,7 @@ from spiketrac import (
     rake_angle,
     thrust_angle,
 )
+from spiketrac import simulate
 from spiketrac.soilmech import CrescentKernel
 
 TOLERANCE_M = 1e-6
@@ -61,7 +63,7 @@ def reference_onset(design: SpikeDesign, cd_model: CriticalDepthModel) -> float 
         return 0.0
     prev_z = 0.0
     for i in range(1, samples + 1):
-        z = z_max * i / samples
+        z = min(z_max * i / samples, design.max_depth_m)
         if excess(z) >= 0:
             lo, hi = prev_z, z
             while hi - lo > TOLERANCE_M:
@@ -409,14 +411,20 @@ def test_windows_that_are_not_exact_take_full_rows(soil, width, depths, hints):
 
 
 def test_the_window_decides_most_bisection_steps(monkeypatch):
-    """On a long schedule, full shear-angle rows stay under a tenth of the depths evaluated."""
+    """On a long schedule, each lane evaluates at most 4 depths, and full shear-angle
+    rows stay under a tenth of the depths evaluated."""
     design = SpikeDesign(radius_m=1.34, hinge_height_m=0.09, initial_rake_deg=45.0,
                          diameter_mm=21.0, design_depth_m=0.5, tip_mass_kg=2.9)
     top = 1.5 * max_crescent_force(design.design_depth_m, design.width_m, DRY_SAND).force_n
     rng = random.Random(1)
     drafts = [round(top * (i + rng.random()) / 300, 4) if i else 0.0 for i in range(300)]
-    counts = {"depths": 0, "full": 0}
+    counts = {"lanes": 0, "depths": 0, "full": 0}
     peaks, rows = CrescentKernel.peaks, CrescentKernel._rows
+    equilibrium_depths = simulate._equilibrium_depths
+
+    def counted_lanes(soil, width, drafts, depth):
+        counts["lanes"] += len(drafts)
+        return equilibrium_depths(soil, width, drafts, depth)
 
     def counted_peaks(kernel, depths, width, hints):
         counts["depths"] += len(depths)
@@ -428,10 +436,106 @@ def test_the_window_decides_most_bisection_steps(monkeypatch):
 
     monkeypatch.setattr(CrescentKernel, "peaks", counted_peaks)
     monkeypatch.setattr(CrescentKernel, "_rows", counted_rows)
+    monkeypatch.setattr(simulate, "_equilibrium_depths", counted_lanes)
     steps = predict_series(design, DRY_SAND, drafts, CriticalDepthModel(k0=40.0))
     assert not steps[-1].sustained
-    assert counts["depths"] > 1000
+    assert counts["lanes"] > 150
+    assert counts["depths"] <= 4 * counts["lanes"]
     assert counts["full"] < 0.1 * counts["depths"]
+
+
+def reference_lanes(soil, width, drafts, depth):
+    """Each draft bisected alone over ``max_crescent_force``: its depth, and its overflow depth."""
+    depths, overflows = {}, {}
+    for draft in drafts:
+        def holds(z, draft=draft):
+            try:
+                return max_crescent_force(z, width, soil).force_n >= draft
+            except ValueError:  # the maximum overflows: it carries the draft, and the lane stops
+                overflows[draft] = z
+                raise
+        try:
+            depths[draft] = simulate._bisect(holds, 0.0, depth)
+        except ValueError:
+            depths[draft] = overflows[draft]
+    return depths, overflows
+
+
+def assert_lanes_match(soil, width, drafts, depth) -> None:
+    depths, overflows = simulate._equilibrium_depths(soil, width, drafts, depth)
+    expected, expected_overflows = reference_lanes(soil, width, drafts, depth)
+    assert {d: repr(z) for d, z in depths.items()} == {d: repr(z) for d, z in expected.items()}
+    assert {d: repr(z) for d, z in overflows.items()} == {
+        d: repr(z) for d, z in expected_overflows.items()
+    }
+
+
+@st.composite
+def equilibrium_lanes(draw) -> tuple[SoilProperties, float, list[float], float]:
+    """A soil, ordinary or of density 1e-3..1e305, and distinct drafts up to 1e308.
+
+    Most drafts are fractions of the maximum at the design depth, so most
+    lanes end inside it; where that maximum overflows, they are fractions
+    of 1e308, and lanes overflow on the way down.
+    """
+    density = draw(st.floats(800.0, 2500.0) | st.floats(-3.0, 305.0).map(lambda e: 10.0**e))
+    soil = SoilProperties(density, draw(st.floats(15.0, 60.0)))
+    width, depth = draw(st.floats(1e-3, 0.1)), draw(st.floats(1e-3, 3.0) | st.floats(3.0, 1e3))
+    top = float(CrescentKernel.scan(soil).maxima([depth], width)[0])
+    scale = top if math.isfinite(top) else 1e308
+    fractions = draw(st.lists(st.floats(1e-9, 1.5), min_size=1, max_size=8))
+    extra = draw(st.lists(st.floats(0.0, 1e308, exclude_min=True), max_size=3))
+    drafts = [min(f * scale, 1e308) for f in fractions] + extra
+    return soil, width, list(dict.fromkeys(d for d in drafts if d > 0)) or [1.0], depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(lanes=equilibrium_lanes())
+@example(lanes=(DRY_SAND, 0.021, [0.547, 2.1805, 27.3173, 400.0], 0.5))
+@example(lanes=(DENSER, 0.021, [1e300, 1e305, 1e307, 1e308], 8.0))
+@example(lanes=(DENSE, 0.05, [1.0, 1e300, 1.5e308], 1e-3))
+def test_equilibrium_depths_match_one_bisection_per_lane(lanes):
+    assert_lanes_match(*lanes)
+
+
+def test_lanes_overflow_where_the_maximum_does():
+    # The maximum is finite at 4 m and overflows at 6 m, the second midpoint.
+    drafts = [1e300, 1e306, 1e307, 1e308]
+    depths, overflows = simulate._equilibrium_depths(DENSER, 0.021, drafts, 8.0)
+    assert overflows == {1e307: 6.0, 1e308: 6.0}
+    assert depths[1e306] < 4.0
+    # Over 16 m the first midpoint, 8 m, overflows, and every lane stops
+    # there, even one already known to be carried far shallower.
+    _, overflows = simulate._equilibrium_depths(DENSER, 0.021, drafts, 16.0)
+    assert overflows == dict.fromkeys(drafts, 8.0)
+    for depth in (8.0, 16.0):
+        assert_lanes_match(DENSER, 0.021, drafts, depth)
+
+
+@pytest.mark.parametrize("estimate", ["nan", "half", "double", "zero", "inf"])
+def test_a_wrong_root_estimate_changes_only_the_evaluations(monkeypatch, estimate):
+    soil, width, depth = MOIST_SAND, 0.025, 0.4969
+    drafts = [0.547, 1.1198, 2.1805, 3.2784, 4.3619, 1e6]
+    counted = []
+    peaks = CrescentKernel.peaks
+
+    def counted_peaks(kernel, depths, width, hints):
+        counted[-1] += len(depths)
+        return peaks(kernel, depths, width, hints)
+
+    monkeypatch.setattr(CrescentKernel, "peaks", counted_peaks)
+    counted.append(0)
+    right = simulate._equilibrium_depths(soil, width, drafts, depth)
+    wrong = {"nan": math.nan, "half": 0.5, "double": 2.0, "zero": 0.0, "inf": math.inf}[estimate]
+    roots = simulate._cubic_roots
+    if estimate in ("half", "double"):
+        monkeypatch.setattr(simulate, "_cubic_roots", lambda a, b, q: wrong * roots(a, b, q))
+    else:
+        monkeypatch.setattr(simulate, "_cubic_roots", lambda a, b, q: np.full(np.shape(a), wrong))
+    counted.append(0)
+    assert repr(simulate._equilibrium_depths(soil, width, drafts, depth)) == repr(right)
+    assert counted[1] > counted[0]
+    assert_lanes_match(soil, width, drafts, depth)
 
 
 def test_examples_cover_surface_onset_and_no_onset():
@@ -465,20 +569,26 @@ def test_onset_within_ulps_of_a_sample(design, sample, k1, ulps):
 ROUNDS_PAST = SpikeDesign(radius_m=1.0, hinge_height_m=0.0503, design_depth_m=1.0 - 0.0503)
 
 
-def test_last_sample_past_the_reachable_depth_raises_as_the_walk_does():
+def test_last_sample_is_clamped_to_the_reachable_depth():
     assert ROUNDS_PAST.design_depth_m * 1000 / 1000 > ROUNDS_PAST.max_depth_m
-    message = r"^depth_m \(0\.9497000000000001\) exceeds the reachable maximum"
-    # No onset, one beyond the design depth, and one between the last two samples.
+    # No onset, one beyond the design depth, one between the last two
+    # samples, one at the last and one before the last sample.
     last = CriticalDepthModel(k0=0.9496 / ROUNDS_PAST.width_m, k1=0.0)
-    for cd_model in (VERTICAL_NO_ONSET, CriticalDepthModel(k0=44.0), last):
-        with pytest.raises(ValueError, match=message):
-            reference_onset(ROUNDS_PAST, cd_model)
-        with pytest.raises(ValueError, match=message):
-            lateral_onset_depth(ROUNDS_PAST, cd_model)
-    # An onset before the last sample never reaches it.
-    onset = lateral_onset_depth(ROUNDS_PAST, CriticalDepthModel())
-    assert onset is not None
-    assert repr(onset) == repr(reference_onset(ROUNDS_PAST, CriticalDepthModel()))
+    at_reach = CriticalDepthModel(k0=ROUNDS_PAST.max_depth_m / ROUNDS_PAST.width_m, k1=0.0)
+    onsets = []
+    for cd_model in (VERTICAL_NO_ONSET, CriticalDepthModel(k0=44.0), last, at_reach,
+                     CriticalDepthModel()):
+        onset = lateral_onset_depth(ROUNDS_PAST, cd_model)
+        assert repr(onset) == repr(reference_onset(ROUNDS_PAST, cd_model))
+        onsets.append(onset)
+    assert onsets[:2] == [None, None]
+    assert 0.9496 <= onsets[2] <= ROUNDS_PAST.max_depth_m
+    assert onsets[3] == ROUNDS_PAST.max_depth_m
+    assert onsets[4] < 0.9496
+    # Without an onset, predict_series runs; a draft the crescent cannot
+    # carry sinks the tip to the design depth, which stands the arm vertical.
+    assert len(predict_series(ROUNDS_PAST, DRY_SAND, [0.0, 1.0], VERTICAL_NO_ONSET)) == 2
+    assert_matches_reference(ROUNDS_PAST, DRY_SAND, [0.0, 1.0, 1e6], VERTICAL_NO_ONSET)
 
 
 @settings(max_examples=300, deadline=None)
