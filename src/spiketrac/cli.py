@@ -513,16 +513,14 @@ def run_simulate(args: argparse.Namespace) -> int:
     steps = predict_series(design, soil, drafts, cd_model)
     header = ["draft_N", "depth_m", "regime", "sustained", "thrust_deg", "rake_deg", "lift_N"]
     draft, depth, thrust, rake, lift = (
-        _fmt_column([getattr(s, name) for s in steps])
+        _fmt_column(steps[name].tolist())
         for name in ("draft_n", "depth_m", "thrust_deg", "rake_deg", "lift_n")
     )
-    rows = [
-        [d, z, s.regime.value, "true" if s.sustained else "false", t, r, f]
-        for s, d, z, t, r, f in zip(steps, draft, depth, thrust, rake, lift)
-    ]
     if args.out is not None:
-        _write_csv(args.out, header, rows)
-    if steps:
+        regime = [mode.value for mode in steps.regime.tolist()]
+        sustained = np.where(steps.sustained, "true", "false").tolist()
+        _write_csv(args.out, header, zip(draft, depth, regime, sustained, thrust, rake, lift))
+    if len(steps):
         final = steps[-1]
         print(
             f"{len(steps)} steps: final depth {depth[-1]} m, "

@@ -21,14 +21,12 @@ Depths never decrease along a schedule: weights are only added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     SpikeDesign,
     effective_sine,
-    lifting_force,
     margins_hold,
     rotated_rake,
     thrust_angle,
@@ -62,17 +60,11 @@ def _bisect(holds, lo: float, hi: float) -> float:
     return hi
 
 
-@dataclass(frozen=True)
-class PredictedStep:
-    """Predicted state of the spike at one scheduled draft."""
-
-    draft_n: float
-    depth_m: float
-    regime: FailureMode
-    sustained: bool
-    thrust_deg: float
-    rake_deg: float
-    lift_n: float
+# predict_series' rows, one per scheduled draft; regime holds FailureMode members.
+_STEP_DTYPE = np.dtype([
+    ("draft_n", float), ("depth_m", float), ("regime", object), ("sustained", bool),
+    ("thrust_deg", float), ("rake_deg", float), ("lift_n", float),
+])
 
 
 def lateral_onset_depth(
@@ -138,8 +130,9 @@ def _equilibrium_depths(
     of the lane's draft, and holds at or above ``above``, the shallowest
     whose finite maximum carried it, up to ``reach``, the deepest with a
     finite maximum.  Evaluations at the design depth and around each lane's
-    fixed-angle root narrow these first; each distinct midpoint left is
-    evaluated once, hinted with its lane's last maximizing angle.
+    fixed-angle root (over every angle when the design-depth row overflows)
+    narrow these first; each distinct midpoint left is evaluated once,
+    hinted with its lane's last maximizing angle.
     """
     kernel = CrescentKernel.scan(soil)
     need = np.array(drafts, dtype=float)
@@ -159,13 +152,17 @@ def _equilibrium_depths(
         reach = max(reach, float(depths[finite].max(initial=0.0)))
         return peaks
 
-    evaluate(np.arange(need.size), np.full(need.size, depth_m))
-    near = np.arange(-_ROOT_ANGLES, _ROOT_ANGLES + 1)
+    # An overflowing design-depth row has no maximizing angle: the maximum
+    # first reaches each draft at the least of its roots over all angles.
+    overflowed = not np.isfinite(evaluate(np.arange(need.size), np.full(need.size, depth_m))[0])
+    grid, near = np.arange(kernel.cot.size)[None, :], np.arange(-_ROOT_ANGLES, _ROOT_ANGLES + 1)
     for scales in ((1.0,), (1.0 - _SEED_SPREAD, 1.0 + _SEED_SPREAD)):
-        index = np.clip(best[:, None] + near, 0, kernel.cot.size - 1)
-        root = _cubic_roots(*kernel.cubic(index, width_m), need[:, None]).min(axis=1)
+        index = np.clip(best[:, None] + near, 0, grid.size - 1)
+        index = grid if overflowed and len(scales) == 1 else index
+        roots = _cubic_roots(*kernel.cubic(index, width_m), need[:, None])
+        root = np.fmin.reduce(roots, axis=1)  # skips an angle whose cubic overflows to nan
         for z in (root * scale for scale in scales):
-            inside = np.flatnonzero((z > below) & (z < above))  # none for nan: skipped
+            inside = np.flatnonzero((z > below) & (z < np.minimum(above, depth_m)))  # nan: skipped
             evaluate(inside, z[inside])
     lo, hi = np.zeros(need.size), np.full(need.size, depth_m)
     overflows: dict[float, float] = {}
@@ -186,20 +183,21 @@ def _equilibrium_depths(
     return dict(zip(drafts, hi.tolist())), overflows
 
 
-def _checked_prefix(drafts: list[float]) -> tuple[list[float], ValueError | None]:
+def _checked_prefix(drafts: np.ndarray) -> tuple[np.ndarray, ValueError | None]:
     """The drafts before the first non-finite, negative or decreasing one, and its error."""
-    previous = 0.0
-    for index, draft in enumerate(drafts):
-        if not math.isfinite(draft):
-            return drafts[:index], ValueError(f"draft_n ({draft}) must be finite")
-        if draft < 0:
-            return drafts[:index], ValueError(f"draft_n ({draft}) must be >= 0")
-        if draft < previous:
-            return drafts[:index], ValueError(
-                f"draft_n ({draft}) decreased (previous {previous}); weights are only added"
-            )
-        previous = draft
-    return drafts, None
+    previous = np.concatenate(([0.0], drafts[:-1]))
+    bad = np.flatnonzero(~np.isfinite(drafts) | (drafts < 0) | (drafts < previous))
+    if not bad.size:
+        return drafts, None
+    index = int(bad[0])
+    draft = float(drafts[index])
+    if not math.isfinite(draft):
+        rule = "must be finite"
+    elif draft < 0:
+        rule = "must be >= 0"
+    else:
+        rule = f"decreased (previous {float(previous[index])}); weights are only added"
+    return drafts[:index], ValueError(f"draft_n ({draft}) {rule}")
 
 
 def predict_series(
@@ -207,8 +205,12 @@ def predict_series(
     soil: SoilProperties,
     drafts_n: list[float],
     cd_model: CriticalDepthModel = CriticalDepthModel(),
-) -> list[PredictedStep]:
+) -> np.recarray:
     """Predicted pose series for a non-decreasing draft schedule.
+
+    One row per draft, with the fields ``draft_n``, ``depth_m``,
+    ``regime`` (a :class:`FailureMode`), ``sustained``, ``thrust_deg``,
+    ``rake_deg`` and ``lift_n``.
 
     A non-finite, negative or decreasing draft raises ValueError: weights
     are only added.  So does a draft that drives the tip to radius - hinge
@@ -222,57 +224,60 @@ def predict_series(
     positive draft; the force never decreases with depth, so a draft
     above it is lateral or unsustained without a bisection.  The other
     positive drafts are bisected together, one lane per distinct draft.
+    A pose is computed once per new depth, and the lift is one product of
+    the drafts and the poses' tan(thrust).
     """
     z_lateral = lateral_onset_depth(design, cd_model)
     gamma0 = thrust_angle(design, 0.0)
     top = design.design_depth_m if z_lateral is None else z_lateral
     width = design.width_m
-    drafts, error = _checked_prefix(list(drafts_n))
+    drafts, error = _checked_prefix(np.fromiter(drafts_n, dtype=float))
     capacity = math.inf
     # Scanned at the first positive draft: the zero drafts before it never
     # raise, so a scan error here is the first error in draft order.
-    if any(draft > 0 for draft in drafts):
+    if (drafts > 0).any():
         capacity = max_crescent_force(top, width, soil).force_n
-    lanes = [d for d in dict.fromkeys(drafts) if 0 < d <= capacity]
-    depths, overflows = (
-        _equilibrium_depths(soil, width, lanes, design.design_depth_m) if lanes else ({}, {})
-    )
+    # Drafts never decrease: the distinct carried ones, sorted (np.unique imports numpy.ma).
+    carried = drafts[(drafts > 0) & (drafts <= capacity)]
+    lanes = carried[carried != np.concatenate(([0.0], carried[:-1]))]
+    depths, overflows = {}, {}
+    if lanes.size:
+        depths, overflows = _equilibrium_depths(soil, width, lanes.tolist(), design.design_depth_m)
+    # A zero draft needs no depth, and the crescent carries none above the capacity.
+    z_eq = np.concatenate(([0.0], list(depths.values()), [math.inf]))[
+        np.searchsorted(np.concatenate(([0.0], lanes)), drafts)
+    ]
+    # A draft past the top stops there: lateral, or unsustained without an onset.
+    crescent = z_eq <= top
+    lateral = ~crescent & (z_lateral is not None)
+    depth = np.maximum.accumulate(np.minimum(z_eq, top))
 
-    steps: list[PredictedStep] = []
-    depth, thrust = 0.0, None
-    for draft in drafts:
-        if draft in overflows:  # the scan at the depth where the lane overflowed raises
-            max_crescent_force(overflows[draft], width, soil)
-        if draft > capacity:  # never a zero draft: the crescent force is never negative
-            z_eq = math.inf
-        else:
-            z_eq = depths.get(draft, 0.0)  # a zero draft needs no depth
-        if z_eq <= top:
-            target, regime, sustained = z_eq, FailureMode.CRESCENT, True
-        elif z_lateral is not None:
-            target, regime, sustained = z_lateral, FailureMode.LATERAL, True
-        else:
-            target, regime, sustained = design.design_depth_m, FailureMode.CRESCENT, False
-        if thrust is None or target > depth:  # else the pose is the previous step's
-            depth = max(depth, target)
-            thrust = thrust_angle(design, depth)
-            if depth >= design.max_depth_m or thrust >= 90.0:
-                raise ValueError(
-                    f"draft_n ({draft}) stands the arm vertical at depth_m={depth}: "
-                    "the lift is unbounded"
-                )
-            rake = rotated_rake(design.initial_rake_deg, thrust, gamma0)
-        steps.append(
-            PredictedStep(
-                draft_n=draft,
-                depth_m=depth,
-                regime=regime,
-                sustained=sustained,
-                thrust_deg=thrust,
-                rake_deg=rake,
-                lift_n=lifting_force(draft, thrust),
+    n = drafts.size
+    rises = np.ones(n, dtype=bool)  # a new pose at the first step and where the depth rises
+    np.greater(depth[1:], depth[:-1], out=rises[1:])
+    stop = int(np.flatnonzero(np.isin(drafts, list(overflows)))[0]) if overflows else n
+    thrusts, tans = [], []
+    for i in np.flatnonzero(rises[:stop]).tolist():
+        z = float(depth[i])
+        thrust = thrust_angle(design, z)
+        if z >= design.max_depth_m or thrust >= 90.0:
+            raise ValueError(
+                f"draft_n ({float(drafts[i])}) stands the arm vertical at depth_m={z}: "
+                "the lift is unbounded"
             )
-        )
+        thrusts.append(thrust)
+        tans.append(math.tan(math.radians(thrust)))
+    if stop < n:  # the scan at the depth where this draft's lane overflowed raises
+        max_crescent_force(overflows[float(drafts[stop])], width, soil)
     if error is not None:
         raise error
-    return steps
+
+    pose = np.cumsum(rises) - 1
+    steps = np.empty(n, _STEP_DTYPE)
+    steps["draft_n"], steps["depth_m"], steps["sustained"] = drafts, depth, crescent | lateral
+    steps["regime"] = np.where(lateral, FailureMode.LATERAL, FailureMode.CRESCENT)
+    steps["thrust_deg"] = np.array(thrusts)[pose]
+    steps["rake_deg"] = rotated_rake(design.initial_rake_deg, steps["thrust_deg"], gamma0)
+    with np.errstate(over="ignore"):  # lifting_force's float product, bit for bit, inf included
+        steps["lift_n"] = drafts * np.array(tans)[pose]
+    return steps.view(np.recarray)

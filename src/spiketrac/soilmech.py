@@ -127,7 +127,7 @@ def _finite(value: float, what: str, depth_m: float, width_m: float) -> float:
     return value
 
 
-_BLOCK_ROWS = 32  # depths per block in CrescentKernel.maxima: small temporaries
+_BLOCK_ROWS = 32  # depths per block of CrescentKernel's full rows: small temporaries
 _WINDOW = 8  # grid angles either side of a hint in CrescentKernel.peaks
 _EDGE_GUARD = 1e-9  # how far below a window's peak its edges must lie, relative to it
 _TINY = np.finfo(float).tiny
@@ -190,14 +190,6 @@ class CrescentKernel:
         weight, (a, c) = self.rho_g * self.factor[index], _volume_terms(1.0, width_m)
         return weight * a * self.cot[index], weight * c * self.cot2[index]
 
-    def maxima(self, depths_m: list[float], width_m: float) -> np.ndarray:
-        """The maximum of :meth:`forces` at each depth, non-finite where it overflows.
-
-        Bit for bit ``forces(z, width_m).max()``: the same element-wise
-        operations, run on blocks of ``_BLOCK_ROWS`` depths at a time.
-        """
-        return self._rows(_terms(depths_m, width_m))[0]
-
     @np.errstate(over="ignore", invalid="ignore")
     def _rows(self, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each full row's maximum and the index of its first maximum, in blocks."""
@@ -221,7 +213,10 @@ class CrescentKernel:
     def peaks(
         self, depths_m: list[float], width_m: float, hints: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`maxima` at each depth, bit for bit, and the index of its first maximum.
+        """Each depth's ``forces(z, width_m).max()``, bit for bit, and its first maximizing index.
+
+        A full row is computed with the same element-wise operations as
+        :meth:`forces`, ``_BLOCK_ROWS`` depths at a time.
 
         A unimodal kernel first takes the maximum over ``_WINDOW`` grid
         angles either side of each depth's hint index, with the same

@@ -7,20 +7,20 @@ crescent force once, at the top of the crescent regime, and classifies a
 draft above it without a bisection.  That is exact because the maximized
 crescent force never decreases with depth, which the last test checks.
 It bisects the other drafts in lock step over one ``CrescentKernel``,
-whose maxima must equal ``max_crescent_force``'s bit for bit, and whose
-windowed peaks must equal its full rows.  The reference's onset walks its
-1,000 samples one at a time; ``lateral_onset_depth`` computes them on
-arrays, and must agree on onsets within a few ulps of a sample.
-Every ``PredictedStep`` field must come out the same, compared through
-``repr`` so that -0.0 and 0.0 count as different.  Where the reference
-reaches radius - hinge height, or a depth whose thrust angle rounds to
-90 degrees, the arm stands vertical and ``predict_series`` must raise,
-naming that draft.
+whose peaks must equal ``max_crescent_force``'s maxima bit for bit, and
+whose windowed peaks must equal its full rows.  The reference's onset
+walks its 1,000 samples one at a time; ``lateral_onset_depth`` computes
+them on arrays, and must agree on onsets within a few ulps of a sample.
+Every field of every row must come out the same, the floats compared
+through ``float.hex`` so that -0.0 and 0.0 count as different.  Where
+the reference reaches radius - hinge height, or a depth whose thrust
+angle rounds to 90 degrees, the arm stands vertical and
+``predict_series`` must raise, naming that draft.
 """
 
 import math
 import random
-from dataclasses import astuple
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +34,6 @@ from spiketrac import (
     CriticalDepthModel,
     FailureMode,
     ForceLaw,
-    PredictedStep,
     SoilProperties,
     SpikeDesign,
     critical_depth,
@@ -99,8 +98,11 @@ def reference_equilibrium(design: SpikeDesign, soil: SoilProperties, draft: floa
     return hi
 
 
-def reference_series(design, soil, drafts, cd_model) -> tuple[list[PredictedStep], float | None]:
-    """The predicted steps, up to the draft that stands the arm vertical, and that draft."""
+def reference_series(design, soil, drafts, cd_model) -> tuple[list[tuple], float | None]:
+    """The predicted rows, up to the draft that stands the arm vertical, and that draft.
+
+    A row holds draft, depth, regime, sustained, thrust, rake and lift.
+    """
     z_lateral = reference_onset(design, cd_model)
     steps = []
     depth = 0.0
@@ -116,29 +118,24 @@ def reference_series(design, soil, drafts, cd_model) -> tuple[list[PredictedStep
         thrust = thrust_angle(design, depth)
         if depth >= design.max_depth_m or thrust >= 90.0:
             return steps, draft  # the arm stands vertical: no lift
-        steps.append(
-            PredictedStep(
-                draft_n=draft,
-                depth_m=depth,
-                regime=regime,
-                sustained=sustained,
-                thrust_deg=thrust,
-                rake_deg=rake_angle(design, depth),
-                lift_n=lifting_force(draft, thrust),
-            )
-        )
+        steps.append((draft, depth, regime, sustained, thrust, rake_angle(design, depth),
+                      lifting_force(draft, thrust)))
     return steps, None
 
 
-def bits(steps: list[PredictedStep]) -> list[str]:
-    return [repr(astuple(step)) for step in steps]
+def bits(rows) -> list[tuple]:
+    """Each row with its floats as ``float.hex``; ``predict_series`` rows come from ``tolist``."""
+    return [
+        (*map(float.hex, (draft, depth)), regime, sustained, *map(float.hex, (thrust, rake, lift)))
+        for draft, depth, regime, sustained, thrust, rake, lift in rows
+    ]
 
 
 def assert_matches_reference(design, soil, drafts, cd_model) -> None:
     """``predict_series`` gives the reference's steps, or raises where the reference stops."""
     steps, vertical = reference_series(design, soil, drafts, cd_model)
     if vertical is None:
-        assert bits(predict_series(design, soil, drafts, cd_model)) == bits(steps)
+        assert bits(predict_series(design, soil, drafts, cd_model).tolist()) == bits(steps)
     else:
         with pytest.raises(ValueError, match=rf"^draft_n \({vertical!r}\) stands the arm vertical"):
             predict_series(design, soil, drafts, cd_model)
@@ -207,6 +204,31 @@ def test_predict_series_matches_per_draft_loop(design, soil, cd_model, fractions
     assert_matches_reference(design, soil, drafts, cd_model)
 
 
+def test_a_lift_past_the_float_range_is_inf_without_a_warning():
+    steep = SpikeDesign(radius_m=1.0, hinge_height_m=0.9, design_depth_m=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        steps = predict_series(steep, DRY_SAND, [1.0, 1e308])
+    assert steps.lift_n.tolist() == [lifting_force(1.0, steps.thrust_deg[0]), math.inf]
+    assert lifting_force(1e308, steps.thrust_deg[1]) == math.inf
+
+
+@pytest.mark.parametrize("drafts", [[], [0.0], [0.0] * 5])
+def test_empty_and_all_zero_schedules_scan_nothing(monkeypatch, drafts):
+    def no_scan(*args):
+        raise AssertionError("an all-zero schedule scans nothing")
+
+    monkeypatch.setattr(simulate, "max_crescent_force", no_scan)
+    steps = predict_series(SURFACE, DRY_SAND, drafts)
+    assert isinstance(steps, np.recarray)
+    assert steps.dtype == simulate._STEP_DTYPE
+    assert len(steps) == len(drafts)
+    assert steps.regime.tolist() == [FailureMode.CRESCENT] * len(drafts)
+    assert steps.sustained.all()
+    assert bits(steps.tolist()) == bits(reference_series(SURFACE, DRY_SAND, drafts,
+                                                         CriticalDepthModel())[0])
+
+
 def long_schedule(design, soil, cd_model, rng: random.Random, size: int = 300) -> list[float]:
     """``size`` drafts up to 1.5 times the deeper capacity, a tenth of them repeated.
 
@@ -229,6 +251,23 @@ def test_long_schedules_match_per_draft_loop(design, soil, cd_model, rng):
     drafts = long_schedule(design, soil, cd_model, rng)
     assert len(drafts) == 300
     assert_matches_reference(design, soil, drafts, cd_model)
+
+
+@settings(max_examples=20, deadline=None)
+@given(design=designs(), soil=soils, cd_model=cd_models, rng=st.randoms(use_true_random=False))
+@example(design=SURFACE, soil=DRY_SAND, cd_model=CriticalDepthModel(k1=2.0), rng=random.Random(1))
+@example(design=THICK, soil=DRY_SAND, cd_model=CriticalDepthModel(), rng=random.Random(2))
+def test_lift_is_lifting_force_row_by_row(design, soil, cd_model, rng):
+    drafts = long_schedule(design, soil, cd_model, rng)
+    try:
+        steps = predict_series(design, soil, drafts, cd_model)
+    except ValueError as exc:
+        assert "stands the arm vertical" in str(exc)
+        return
+    assert len(steps) == len(drafts)
+    for draft, thrust, lift in zip(*(steps[name].tolist() for name in
+                                     ("draft_n", "thrust_deg", "lift_n"))):
+        assert lift.hex() == lifting_force(draft, thrust).hex()
 
 
 # A spike 10**6 m wide in soil so dense that the crescent force is finite at
@@ -325,7 +364,8 @@ def test_errors_come_in_draft_order(design, soil, cd_model, drafts, message):
 )
 @example(depths=[0.0, 1e154, 1e103, 0.3], width=0.021, soil=DRY_SAND, law=ForceLaw.ACTIVE_WEDGE)
 def test_kernel_maxima_equal_max_crescent_force(depths, width, soil, law):
-    peaks = CrescentKernel.scan(soil, law).maxima(depths, width).tolist()
+    kernel = CrescentKernel.scan(soil, law)
+    peaks = kernel.peaks(depths, width, np.zeros(len(depths), np.intp))[0].tolist()
     assert len(peaks) == len(depths)
     for depth, peak in zip(depths, peaks):
         try:
@@ -357,14 +397,13 @@ def hinted_depths(draw, n: int) -> tuple[list[float], list[tuple[str, int]]]:
 
 
 def assert_peaks_equal_full_rows(kernel, width, depths, hints) -> None:
-    """``peaks`` gives ``maxima`` bit for bit, and the first maximizing index of each row."""
+    """``peaks`` gives its bits with all hints at angle 0, and each row's first maximizing index."""
     n = kernel.cot.size
     best = [int(np.argmax(kernel.forces(depth, width))) for depth in depths]
     at = [b + h if kind == "near" else h for b, (kind, h) in zip(best, hints)]
     peaks, index = kernel.peaks(depths, width, np.clip(at, 0, n - 1))
-    assert [repr(peak) for peak in peaks.tolist()] == [
-        repr(peak) for peak in kernel.maxima(depths, width).tolist()
-    ]
+    at_zero, _ = kernel.peaks(depths, width, np.zeros(len(depths), np.intp))
+    assert [repr(peak) for peak in peaks.tolist()] == [repr(peak) for peak in at_zero.tolist()]
     assert index.tolist() == best
 
 
@@ -481,7 +520,7 @@ def equilibrium_lanes(draw) -> tuple[SoilProperties, float, list[float], float]:
     density = draw(st.floats(800.0, 2500.0) | st.floats(-3.0, 305.0).map(lambda e: 10.0**e))
     soil = SoilProperties(density, draw(st.floats(15.0, 60.0)))
     width, depth = draw(st.floats(1e-3, 0.1)), draw(st.floats(1e-3, 3.0) | st.floats(3.0, 1e3))
-    top = float(CrescentKernel.scan(soil).maxima([depth], width)[0])
+    top = float(CrescentKernel.scan(soil).peaks([depth], width, np.zeros(1, np.intp))[0][0])
     scale = top if math.isfinite(top) else 1e308
     fractions = draw(st.lists(st.floats(1e-9, 1.5), min_size=1, max_size=8))
     extra = draw(st.lists(st.floats(0.0, 1e308, exclude_min=True), max_size=3))
@@ -496,6 +535,28 @@ def equilibrium_lanes(draw) -> tuple[SoilProperties, float, list[float], float]:
 @example(lanes=(DENSE, 0.05, [1.0, 1e300, 1.5e308], 1e-3))
 def test_equilibrium_depths_match_one_bisection_per_lane(lanes):
     assert_lanes_match(*lanes)
+
+
+def test_an_overflowing_design_row_seeds_from_the_whole_grid(monkeypatch):
+    """Over 8 m in DENSER soil the design-depth row overflows.  Each lane's
+    first estimate is its least root over every angle, and an estimate past
+    the design depth is skipped: each lane evaluates at most 4 depths, alone
+    or together, and ends as before."""
+    drafts = [1e300, 1e305, 1e307, 1e308]
+    with pytest.raises(ValueError, match="overflows"):
+        max_crescent_force(8.0, 0.021, DENSER)
+    counted = []
+    peaks = CrescentKernel.peaks
+
+    def counted_peaks(kernel, depths, width, hints):
+        counted[-1] += len(depths)
+        return peaks(kernel, depths, width, hints)
+
+    monkeypatch.setattr(CrescentKernel, "peaks", counted_peaks)
+    for lanes in [[draft] for draft in drafts] + [drafts]:
+        counted.append(0)
+        assert_lanes_match(DENSER, 0.021, lanes, 8.0)
+        assert counted[-1] <= 4 * len(lanes)
 
 
 def test_lanes_overflow_where_the_maximum_does():

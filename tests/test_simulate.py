@@ -1,6 +1,11 @@
+import importlib.util
+import inspect
+from pathlib import Path
+
 import pytest
 from trial_data import LARGE_FIELD_DESIGN
 
+import spiketrac.cli
 from spiketrac import (
     DRY_SAND,
     CriticalDepthModel,
@@ -94,3 +99,25 @@ class TestPredictSeries:
             predict_series(LARGE_FIELD_DESIGN, DRY_SAND, [2000.0, 1.0])
         steps = predict_series(LARGE_FIELD_DESIGN, DRY_SAND, [0.0, 1.0, 1.0])
         assert [step.draft_n for step in steps] == [0.0, 1.0, 1.0]
+
+
+def test_benchmark_tracer_counts_the_columns():
+    """The benchmark tracer's ``simulate.predict`` counters read the record array."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    thick = SpikeDesign(
+        radius_m=1.34, hinge_height_m=0.09, initial_rake_deg=45.0,
+        diameter_mm=200.0, design_depth_m=0.30,
+    )
+    capacity = max_crescent_force(0.30, 0.2, DRY_SAND).force_n
+    drafts = [0.0, 0.5 * capacity, capacity, 2 * capacity, 2 * capacity, 3 * capacity]
+    steps = predict_series(thick, DRY_SAND, drafts)
+    counters = tracer.COUNTERS["simulate.predict"]
+    counts = {name: count(steps) for name, count in counters.items()}
+    unsustained = (~steps.sustained).sum()
+    assert counts == {"simulate.drafts": len(drafts), "simulate.unsustained": unsustained}
+    assert unsustained == 3
+    # The tracer wraps the CLI's call site, which must stay a plain function.
+    assert inspect.isfunction(spiketrac.cli.predict_series)
