@@ -28,44 +28,45 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .design import (
-    DesignConstraints,
-    DesignSpace,
-    GridSearchResult,
-    ParameterRange,
-    grid_search,
-)
-from .geometry import SpikeDesign
-from .simulate import predict_series
-from .soilmech import (
-    DRY_SAND,
-    MOIST_SAND,
-    CriticalDepthModel,
-    ForceLaw,
-    SoilProperties,
-    max_crescent_force,
-)
-from .trials import (
-    DEFAULT_DEPTH_JUMP_M,
-    DEFAULT_MOTION_JUMP_M,
-    DerivedSeries,
-    TrialLog,
-    TrialLogError,
-    derive_series,
-    detect_landslides,
-    estimate_effective_application,
-    landslide_filter,
-    parse_trial_log,
-    stability_check,
-    tractive_efficiency,
-)
+# The package names each subcommand calls.  ``main`` binds a subcommand's
+# names into this module on its first dispatch, so a run loads only the
+# library modules that hold them.
+_SOIL = ("DRY_SAND", "MOIST_SAND", "SoilProperties")
+_NEEDS = {
+    "analyze": (
+        "TrialLogError", "derive_series", "detect_landslides", "estimate_effective_application",
+        "landslide_filter", "parse_trial_log", "stability_check", "tractive_efficiency",
+    ),
+    "crescent": (*_SOIL, "ForceLaw", "max_crescent_force"),
+    "design": (
+        *_SOIL, "CriticalDepthModel", "DesignConstraints", "DesignSpace", "ParameterRange",
+        "grid_search",
+    ),
+    "simulate": (*_SOIL, "CriticalDepthModel", "SpikeDesign", "predict_series"),
+}
+_NAMES = frozenset(chain.from_iterable(_NEEDS.values()))
+_bound: set[str] = set()
+
+
+def _bind(command: str) -> None:
+    """Bind ``command``'s names here; a name already set (a stand-in) stays."""
+    package = sys.modules[__package__]
+    for name in _NEEDS[command]:
+        globals().setdefault(name, getattr(package, name))
+    _bound.add(command)
+
+
+def __getattr__(name: str):
+    """A name of ``_NEEDS``, read from outside before its subcommand's first dispatch."""
+    if name not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
-
-_SOIL_PRESETS = {"preset:dry": DRY_SAND, "preset:moist": MOIST_SAND}
 
 # Plot-ready CSVs of ``analyze --series``: file -> report series per column.
 # A filtered series keeps the header of its raw one.
@@ -249,8 +250,9 @@ def _load_dataclass(cls, path: Path, what: str):
 
 def load_soil(spec: str) -> SoilProperties:
     """Soil from ``preset:dry``, ``preset:moist``, or a JSON file."""
-    if spec in _SOIL_PRESETS:
-        return _SOIL_PRESETS[spec]
+    presets = {"preset:dry": DRY_SAND, "preset:moist": MOIST_SAND}
+    if spec in presets:
+        return presets[spec]
     if spec.startswith("preset:"):
         raise ConfigError(f"unknown soil preset {spec!r}; use preset:dry or preset:moist")
     return _load_dataclass(SoilProperties, Path(spec), "soil")
@@ -297,24 +299,32 @@ def load_draft_schedule(path: Path) -> list[float]:
         lines = handle.read().splitlines()
     if not lines or lines[0].strip() != "draft_N":
         raise ConfigError(f"draft-schedule file {path}: first line must be 'draft_N'")
-    drafts = []
+    # Lines are parsed up to the first that is not a number.  A draft out
+    # of contract before that line is reported first, in line order.
+    numbers, drafts, unparsed = [], [], None
     for number, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"draft-schedule file {path}: line {number}: {exc}") from exc
-        if value < 0 or not math.isfinite(value):
-            raise ConfigError(
-                f"draft-schedule file {path}: line {number}: draft must be finite and >= 0"
-            )
-        if drafts and value < drafts[-1]:
-            raise ConfigError(
-                f"draft-schedule file {path}: line {number}: draft ({value}) decreased "
-                f"(previous {drafts[-1]}); weights are only added"
-            )
-        drafts.append(value)
+        if raw.strip():
+            try:
+                drafts.append(float(raw))
+            except ValueError as exc:
+                unparsed = number, exc
+                break
+            numbers.append(number)
+    values = np.array(drafts)
+    wrong = (values < 0) | ~np.isfinite(values)
+    wrong[1:] |= values[1:] < values[:-1]
+    if wrong.any():
+        i = int(wrong.argmax())
+        where = f"draft-schedule file {path}: line {numbers[i]}"
+        if drafts[i] < 0 or not math.isfinite(drafts[i]):
+            raise ConfigError(f"{where}: draft must be finite and >= 0")
+        raise ConfigError(
+            f"{where}: draft ({drafts[i]}) decreased (previous {drafts[i - 1]}); "
+            "weights are only added"
+        )
+    if unparsed is not None:
+        number, exc = unparsed
+        raise ConfigError(f"draft-schedule file {path}: line {number}: {exc}") from exc
     return drafts
 
 
@@ -404,9 +414,12 @@ def run_analyze(args: argparse.Namespace) -> int:
     try:
         log = parse_trial_log(args.log)
     except TrialLogError as exc:
-        raise TrialLogError(f"{args.log}: {exc}") from exc
+        raise ConfigError(f"{args.log}: {exc}") from exc
     series = derive_series(log)
-    events = detect_landslides(series, args.depth_threshold, args.motion_threshold)
+    # A threshold flag left out keeps the library's default.
+    flags = {"depth_jump_threshold_m": args.depth_threshold,
+             "motion_jump_threshold_m": args.motion_threshold}
+    events = detect_landslides(series, **{k: v for k, v in flags.items() if v is not None})
     filtered = landslide_filter(series, events)
 
     columns = {
@@ -544,12 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--series", type=Path, help="directory for plot-ready CSVs")
     analyze.add_argument("--push-distance", type=nonnegative, help="push distance for efficiency (m)")
     analyze.add_argument(
-        "--depth-threshold", type=positive, default=DEFAULT_DEPTH_JUMP_M,
-        help="landslide depth jump threshold (m)",
+        "--depth-threshold", type=positive, help="landslide depth jump threshold (m)"
     )
     analyze.add_argument(
-        "--motion-threshold", type=positive, default=DEFAULT_MOTION_JUMP_M,
-        help="landslide motion jump threshold (m)",
+        "--motion-threshold", type=positive, help="landslide motion jump threshold (m)"
     )
 
     crescent = sub.add_parser("crescent", help="maximize the crescent force over beta")
@@ -599,11 +610,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if args.command not in _bound:
+        _bind(args.command)
     try:
         # Results are checked for overflow and nan; numpy warnings add nothing.
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
-    except (TrialLogError, ConfigError, UnicodeDecodeError) as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         # An input that is not UTF-8 text cannot be parsed at all.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -17,9 +17,10 @@ from spiketrac import (
     max_crescent_force,
     parse_trial_log,
     derive_series,
+    detect_landslides,
     tractive_efficiency,
 )
-from spiketrac.cli import main
+from spiketrac.cli import ConfigError, load_draft_schedule, main
 
 
 def run(*argv: str) -> int:
@@ -139,6 +140,28 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         # Every step now clears the thresholds.
         assert report["events"] == list(range(1, 20))
+
+    @pytest.mark.parametrize(
+        ("flags", "given"),
+        [
+            ([], {}),
+            (["--motion-threshold", "0.5"], {"motion_jump_threshold_m": 0.5}),
+            (["--depth-threshold", "0.5"], {"depth_jump_threshold_m": 0.5}),
+        ],
+    )
+    def test_a_threshold_left_out_keeps_the_library_default(self, flags, given, tmp_path):
+        # Motion and depth increments on either side of 0.01 and 0.02 m.
+        motion = [0, 5, 14, 25, 40, 65, 70, 82, 112]
+        incl = [4.0, 4.3, 4.9, 5.8, 7.0, 8.5, 10.5, 10.9, 13.9]
+        rows = [f"{i},{10.0 * i},{float(m)},{d}" for i, (m, d) in enumerate(zip(motion, incl))]
+        log = tmp_path / "trial.csv"
+        log.write_text("\n".join([*sample_log_text().splitlines()[:2], *rows]) + "\n")
+        out = tmp_path / "report.json"
+        assert run("analyze", "--log", str(log), "--out", str(out), *flags) == 0
+        series = derive_series(parse_trial_log(log))
+        events = detect_landslides(series, **given)
+        assert events != detect_landslides(series, 0.02, 0.02)
+        assert json.loads(out.read_text())["events"] == events
 
     @pytest.mark.parametrize(
         ("flag", "value", "kind"),
@@ -623,6 +646,70 @@ class TestSimulate:
         (tmp_path / "drafts.csv").write_text("draft_N\n0\n1\n")
         assert run("simulate", *argv, "--soil", "preset:dry") == 3
         assert "crescent force overflows" in capsys.readouterr().err
+
+
+def reference_schedule(path: Path) -> list[float]:
+    """``load_draft_schedule`` as one per-line loop: parse, check, then compare with the last."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "draft_N"
+    drafts = []
+    for number, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"draft-schedule file {path}: line {number}: {exc}") from exc
+        if value < 0 or not math.isfinite(value):
+            raise ConfigError(
+                f"draft-schedule file {path}: line {number}: draft must be finite and >= 0"
+            )
+        if drafts and value < drafts[-1]:
+            raise ConfigError(
+                f"draft-schedule file {path}: line {number}: draft ({value}) decreased "
+                f"(previous {drafts[-1]}); weights are only added"
+            )
+        drafts.append(value)
+    return drafts
+
+
+def schedule_outcome(load, path: Path):
+    try:
+        return load(path)
+    except ConfigError as exc:
+        return str(exc)
+
+
+_SCHEDULE_LINES = ["0", "1", "2.5", " 3 ", "1_0", "1e400", "-1", "-0.0", "nan", "inf", "-inf",
+                   "x", "", "  "]
+
+
+class TestDraftSchedule:
+    # The first line out of contract is the error, whatever kind; on one
+    # line a negative or non-finite draft is reported before a decrease.
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "", "1\n2\n2\n", "5\n-1\n", "1\nnan\n0.5\n", "1\ninf\n", "1\n-inf\n",
+            "1e400\n", "5\n\n \n3\n", "5\n3\nabc\n", "5\nabc\n-1\n", "-1\nabc\n",
+            "1\n 2 \n\t\n3\n", "1_0\n9\n", "2\n1\n-1\n",
+        ],
+    )
+    def test_messages_match_the_per_line_loop(self, body, tmp_path):
+        path = tmp_path / "drafts.csv"
+        path.write_text("draft_N\n" + body, encoding="utf-8")
+        assert schedule_outcome(load_draft_schedule, path) == schedule_outcome(
+            reference_schedule, path
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_SCHEDULE_LINES), max_size=8))
+    def test_random_schedules_match_the_per_line_loop(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("schedule") / "drafts.csv"
+        path.write_text("\n".join(["draft_N", *lines]) + "\n", encoding="utf-8")
+        assert schedule_outcome(load_draft_schedule, path) == schedule_outcome(
+            reference_schedule, path
+        )
 
 
 class TestJsonIntegers:

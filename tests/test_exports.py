@@ -1,20 +1,8 @@
-"""The package's public names: ``__all__`` lists exactly what ``__init__`` imports."""
+"""The package's public names: ``__all__`` lists exactly the names its lazy table exports."""
 
-import ast
-from pathlib import Path
+import importlib
 
 import spiketrac
-
-
-def imported_public_names() -> list[str]:
-    tree = ast.parse(Path(spiketrac.__file__).read_text(encoding="utf-8"))
-    return [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if not (alias.asname or alias.name).startswith("_")
-    ]
 
 
 def test_all_has_no_duplicates():
@@ -27,6 +15,11 @@ def test_every_name_in_all_resolves():
 
 
 def test_all_equals_the_imported_public_names():
-    imported = imported_public_names()
-    assert len(imported) == len(set(imported))
-    assert sorted(spiketrac.__all__) == sorted(imported)
+    table = [name for names in spiketrac._EXPORTS.values() for name in names]
+    assert len(table) == len(set(table))
+    assert sorted(spiketrac.__all__) == sorted(table)
+    for module, names in spiketrac._EXPORTS.items():
+        library = importlib.import_module(f"spiketrac.{module}")
+        for name in names:
+            assert getattr(spiketrac, name) is getattr(library, name), name
+    assert set(dir(spiketrac)) >= set(spiketrac.__all__)
