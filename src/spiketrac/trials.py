@@ -37,7 +37,6 @@ from .geometry import (
     depth_from_inclination,
     effective_sine,
     finite_rule,
-    lifting_force,
     margins_hold,
     thrust_angle,
     tip_displacement,
@@ -378,11 +377,13 @@ def derive_series(log: TrialLog) -> DerivedSeries:
     tip_dx = np.zeros(len(log))
     advance_m = np.diff(motion_mm) / 1000.0
     tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], advance_m)[0]
-    # Per element through math.tan: np.tan differs from it in the last bit
-    # on some angles.  lifting_force rejects an overflowed draft, which the
-    # check below reports by step, so it gets a zero in its place.
-    finite_draft = np.where(np.isfinite(draft), draft, 0.0)
-    lift = list(map(lifting_force, finite_draft.tolist(), incl_deg.tolist()))
+    # lifting_force's draft * tan(radians(thrust)), bit for bit: np.radians
+    # is the same one multiply as math.radians, but np.tan differs from
+    # math.tan in the last bit on some angles, so tan goes per element.
+    negative = np.flatnonzero(incl_deg < 0.0)
+    if negative.size:
+        raise ValueError(f"thrust_deg ({float(incl_deg[negative[0]])}) must lie in [0, 90)")
+    lift = draft * np.array(list(map(math.tan, np.radians(incl_deg).tolist())))
     series = DerivedSeries(
         draft_n=draft,
         depth_m=depth,

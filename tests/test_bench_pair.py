@@ -53,6 +53,11 @@ def test_summarize_takes_medians_and_inclusive_quartiles():
     }
     assert entry["metrics"]["peak_rss_mib"]["change_quartiles"] == [31.0] * 3
     assert entry["wall_s_pairs_change_faster"] == "3 of 4"
+    assert entry["pairs"][1] == {
+        "first": None,
+        "parent": {"wall_s": 2.0, "peak_rss_mib": 30.0},
+        "change": {"wall_s": 2.5, "peak_rss_mib": 31.0},
+    }
 
 
 def test_summarize_rounds_to_six_places_and_takes_one_pair():
@@ -145,4 +150,10 @@ def test_sides_alternate_and_the_file_is_written(tmp_path, monkeypatch):
     assert list(record["workloads"]) == ["design-grid", "field-session"]
     assert list(record["workloads"]["design-grid"]) == ["seed 1", "seed 2"]
     assert record["workloads"]["design-grid"]["seed 1"]["wall_s_pairs_change_faster"] == "3 of 3"
+    # Every run is kept, in run order, with the side that ran first.
+    pairs = record["workloads"]["design-grid"]["seed 1"]["pairs"]
+    assert [pair["first"] for pair in pairs] == ["parent", "change", "parent"]
+    walls = [(pair["parent"]["wall_s"], pair["change"]["wall_s"]) for pair in pairs]
+    assert walls == [(1.001, 0.902), (1.004, 0.903), (1.005, 0.906)]
+    assert set(pairs[0]["change"]) == {"wall_s", "peak_rss_mib"}
     assert record["workloads"]["field-session"]["seed 2"]["runs"] == {"parent": 1, "change": 1}

@@ -87,3 +87,29 @@ def test_a_stand_in_set_before_the_first_dispatch_is_kept():
         "'--soil', 'preset:dry']) == 3\n"
     )
     assert loaded_after(code) == BASE + ["spiketrac.geometry", "spiketrac.soilmech"]
+
+
+def test_the_loaders_work_before_any_dispatch():
+    code = (
+        "from pathlib import Path\n"
+        "import spiketrac, spiketrac.cli as cli\n"
+        "assert cli.load_soil('preset:dry') is spiketrac.DRY_SAND\n"
+        "assert cli.load_soil('preset:moist') is spiketrac.MOIST_SAND\n"
+        "assert cli.load_soil('soil.json').moisture_label == 'moist'\n"
+        "assert cli.load_design(Path('design.json')).radius_m > 0\n"
+        "assert cli.load_constraints(None) == spiketrac.DesignConstraints()\n"
+        "assert cli.load_constraints(Path('constraints.json')).require_lateral_at_design_depth\n"
+        "assert cli.load_space(Path('space.json')).size() > 0\n"
+    )
+    loaded = loaded_after(code, cwd=INPUTS)
+    assert loaded == BASE + [f"spiketrac.{module}" for module in ["design", "geometry", "soilmech"]]
+
+
+def test_importing_builds_no_format_table():
+    code = (
+        "import spiketrac.cli as cli\n"
+        "assert cli._long_tables.cache_info().currsize == 0\n"
+        "cli._fmt_column([0.5] * cli._LONG_COLUMN)\n"
+        "assert cli._long_tables.cache_info().currsize == 0\n"
+    )
+    assert loaded_after(code) == BASE

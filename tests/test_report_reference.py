@@ -23,6 +23,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trial_data import log_of_rows
@@ -242,6 +243,86 @@ class TestReportText:
         columns = {"draft_N": np.array([1.0]), "airborne": np.array([True])}
         report = {"metadata": {}, "series": {}, "events": [], "summary": {}}
         assert cli._write_report(tmp_path / "r.json", report, columns, ()) == {}
+
+
+def readback_numbers(values) -> list[str]:
+    """The JSON numbers of ``values``: each ``_fmt`` string read back, or null."""
+    return [repr(float(cli._fmt(value))) if math.isfinite(value) else "null" for value in values]
+
+
+@st.composite
+def long_columns(draw):
+    """A float64 column of at least ``_LONG_COLUMN`` values, ``json_floats`` among them.
+
+    Values drawn one by one would overrun the test-case buffer, so a
+    seeded filler of any bits and of log-uniform magnitudes takes the
+    drawn values at drawn places.
+    """
+    drawn = draw(st.lists(json_floats, min_size=1, max_size=60))
+    n = draw(st.integers(cli._LONG_COLUMN, cli._LONG_COLUMN + 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = np.where(
+        rng.random(n) < 0.5,
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        np.copysign(10.0 ** rng.uniform(-6.0, 8.0, n), rng.random(n) - 0.5),
+    )
+    column[rng.choice(n, len(drawn), replace=False)] = drawn
+    return column
+
+
+def tie_sweep() -> np.ndarray:
+    """Values where 6-digit rounding is hardest, over the decades 1e-5 .. 1e7.
+
+    The float nearest each half-unit tie d + 0.5 of the sixth digit (d
+    every 211th six-digit integer, and the carry tie 999999.5) and its
+    neighbours, 10^k and 9.999995 * 10^k and theirs, the fixed-notation
+    bounds 1e-4 and 1e6 and theirs, both zeros, nan, both infinities
+    and subnormals; each also negated.
+    """
+    decades = 10.0 ** np.arange(-5, 8)
+    ties = np.append(np.arange(100000, 1000000, 211), 999999) + 0.5
+    centres = np.concatenate([
+        np.outer(decades * 1e-5, ties).ravel(), decades, 9.999995 * decades, [1e-4, 1e6],
+    ])
+    near = np.concatenate([centres, np.nextafter(centres, 0.0), np.nextafter(centres, np.inf)])
+    special = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 1e-310]
+    return np.concatenate([near, special, -near, np.negative(special)])
+
+
+class TestLongColumns:
+    @given(long_columns())
+    @settings(max_examples=60, deadline=None)
+    def test_strings_and_json_numbers_equal_one_value_at_a_time(self, column):
+        values = column.tolist()
+        text = cli._fmt_column(column)
+        assert text == [format(value, ".6g") for value in values]
+        assert cli._json_numbers(column, text) == readback_numbers(values)
+
+    def test_ties_powers_and_bounds_equal_the_spec(self):
+        column = tie_sweep()
+        values = column.tolist()
+        text = cli._fmt_long(column)
+        assert text == [format(value, ".6g") for value in values]
+        assert cli._json_numbers(column, text) == readback_numbers(values)
+
+    def test_both_sides_of_the_crossover_give_the_same_strings(self, monkeypatch):
+        calls = []
+        fmt_long = cli._fmt_long
+        monkeypatch.setattr(cli, "_fmt_long", lambda column: calls.append(1) or fmt_long(column))
+        rng = np.random.default_rng(7)
+        for n in (cli._LONG_COLUMN - 1, cli._LONG_COLUMN, cli._LONG_COLUMN + 1):
+            column = np.round(rng.uniform(-3000.0, 3000.0, n), int(rng.integers(0, 6)))
+            calls.clear()
+            text = cli._fmt_column(column)
+            assert calls == ([1] if n >= cli._LONG_COLUMN else [])
+            assert text == cli._fmt_column(column.tolist()) == fmt_long(column)
+            assert text == [format(value, ".6g") for value in column.tolist()]
+
+    def test_lists_and_other_dtypes_take_the_percent_pass(self, monkeypatch):
+        monkeypatch.setattr(cli, "_fmt_long", lambda column: pytest.fail("long path taken"))
+        values = [0.5 * i for i in range(cli._LONG_COLUMN)]
+        assert cli._fmt_column(values) == list(map(cli._fmt, values))
+        assert cli._fmt_column(np.array(values, np.float32)) == list(map(cli._fmt, values))
 
 
 meta_values = st.fixed_dictionaries({

@@ -2,7 +2,7 @@ import io
 import math
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -236,6 +236,12 @@ class TestDeriveSeries:
         # The lift at 90 degrees is unbounded.
         log = log_from_rows("0,0,0,10.0", "3,100,10,90.0", "4,120,10,90.0")
         with pytest.raises(ValueError, match=r"^the arm stands vertical at step 3: "):
+            derive_series(log)
+
+    def test_negative_inclination_is_rejected(self):
+        # The parser rejects it first; a log built in code meets the lift's range.
+        log = replace(log_from_rows("0,0,0,10.0", "1,10,5,12.0"), incl_deg=[10.0, -2.0])
+        with pytest.raises(ValueError, match=re.escape("thrust_deg (-2.0) must lie in [0, 90)")):
             derive_series(log)
 
     @pytest.mark.parametrize(

@@ -15,12 +15,13 @@ Each pair runs ``python3 benchmark/run.py --trace 0`` once in each tree,
 from that tree's root, and the side that runs first alternates from pair
 to pair.  Runs go one at a time.  For every workload and seed the file
 keeps each end-to-end metric's median over one side's runs and its
-quartiles (inclusive method), the failed operations of each side, and
-how many pairs the change won on ``wall_s``.  Each end-to-end metric
-that the change tree's ``BENCHMARK.json`` bounds also gets
-``change / parent - 1`` of the medians and whether the change is worse
-than the parent by more than the bound; a line on standard error names
-each one that is.  A run that exits non-zero stops the recorder with its
+quartiles (inclusive method), the failed operations of each side, how
+many pairs the change won on ``wall_s``, and every pair's values of each
+side with the side that ran first, so a claim about each pair can be
+checked from the file.  Each end-to-end metric that the change tree's
+``BENCHMARK.json`` bounds also gets ``change / parent - 1`` of the
+medians and whether the change is worse than the parent by more than
+the bound; a line on standard error names each one that is.  A run that exits non-zero stops the recorder with its
 standard error.  Uses the standard library only.
 """
 
@@ -77,7 +78,8 @@ def end_to_end_bounds(tree: Path) -> dict[str, dict]:
 
 
 def summarize(pairs: list[dict[str, dict]], bounds: dict[str, dict] | None = None) -> dict:
-    """One workload and seed: ``pairs`` holds one result object per side and pair.
+    """One workload and seed: ``pairs`` holds one result object per side and pair,
+    and under ``first`` the side that ran first.
 
     A metric named in ``bounds`` also gets its relative change of the
     medians and whether that is worse than its ``bound``, honouring
@@ -110,6 +112,13 @@ def summarize(pairs: list[dict[str, dict]], bounds: dict[str, dict] | None = Non
         for p in pairs
     )
     entry["wall_s_pairs_change_faster"] = f"{faster} of {len(pairs)}"
+    entry["pairs"] = [
+        {"first": p.get("first"), **{
+            side: {name: round(metric["value"], 6) for name, metric in p[side]["metrics"].items()}
+            for side in SIDES
+        }}
+        for p in pairs
+    ]
     return entry
 
 
@@ -155,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
             pairs = []
             for pair in range(count):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                results = {}
+                results = {"first": order[0]}
                 for side in order:
                     tree = args.parent if side == "parent" else args.change
                     machine, results[side] = run_once(tree, workload, seed, args.seconds)
@@ -180,7 +189,9 @@ def main(argv: list[str] | None = None) -> int:
         "note": "Each value is the median over one side's runs; parent and change runs "
                 "alternate, and the side that runs first alternates from pair to pair. "
                 "Times are the benchmark's scaled CPU times (see benchmark/README.md). "
-                f"Quartiles are over runs (inclusive method). Pairs per seed: {counts}.",
+                "Quartiles are over runs (inclusive method). 'pairs' holds each pair's "
+                "values in run order, with the side that ran first. "
+                f"Pairs per seed: {counts}.",
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
