@@ -24,14 +24,14 @@ import sys
 from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 # The package names each subcommand's ``run_*`` function calls; the input
-# loaders import their own.  ``main`` binds a subcommand's names into this
-# module on its first dispatch, so a run loads only the library modules
-# that hold them.
+# loaders import their own.  Each ``run_*`` binds its subcommand's names
+# into this module when it first runs, so a run loads only the library
+# modules that hold them.
 _NEEDS = {
     "analyze": (
         "TrialLogError", "derive_series", "detect_landslides", "estimate_effective_application",
@@ -46,7 +46,9 @@ _bound: set[str] = set()
 
 
 def _bind(command: str) -> None:
-    """Bind ``command``'s names here; a name already set (a stand-in) stays."""
+    """Bind ``command``'s names here once; a name already set (a stand-in) stays."""
+    if command in _bound:
+        return
     package = sys.modules[__package__]
     for name in _NEEDS[command]:
         globals().setdefault(name, getattr(package, name))
@@ -54,7 +56,7 @@ def _bind(command: str) -> None:
 
 
 def __getattr__(name: str):
-    """A name of ``_NEEDS``, read from outside before its subcommand's first dispatch."""
+    """A name of ``_NEEDS``, read from outside before its subcommand's first run."""
     if name not in _NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(sys.modules[__package__], name)
@@ -75,8 +77,6 @@ _SERIES_CSVS = {
     "thrust_angle.csv": ("draft_N", "thrust_deg"),
     "lift_force.csv": ("draft_N", "lift_N", "weight_N"),
 }
-# The series the CSVs take from the report; the weight line is not one.
-_CSV_KEYS = frozenset(key for keys in _SERIES_CSVS.values() for key in keys) - {"weight_N"}
 # Columns of the ranked design CSV: design fields, then evaluation fields.
 _DESIGN_KEYS = ("radius_m", "hinge_height_m", "initial_rake_deg", "diameter_mm", "design_depth_m")
 _EVALUATION_KEYS = ("objective", "thrust_deg", "window_deg")
@@ -85,6 +85,21 @@ _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 # Every float the CLI writes: 6 significant digits.  For a float,
 # ``_FLOAT_SPEC % value == format(value, ".6g")``.
 _FLOAT_SPEC = "%.6g"
+
+
+def _word(text: str) -> np.uint64:
+    """Up to 8 ASCII bytes as one little-endian word, padded with NULs."""
+    return np.uint64(int.from_bytes(text.encode(), "little"))
+
+
+# The words the series files are laid out from.  A report series item
+# starts with the separator and indent of ``json.dumps(indent=2)`` at
+# depth 3; a CSV cell's text is at most 13 bytes, so the last byte of its
+# second word is free for the comma or newline after it.
+_ITEM = _word(",\n      ")
+_DOT_ZERO = _word(".0")
+_TRUE, _FALSE = _word("true"), _word("false")
+_COMMA, _NEWLINE = (np.uint64(ord(sep) << 56) for sep in ",\n")
 
 
 class ConfigError(ValueError):
@@ -96,28 +111,15 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_column(values: Iterable[float]) -> list[str]:
-    """``list(map(_fmt, values))``.
-
-    A float64 array of ``_LONG_COLUMN`` values or more goes through
-    ``_fmt_long``; anything else takes one C-level ``%`` pass.
-    """
+    """``list(map(_fmt, values))`` in one C-level ``%`` pass."""
     if isinstance(values, np.ndarray):
-        if values.dtype == np.float64 and len(values) >= _LONG_COLUMN:
-            return _fmt_long(values)
         values = values.tolist()
     values = tuple(values)
     return (f"{_FLOAT_SPEC}\n" * len(values) % values).split("\n")[:-1]
 
 
-# From this many values on, ``_fmt_long`` beats the ``%`` pass: they broke
-# even at about 350 values (2-vCPU Xeon, ``timeit``), and 20,000 values took
-# 1.6 ms against 4.0 ms.  Shorter columns keep the ``%`` pass, and so do
-# lists, as simulate and crescent pass them.
-_LONG_COLUMN = 400
-
-
 @functools.cache
-def _long_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``_fixed_notation``'s tables, built on first use so that import stays cheap.
 
     The ASCII digits of 000 .. 999 as little-endian words, the trailing
@@ -125,11 +127,10 @@ def _long_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     layout of each key ``((e + 4) * 6 + trailing zeros of r) * 2 +
     negative``: where r's six digits are cut for the point, the prefix
     (sign, and ``0.`` and zeros below 1), and which bytes of a value's
-    two words show, the rest being spaces.
+    two words show, the rest being NULs.
     """
     ascii3 = "".join(f"{i:03d}\0" for i in range(1000)).encode()
     trailing = [3] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 1000))]
-    spaces = int.from_bytes(b" " * 8, "little")
     layout = []
     for e in range(-4, 6):
         for zeros in range(6):
@@ -145,7 +146,7 @@ def _long_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
                 layout.append([
                     (1 << cut) - 1, dot << cut, cut, cut + (8 if dot else 0),
                     int.from_bytes(prefix.encode(), "little"), 8 * len(prefix),
-                    56 - 8 * len(prefix), keep[0], spaces & ~keep[0], keep[1], spaces & ~keep[1],
+                    56 - 8 * len(prefix), *keep,
                 ])
     return (
         np.frombuffer(ascii3, "<u4").astype(np.uint64), np.array(trailing),
@@ -153,88 +154,133 @@ def _long_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _fmt_long(column: np.ndarray) -> list[str]:
-    """``[format(x, ".6g") for x in column]`` for a float64 column, in array passes.
-
-    ``_fixed_notation`` lays out the values that print in fixed notation;
-    every other value (zero, nan, inf, exponent notation, a near-tie) is
-    formatted by ``%`` in place.
-    """
-    fixed, text = _fixed_notation(column)
-    strings = text.split()
-    rest = np.flatnonzero(~fixed)
-    for i, string in zip(rest.tolist(), _fmt_column(column[rest].tolist())):
-        strings[i] = string
-    return strings
-
-
-def _fixed_notation(column: np.ndarray) -> tuple[np.ndarray, str]:
-    """Which values print in fixed notation, and the text of every value.
+def _fixed_notation(column: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out in ``out`` the text of the values that print in fixed notation.
 
     A value x with 1e-4 <= |x| < 1e6 prints its 6 significant digits r,
     the integer nearest m = |x| * 10^(5 - e) for e = floor(log10|x|),
     with the point after digit e + 1 (or ``0.`` and -e - 1 zeros before
     them when e < 0) and the fraction's trailing zeros dropped.  The
     power of ten is exact, so m is within 1.2e-10 of its true value and
-    r is exact unless m lies within 1e-6 of a half; such values are not
-    fixed.  An e one too low gives r = 10^6, which carries into e; one
-    too high gives r < 10^5, which is not fixed.  Each value's text is
-    left-aligned in 16 bytes padded with spaces, so ``split()`` yields
-    one string per value; a value that is not fixed reads ``1`` or
-    ``-1``.  The arrays die on return, before the strings are made.
+    ``rint(m)`` is r unless m lies within 1e-6 of a half k + 0.5.  Such
+    a near-tie is decided on the exact product: |x| splits into two
+    parts of at most 27 significant bits (Veltkamp), so each part times
+    the power, of at most 21, is exact, and so is the upper part's
+    product minus k + 0.5, which lie within 0.02 of each other; adding
+    the lower part's product keeps the sign of |x| * 10^(5 - e) - (k + 0.5).
+    r rounds up above the half, down below it and to even on it, as
+    ``%`` does.  An e one too low gives r = 10^6, which carries into e;
+    one too high gives r < 10^5, which is not fixed.  Each value's text is
+    left-aligned in its row of ``out``, two little-endian words, and
+    padded with NULs; a value that is not fixed reads ``1`` or ``-1``.
+    Returns which values are fixed, and which of those print no fraction
+    digits (e + trailing zeros of r >= 5), so that their text is an
+    integer.
     """
-    ascii3, trailing, powers, layout = _long_tables()
+    ascii3, trailing, powers, layout = _format_tables()
     size = np.abs(column)
     fixed = (size >= 1e-4) & (size < 1e6)
     size = np.where(fixed, size, 1.0)
     e = np.clip(np.floor(np.log10(size)), -4, 5).astype(np.int64)
     m = size * powers[5 - e]
     r = np.rint(m)
-    fixed &= (r >= 1e5) & (r <= 1e6) & (np.abs(m - np.floor(m) - 0.5) > 1e-6)
+    near = np.flatnonzero(np.abs(m - np.floor(m) - 0.5) <= 1e-6)
+    if near.size:
+        x, p, k = size[near], powers[5 - e[near]], np.floor(m[near])
+        split = x * 134217729.0
+        upper = split - (split - x)
+        above = (upper * p - (k + 0.5)) + (x - upper) * p
+        r[near] = k + ((above > 0) | ((above == 0) & (k % 2 == 1)))
+    fixed &= (r >= 1e5) & (r <= 1e6)
     carry = r == 1e6
     e += carry
     fixed &= e <= 5
     high, low = np.divmod(np.where(fixed & ~carry, r, 1e5).astype(np.int64), 1000)
     e = np.where(fixed, e, 0)
     zeros = np.where(low == 0, 3 + trailing[high], trailing[low])
+    integer = fixed & (e + zeros >= 5)
     key = ((e + 4) * 6 + zeros) * 2 + np.signbit(column)
     # One field at a time, so that few column-sized arrays live at once.
-    below, dot, cut, lift, prefix, shift, back, keep0, fill0, keep1, fill1 = layout
+    below, dot, cut, lift, prefix, shift, back, keep0, keep1 = layout
     digits = ascii3[high] | (ascii3[low] << np.uint64(24))
     body = (digits & below[key]) | dot[key] | ((digits >> cut[key]) << lift[key])
-    words = np.empty((len(column), 2), "<u8")
-    words[:, 0] = (prefix[key] | (body << shift[key])) & keep0[key] | fill0[key]
-    words[:, 1] = ((body >> np.uint64(8)) >> back[key]) & keep1[key] | fill1[key]
-    return fixed, str(words, "ascii")
+    out[:, 0] = (prefix[key] | (body << shift[key])) & keep0[key]
+    out[:, 1] = ((body >> np.uint64(8)) >> back[key]) & keep1[key]
+    return fixed, integer
 
 
-# inf - inf is nan, which the test below counts as not plain.
-@np.errstate(invalid="ignore")
-def _json_numbers(column: np.ndarray, text: list[str]) -> list[str]:
-    """The JSON numbers of a float column whose ``_fmt`` strings are ``text``.
+def _cells_of(strings: Sequence[str], words: int) -> np.ndarray:
+    """ASCII ``strings`` as rows of ``words`` little-endian words, padded with NULs."""
+    return np.array(strings, f"S{8 * words}").view("<u8").reshape(-1, words)
 
-    Each is ``repr(float(s))`` of its string ``s``, or ``null`` when not
-    finite.  That is ``s`` itself except when ``s`` has neither ``.``
-    nor ``e`` (an integer, ``nan`` or ``inf``), when its exponent is
-    ``e+06`` to ``e+15``, and when it is ``e-3xx``, where subnormals
-    get shorter.  A value ``x`` of the first two cases is not finite or
-    rounds to an integer at 6 digits, so it lies within 5e-6 * |x| of an
-    integer; one of the last case lies below 1e-299 in magnitude.  Only
-    the strings of values not finite, within 1e-5 * |x| of an integer or
-    below 1e-290 in magnitude are looked at.  Of these, an integer
-    string of at most 6 digits gets ``.0``, as ``repr`` writes it, and
-    the rest are read back.
+
+# Values per ``_fixed_notation`` pass, so that its temporaries stay in
+# cache: the ten columns of a 20,000-step log took 16-28 ms in one pass
+# and 8-9 ms in passes of this size (2-vCPU Xeon, ``timeit``).
+_BLOCK = 8192
+
+
+def _format_cells(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``%.6g`` cells and the JSON cells of a float64 matrix.
+
+    A cell is a value's ASCII text, left-aligned and padded with NULs:
+    two little-endian words of ``format(x, ".6g")``, and three of its
+    JSON number, which is ``repr(float(s))`` of that string ``s``, or
+    ``null`` when x is not finite.  ``_fixed_notation`` lays out the
+    values that print in fixed notation, ``_BLOCK`` values at a time;
+    ``repr`` writes such a string as it is, with ``.0`` after an
+    integer.  Every other value (zero, nan, inf, exponent notation) is
+    formatted by ``%`` and read back, and its cells are written in place.
     """
-    magnitude = np.abs(column)
-    plain = (np.abs(column - np.rint(column)) > 1e-5 * magnitude) & (magnitude >= 1e-290)
-    numbers = text.copy()
-    for i in np.flatnonzero(~plain).tolist():
-        s = text[i]
-        if s.lstrip("-").isdigit():
-            numbers[i] = s + ".0"
-        else:
-            numbers[i] = "null" if s in _NON_FINITE else repr(float(s))
-    return numbers
+    flat = matrix.ravel()
+    text = np.empty((flat.size, 2), "<u8")
+    json_cells = np.zeros((flat.size, 3), "<u8")
+    fixed = np.empty(flat.size, bool)
+    for start in range(0, flat.size, _BLOCK):
+        part = slice(start, start + _BLOCK)
+        fixed[part], integer = _fixed_notation(flat[part], text[part])
+        json_cells[part, :2] = text[part]
+        json_cells[part, 2][integer] = _DOT_ZERO
+    rest = np.flatnonzero(~fixed)
+    if rest.size:
+        strings = _fmt_column(flat[rest])
+        text[rest] = _cells_of(strings, 2)
+        json_cells[rest] = _cells_of(
+            ["null" if s in _NON_FINITE else repr(float(s)) for s in strings], 3
+        )
+    return text.reshape(*matrix.shape, 2), json_cells.reshape(*matrix.shape, 3)
+
+
+def _without_nuls(words: np.ndarray) -> np.ndarray:
+    """The bytes of a word array, NULs dropped, in one boolean compress."""
+    data = words.view(np.uint8).ravel()
+    return data[data != 0]
+
+
+def _json_array(cells: np.ndarray) -> list:
+    """Byte chunks of the JSON array of ``cells``, laid out as a report series.
+
+    Each row is the item separator and indent, then the item's cell; the
+    first separator's comma becomes the ``[``.
+    """
+    if not len(cells):
+        return [b"[]"]
+    rows = np.empty((len(cells), 1 + cells.shape[1]), "<u8")
+    rows[:, 0] = _ITEM
+    rows[:, 1:] = cells
+    body = _without_nuls(rows)
+    body[0] = ord("[")
+    return [body, b"\n    ]"]
+
+
+def _csv_chunks(header: str, columns: Sequence[np.ndarray]) -> list:
+    """Byte chunks of a CSV whose columns are ``%.6g`` cells, rows laid out side by side."""
+    rows = np.empty((len(columns[0]), 2 * len(columns)), "<u8")
+    for j, cells in enumerate(columns):
+        rows[:, 2 * j] = cells[:, 0]
+        end = _COMMA if j + 1 < len(columns) else _NEWLINE
+        np.bitwise_or(cells[:, 1], end, out=rows[:, 2 * j + 1])
+    return [f"{header}\n".encode(), _without_nuls(rows)]
 
 
 def _json_ready(value):
@@ -248,17 +294,11 @@ def _json_ready(value):
     return value
 
 
-def _json_array(items: Iterable[str], indent: str) -> str:
-    """Encoded JSON values as an array laid out as ``json.dumps(indent=2)`` at ``indent``."""
-    body = f",\n{indent}  ".join(items)
-    return f"[\n{indent}  {body}\n{indent}]" if body else "[]"
-
-
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with open(tmp, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -268,7 +308,7 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     lines = chain([",".join(header)], map(",".join, rows))
-    _atomic_write(path, ["\n".join(lines) + "\n"])
+    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
 
 
 def finite(text: str) -> float:
@@ -486,51 +526,48 @@ def _build_report(
 
 
 def _write_report(
-    path: Path, report: dict, columns: dict[str, np.ndarray], csv_keys: Collection[str]
-) -> dict[str, list[str]]:
+    path: Path, report: dict, columns: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
     """Write ``report`` as indented JSON with ``columns`` in its empty series block.
 
     The text is ``json.dumps(report, indent=2)`` with each column a
     series array of its values rounded as ``_json_ready`` rounds them.
-    A float column is formatted once, in one ``_fmt_column`` pass; each
-    JSON number is ``repr`` of that string read back, or ``null`` when
-    not finite, so it carries the digits of its CSV cell.
-    ``_json_numbers`` looks only at the strings whose values reading
-    back can change.
-    Columns are encoded and written one at a time.  Returns the strings
-    of the columns named in ``csv_keys``.
+    The float columns are formatted together, as one matrix, by
+    ``_format_cells``, so each JSON number carries the digits of its CSV
+    cell.  Columns are laid out and written one at a time.  Returns the
+    ``%.6g`` cells of each float column.
     """
     head, tail = json.dumps(report, indent=2).split('\n  "series": {},\n')
-    kept = {}
+    floats = [name for name, column in columns.items() if column.dtype != bool]
+    text, json_cells = _format_cells(np.array([columns[name] for name in floats], np.float64))
+    numbers = dict(zip(floats, json_cells))
 
     def chunks():
-        yield head + '\n  "series": {'
+        yield (head + '\n  "series": {').encode()
         for i, (name, column) in enumerate(columns.items()):
+            yield f'{"," if i else ""}\n    {json.dumps(name)}: '.encode()
             if column.dtype == bool:
-                flags = ["true" if flag else "false" for flag in column.tolist()]
-                array = _json_array(flags, "    ")
+                yield from _json_array(np.where(column, _TRUE, _FALSE)[:, None])
             else:
-                text = _fmt_column(column)
-                if name in csv_keys:
-                    kept[name] = text
-                array = _json_array(_json_numbers(column, text), "    ")
-            yield f'{"," if i else ""}\n    {json.dumps(name)}: {array}'
-        yield "\n  },\n" + tail + "\n"
+                yield from _json_array(numbers[name])
+        yield ("\n  },\n" + tail + "\n").encode()
 
     _atomic_write(path, chunks())
-    return kept
+    return dict(zip(floats, text))
 
 
-def _write_series_csvs(directory: Path, text: dict[str, list[str]], weight_n: float) -> None:
-    """Write the plot-ready CSVs from the formatted strings of each series."""
+def _write_series_csvs(directory: Path, cells: dict[str, np.ndarray], weight_n: float) -> None:
+    """Write the plot-ready CSVs from the ``%.6g`` cells of each series."""
     directory.mkdir(parents=True, exist_ok=True)
-    text = {**text, "weight_N": [_fmt(weight_n)] * len(text["draft_N"])}
+    weight = np.broadcast_to(_cells_of([_fmt(weight_n)], 2), cells["draft_N"].shape)
+    cells = {**cells, "weight_N": weight}
     for name, keys in _SERIES_CSVS.items():
-        header = [key.replace("_filtered", "") for key in keys]
-        _write_csv(directory / name, header, zip(*(text[key] for key in keys)))
+        header = ",".join(key.replace("_filtered", "") for key in keys)
+        _atomic_write(directory / name, _csv_chunks(header, [cells[key] for key in keys]))
 
 
 def run_analyze(args: argparse.Namespace) -> int:
+    _bind("analyze")
     try:
         log = parse_trial_log(args.log)
     except TrialLogError as exc:
@@ -556,15 +593,15 @@ def run_analyze(args: argparse.Namespace) -> int:
         "lift_filtered_N": filtered.lift_n,
     }
     report = _build_report(log, series, events, args.push_distance)
-    csv_keys = _CSV_KEYS if args.series is not None else ()
-    text = _write_report(args.out, report, columns, csv_keys)
+    cells = _write_report(args.out, report, columns)
     if args.series is not None:
-        _write_series_csvs(args.series, text, log.metadata.vehicle.weight_n)
+        _write_series_csvs(args.series, cells, log.metadata.vehicle.weight_n)
     print(f"wrote {args.out}: {len(series)} steps, {len(events)} landslide events")
     return EXIT_OK
 
 
 def run_crescent(args: argparse.Namespace) -> int:
+    _bind("crescent")
     if args.beta_min is not None and args.beta_max is not None and args.beta_min >= args.beta_max:
         raise ConfigError(
             f"--beta-min ({args.beta_min}) must be below --beta-max ({args.beta_max})"
@@ -612,6 +649,7 @@ def _design_rows(result: GridSearchResult, top: int | None) -> list[tuple[str, .
 
 
 def run_design(args: argparse.Namespace) -> int:
+    _bind("design")
     space = load_space(args.space)
     constraints = load_constraints(args.constraints)
     # The soil is validated but does not enter the ranking: the present
@@ -639,6 +677,7 @@ def run_design(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
+    _bind("simulate")
     design = load_design(args.design)
     soil = load_soil(args.soil)
     drafts = load_draft_schedule(args.draft_schedule)
@@ -730,8 +769,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.command not in _bound:
-        _bind(args.command)
     try:
         # Results are checked for overflow and nan; numpy warnings add nothing.
         with np.errstate(all="ignore"):

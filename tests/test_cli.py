@@ -20,7 +20,7 @@ from spiketrac import (
     detect_landslides,
     tractive_efficiency,
 )
-from spiketrac.cli import ConfigError, load_draft_schedule, main
+from spiketrac.cli import ConfigError, _atomic_write, load_draft_schedule, main
 
 
 def run(*argv: str) -> int:
@@ -790,3 +790,18 @@ class TestParserReuse:
         assert reused == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
         assert len(built) == 1
+
+
+class TestAtomicWrite:
+    def test_a_failing_chunk_leaves_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"old bytes\n")
+
+        def chunks():
+            yield b"new "
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _atomic_write(path, chunks())
+        assert path.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob("*.tmp"))

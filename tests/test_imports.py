@@ -106,10 +106,25 @@ def test_the_loaders_work_before_any_dispatch():
 
 
 def test_importing_builds_no_format_table():
+    # Only the report's matrix formatter builds it; the ``%`` pass needs none.
     code = (
+        "import numpy as np\n"
         "import spiketrac.cli as cli\n"
-        "assert cli._long_tables.cache_info().currsize == 0\n"
-        "cli._fmt_column([0.5] * cli._LONG_COLUMN)\n"
-        "assert cli._long_tables.cache_info().currsize == 0\n"
+        "assert cli._format_tables.cache_info().currsize == 0\n"
+        "cli._fmt_column([0.5] * 400)\n"
+        "assert cli._format_tables.cache_info().currsize == 0\n"
+        "cli._format_cells(np.full((10, 3), 0.5))\n"
+        "assert cli._format_tables.cache_info().currsize == 1\n"
     )
     assert loaded_after(code) == BASE
+
+
+def test_a_run_function_works_without_main():
+    code = (
+        "import argparse\n"
+        "import spiketrac.cli as cli\n"
+        "args = argparse.Namespace(beta_min=None, beta_max=None, soil='preset:dry', depth=0.3, "
+        "width=0.021, law='active', out=None)\n"
+        "assert cli.run_crescent(args) == 0\n"
+    )
+    assert loaded_after(code) == BASE + ["spiketrac.geometry", "spiketrac.soilmech"]

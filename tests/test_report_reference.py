@@ -4,7 +4,8 @@ The references below are the earlier code, kept verbatim in spirit:
 
 * the report was ``json.dumps(_json_ready(report), indent=2)`` over a
   report holding every series column, rounded one element at a time;
-* the CSVs formatted each column with ``_fmt``;
+* the CSVs formatted each value with ``_fmt`` and joined the strings of
+  a row with ``,``;
 * the first liftoff step came from one record per step;
 * the kappa bisection tested every step in each round, one
   ``math.asin`` and ``math.tan`` at a time.
@@ -135,14 +136,19 @@ def reference_analyze(log: TrialLog, push_distance_m: float | None) -> tuple[str
         "metadata": asdict(meta), "series": columns,
         "events": events, "summary": summary,
     }
+    return reference_report_text(report), reference_csvs(columns, vehicle.weight_n)
+
+
+def reference_csvs(columns: dict[str, np.ndarray], weight_n: float) -> dict[str, str]:
+    """The CSV texts of ``analyze --series``: each value through ``_fmt``, rows joined by ``,``."""
     text = {name: [cli._fmt(v) for v in column.tolist()] for name, column in columns.items()}
-    text["weight_N"] = [cli._fmt(vehicle.weight_n)] * len(series)
+    text["weight_N"] = [cli._fmt(weight_n)] * len(columns["draft_N"])
     csvs = {}
     for name, keys in cli._SERIES_CSVS.items():
         header = ",".join(key.replace("_filtered", "") for key in keys)
         rows = [",".join(row) for row in zip(*(text[key] for key in keys))]
         csvs[name] = "\n".join([header, *rows]) + "\n"
-    return reference_report_text(report), csvs
+    return csvs
 
 
 report_fields = st.fixed_dictionaries({
@@ -160,17 +166,20 @@ report_fields = st.fixed_dictionaries({
 })
 
 
+# The report's series, in order: ten float columns and the bool airborne column.
+SERIES = [
+    "draft_N", "depth_m", "thrust_deg", "lift_N", "tip_x_m", "cumulative_work_J",
+    "motion_m", "airborne", "depth_filtered_m", "thrust_filtered_deg", "lift_filtered_N",
+]
+
+
 @st.composite
 def report_columns(draw):
-    """Report columns of one length: ten float columns and the bool airborne column."""
+    """Report columns of one length, as ``analyze`` writes them."""
     n = draw(st.integers(0, 3))
     values = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
-    names = [
-        "draft_N", "depth_m", "thrust_deg", "lift_N", "tip_x_m", "cumulative_work_J",
-        "motion_m", "airborne", "depth_filtered_m", "thrust_filtered_deg", "lift_filtered_N",
-    ]
     columns = {}
-    for name in names:
+    for name in SERIES:
         if name == "airborne":
             columns[name] = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
         else:
@@ -199,74 +208,105 @@ json_floats = st.one_of(
 )
 
 
-class TestReportText:
-    @given(st.lists(json_floats, max_size=40))
-    @settings(max_examples=400)
-    @example([0.5, 99999.95, 999999.5, 9999995.0, 1e-300, 9.999995e-300, 4.94066e-324])
-    def test_column_strings_and_json_numbers_equal_one_value_at_a_time(self, values):
-        text = cli._fmt_column(values)
-        assert text == list(map(cli._fmt, values))
-        assert text == [format(value, ".6g") for value in values]
-        expected = [
-            repr(float(cli._fmt(value))) if math.isfinite(value) else "null" for value in values
-        ]
-        assert cli._json_numbers(np.array(values, float), text) == expected
-
-    @given(report_fields, report_columns())
-    @settings(max_examples=150)
-    def test_report_text_equals_the_reference(self, fields, columns):
-        raw = {
-            "metadata": fields["metadata"], "series": columns,
-            "events": fields["events"], "summary": fields["summary"],
-        }
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "report.json"
-            kept = cli._write_report(
-                path, cli._json_ready({**raw, "series": {}}), columns, cli._CSV_KEYS
-            )
-            text = path.read_text(encoding="utf-8")
-        assert text == reference_report_text(raw)
-        assert set(kept) == cli._CSV_KEYS
-        for name, strings in kept.items():
-            assert strings == [cli._fmt(value) for value in columns[name].tolist()]
-
-    def test_special_values_are_written_as_json_rounds_them(self, tmp_path):
-        values = np.array(SPECIAL)
-        columns = {"draft_N": values, "airborne": np.zeros(len(values), bool)}
-        report = {"metadata": {}, "series": {}, "events": [], "summary": {}}
-        cli._write_report(tmp_path / "r.json", report, columns, ())
-        written = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
-        assert written["series"]["draft_N"] == reference_json_ready(values)
-        assert "-0.0" in (tmp_path / "r.json").read_text(encoding="utf-8")
-
-    def test_no_strings_are_kept_without_csvs(self, tmp_path):
-        columns = {"draft_N": np.array([1.0]), "airborne": np.array([True])}
-        report = {"metadata": {}, "series": {}, "events": [], "summary": {}}
-        assert cli._write_report(tmp_path / "r.json", report, columns, ()) == {}
-
-
 def readback_numbers(values) -> list[str]:
     """The JSON numbers of ``values``: each ``_fmt`` string read back, or null."""
     return [repr(float(cli._fmt(value))) if math.isfinite(value) else "null" for value in values]
 
 
+def cell_strings(cells: np.ndarray) -> list[str]:
+    """The text of each row of cells, its NULs dropped as the writers drop them."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in cells.view(np.uint8)]
+
+
+def assert_cells_equal_the_spec(column: np.ndarray) -> None:
+    """Each value's cells hold ``format(x, ".6g")`` and its JSON number."""
+    text, numbers = cli._format_cells(column)
+    values = column.tolist()
+    assert cell_strings(text) == [format(value, ".6g") for value in values]
+    # The CSV writer puts the separator after a text cell into its last byte.
+    assert not text.view(np.uint8)[:, -1].any()
+    assert cell_strings(numbers) == readback_numbers(values)
+
+
+class TestReportText:
+    @given(st.lists(json_floats, max_size=40))
+    @settings(max_examples=400)
+    @example([0.5, 99999.95, 999999.5, 9999995.0, 1e-300, 9.999995e-300, 4.94066e-324])
+    def test_column_strings_and_json_numbers_equal_one_value_at_a_time(self, values):
+        assert cli._fmt_column(values) == [format(value, ".6g") for value in values]
+        assert_cells_equal_the_spec(np.array(values, float))
+
+    @given(report_fields, report_columns(), st.one_of(st.sampled_from(SPECIAL), st.floats()))
+    @settings(max_examples=150)
+    def test_report_text_equals_the_reference(self, fields, columns, weight_n):
+        raw = {
+            "metadata": fields["metadata"], "series": columns,
+            "events": fields["events"], "summary": fields["summary"],
+        }
+        report = cli._json_ready({**raw, "series": {}})
+        assert written_files(report, columns, weight_n) == (
+            reference_report_text(raw), reference_csvs(columns, weight_n)
+        )
+
+    def test_special_values_are_written_as_json_rounds_them(self, tmp_path):
+        values = np.array(SPECIAL)
+        columns = {"draft_N": values, "airborne": np.zeros(len(values), bool)}
+        report = {"metadata": {}, "series": {}, "events": [], "summary": {}}
+        cli._write_report(tmp_path / "r.json", report, columns)
+        written = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert written["series"]["draft_N"] == reference_json_ready(values)
+        assert "-0.0" in (tmp_path / "r.json").read_text(encoding="utf-8")
+
+
+def written_files(report: dict, columns: dict, weight_n: float) -> tuple[str, dict[str, str]]:
+    """The report and the CSVs that ``_write_report`` and ``_write_series_csvs`` write."""
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        cells = cli._write_report(root / "r.json", report, columns)
+        cli._write_series_csvs(root / "series", cells, weight_n)
+        csvs = {name: (root / "series" / name).read_bytes().decode() for name in cli._SERIES_CSVS}
+        return (root / "r.json").read_bytes().decode(), csvs
+
+
+# Step counts of the byte-writer tests: one, a few, field-session sizes
+# on either side of 200, and a long log.
+STEPS = (1, 20, 199, 400, 20000)
+
+
+def series_of(values: np.ndarray, steps: int) -> dict[str, np.ndarray]:
+    """Report columns of ``steps`` values; the float columns take ``values`` in turn, cycled."""
+    rows = iter(np.resize(values, 10 * steps).reshape(10, steps))
+    return {
+        name: np.arange(steps) % 3 == 0 if name == "airborne" else next(rows)
+        for name in SERIES
+    }
+
+
+def assert_files_equal_the_reference(columns: dict[str, np.ndarray]) -> None:
+    raw = {"metadata": {}, "series": columns, "events": [], "summary": {}}
+    assert written_files({**raw, "series": {}}, columns, 490.5) == (
+        reference_report_text(raw), reference_csvs(columns, 490.5)
+    )
+
+
 @st.composite
 def long_columns(draw):
-    """A float64 column of at least ``_LONG_COLUMN`` values, ``json_floats`` among them.
+    """Ten columns' worth of float64 values for one of ``STEPS``, ``json_floats`` among them.
 
     Values drawn one by one would overrun the test-case buffer, so a
     seeded filler of any bits and of log-uniform magnitudes takes the
     drawn values at drawn places.
     """
     drawn = draw(st.lists(json_floats, min_size=1, max_size=60))
-    n = draw(st.integers(cli._LONG_COLUMN, cli._LONG_COLUMN + 300))
+    n = 10 * draw(st.sampled_from(STEPS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     column = np.where(
         rng.random(n) < 0.5,
         rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
         np.copysign(10.0 ** rng.uniform(-6.0, 8.0, n), rng.random(n) - 0.5),
     )
-    column[rng.choice(n, len(drawn), replace=False)] = drawn
+    places = rng.choice(n, min(n, len(drawn)), replace=False)
+    column[places] = drawn[: len(places)]
     return column
 
 
@@ -291,36 +331,26 @@ def tie_sweep() -> np.ndarray:
 
 class TestLongColumns:
     @given(long_columns())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_strings_and_json_numbers_equal_one_value_at_a_time(self, column):
-        values = column.tolist()
-        text = cli._fmt_column(column)
-        assert text == [format(value, ".6g") for value in values]
-        assert cli._json_numbers(column, text) == readback_numbers(values)
+        assert_cells_equal_the_spec(column)
 
     def test_ties_powers_and_bounds_equal_the_spec(self):
-        column = tie_sweep()
-        values = column.tolist()
-        text = cli._fmt_long(column)
-        assert text == [format(value, ".6g") for value in values]
-        assert cli._json_numbers(column, text) == readback_numbers(values)
+        assert_cells_equal_the_spec(tie_sweep())
 
-    def test_both_sides_of_the_crossover_give_the_same_strings(self, monkeypatch):
-        calls = []
-        fmt_long = cli._fmt_long
-        monkeypatch.setattr(cli, "_fmt_long", lambda column: calls.append(1) or fmt_long(column))
-        rng = np.random.default_rng(7)
-        for n in (cli._LONG_COLUMN - 1, cli._LONG_COLUMN, cli._LONG_COLUMN + 1):
-            column = np.round(rng.uniform(-3000.0, 3000.0, n), int(rng.integers(0, 6)))
-            calls.clear()
-            text = cli._fmt_column(column)
-            assert calls == ([1] if n >= cli._LONG_COLUMN else [])
-            assert text == cli._fmt_column(column.tolist()) == fmt_long(column)
-            assert text == [format(value, ".6g") for value in column.tolist()]
+    @given(long_columns())
+    @settings(max_examples=30, deadline=None)
+    def test_report_and_csvs_of_drawn_values_equal_the_reference(self, values):
+        assert_files_equal_the_reference(series_of(values, len(values) // 10))
 
-    def test_lists_and_other_dtypes_take_the_percent_pass(self, monkeypatch):
-        monkeypatch.setattr(cli, "_fmt_long", lambda column: pytest.fail("long path taken"))
-        values = [0.5 * i for i in range(cli._LONG_COLUMN)]
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("values", [tie_sweep, lambda: np.array(SPECIAL)],
+                             ids=["tie_sweep", "special"])
+    def test_report_and_csvs_equal_the_reference(self, values, steps):
+        assert_files_equal_the_reference(series_of(values(), steps))
+
+    def test_lists_and_other_dtypes_take_the_percent_pass(self):
+        values = [0.5 * i for i in range(400)]
         assert cli._fmt_column(values) == list(map(cli._fmt, values))
         assert cli._fmt_column(np.array(values, np.float32)) == list(map(cli._fmt, values))
 
