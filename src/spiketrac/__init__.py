@@ -37,56 +37,7 @@ _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_HINGE_HEIGHT_M",
-    "DRY_SAND",
-    "MOIST_SAND",
-    "CrescentResult",
-    "CriticalDepthModel",
-    "DerivedSeries",
-    "DesignConstraints",
-    "DesignEvaluation",
-    "DesignSpace",
-    "EffectiveApplication",
-    "FailureMode",
-    "ForceLaw",
-    "GridSearchResult",
-    "ParameterRange",
-    "PulleyRig",
-    "RankedDesign",
-    "SoilProperties",
-    "SpikeDesign",
-    "TrialLog",
-    "TrialLogError",
-    "TrialMetadata",
-    "VehicleConfig",
-    "Violation",
-    "crescent_force",
-    "crescent_volume",
-    "critical_depth",
-    "depth_from_inclination",
-    "derive_series",
-    "detect_landslides",
-    "draft_from_basket",
-    "estimate_effective_application",
-    "evaluate_design",
-    "failure_mode",
-    "grid_search",
-    "landslide_filter",
-    "lateral_onset_depth",
-    "lifting_force",
-    "max_crescent_force",
-    "parse_trial_log",
-    "penetration_work",
-    "predict_series",
-    "pull_weight_ratio",
-    "rake_angle",
-    "stability_check",
-    "thrust_angle",
-    "tip_displacement",
-    "tractive_efficiency",
-    "write_trial_log",
-]
+__all__ = sorted(_OWNERS)
 
 
 def __getattr__(name: str):

@@ -108,6 +108,18 @@ def margins_hold(margins: np.ndarray, guard: float, exact, *columns: np.ndarray)
     return holds
 
 
+def bisect(holds, lo: float, hi: float, tolerance: float) -> tuple[float, float]:
+    """Halve [lo, hi] until it is no wider than ``tolerance``, keeping ``holds`` false at lo
+    and true at hi (for a predicate that turns true once); return the final (lo, hi)."""
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def thrust_angle(design: SpikeDesign, depth_m: float) -> float:
     """Thrust angle gamma (degrees) of the hinge-to-tip line at a tip depth.
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .geometry import (
     SpikeDesign,
+    bisect,
     effective_sine,
     margins_hold,
     rotated_rake,
@@ -47,17 +48,6 @@ _ONSET_GUARD = 1e-9  # margins this close to zero, relative to the depth scale, 
 _NEWTON_STEPS = 8  # from within a factor 2 of a cubic's root to past float precision
 _ROOT_ANGLES = 2  # the least root over this many grid angles either side of the last best
 _SEED_SPREAD = 1e-9  # relative offsets either side of an estimated root that bracket it
-
-
-def _bisect(holds, lo: float, hi: float) -> float:
-    """Shrink [lo, hi] to the depth tolerance around where ``holds`` turns true; return hi."""
-    while hi - lo > _DEPTH_TOLERANCE_M:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # predict_series' rows, one per scheduled draft; regime holds FailureMode members.
@@ -103,7 +93,8 @@ def lateral_onset_depth(
     hits = np.flatnonzero(margins_hold(margins, guard, crossed, samples))
     if hits.size:
         first = int(hits[0])
-        return _bisect(crossed, float(samples[first - 1]) if first else 0.0, float(samples[first]))
+        lo = float(samples[first - 1]) if first else 0.0
+        return bisect(crossed, lo, float(samples[first]), _DEPTH_TOLERANCE_M)[1]
     return None
 
 
@@ -117,14 +108,15 @@ def _cubic_roots(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a wild root estimate is skipped
 def _equilibrium_depths(
-    soil: SoilProperties, width_m: float, drafts: list[float], depth_m: float
-) -> tuple[dict[float, float], dict[float, float]]:
+    soil: SoilProperties, width_m: float, drafts: np.ndarray, depth_m: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Bisect max force(z) >= draft over [0, depth_m] for every draft at once.
 
-    Each lane halves its own bracket with :func:`_bisect`'s arithmetic and
-    tolerance, so it ends on the depth that a bisection of its draft alone
-    returns: the first result maps each draft to it.  A lane whose maximum
-    overflows stops at that depth; the second result maps its draft to it.
+    Each lane halves its own bracket with :func:`geometry.bisect`'s
+    arithmetic and tolerance, so it ends on the depth that a bisection of
+    its draft alone returns: the first result holds it, one per lane.  A
+    lane whose maximum overflows stops at that depth; the second result
+    holds it for that lane, and nan for the others.
     The maximum never decreases with depth, so a midpoint fails unevaluated
     at or below ``below``, the deepest depth whose finite maximum fell short
     of the lane's draft, and holds at or above ``above``, the shallowest
@@ -165,7 +157,7 @@ def _equilibrium_depths(
             inside = np.flatnonzero((z > below) & (z < np.minimum(above, depth_m)))  # nan: skipped
             evaluate(inside, z[inside])
     lo, hi = np.zeros(need.size), np.full(need.size, depth_m)
-    overflows: dict[float, float] = {}
+    overflows = np.full(need.size, math.nan)
     live = np.flatnonzero(hi - lo > _DEPTH_TOLERANCE_M)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
@@ -175,12 +167,11 @@ def _equilibrium_depths(
         if ask.size:
             peaks = evaluate(live[ask], mid[ask])
             holds[ask], finite[ask] = peaks >= need[live[ask]], np.isfinite(peaks)
-            for lane, z in zip(live[~finite].tolist(), mid[~finite].tolist()):
-                overflows[drafts[lane]] = z
+            overflows[live[~finite]] = mid[~finite]
         hi[live[holds]] = mid[holds]
         lo[live[~holds]] = mid[~holds]
         live = live[finite & (hi[live] - lo[live] > _DEPTH_TOLERANCE_M)]
-    return dict(zip(drafts, hi.tolist())), overflows
+    return hi, overflows
 
 
 def _checked_prefix(drafts: np.ndarray) -> tuple[np.ndarray, ValueError | None]:
@@ -240,13 +231,14 @@ def predict_series(
     # Drafts never decrease: the distinct carried ones, sorted (np.unique imports numpy.ma).
     carried = drafts[(drafts > 0) & (drafts <= capacity)]
     lanes = carried[carried != np.concatenate(([0.0], carried[:-1]))]
-    depths, overflows = {}, {}
+    depths = overflows = np.empty(0)
     if lanes.size:
-        depths, overflows = _equilibrium_depths(soil, width, lanes.tolist(), design.design_depth_m)
-    # A zero draft needs no depth, and the crescent carries none above the capacity.
-    z_eq = np.concatenate(([0.0], list(depths.values()), [math.inf]))[
-        np.searchsorted(np.concatenate(([0.0], lanes)), drafts)
-    ]
+        depths, overflows = _equilibrium_depths(soil, width, lanes, design.design_depth_m)
+    # Each draft's lane, after a lane 0 for the zero drafts and before one
+    # for the drafts above the capacity, which the crescent cannot carry.
+    lane = np.searchsorted(np.concatenate(([0.0], lanes)), drafts)
+    z_eq = np.concatenate(([0.0], depths, [math.inf]))[lane]
+    overflow = np.concatenate(([math.nan], overflows, [math.nan]))[lane]
     # A draft past the top stops there: lateral, or unsustained without an onset.
     crescent = z_eq <= top
     lateral = ~crescent & (z_lateral is not None)
@@ -255,7 +247,8 @@ def predict_series(
     n = drafts.size
     rises = np.ones(n, dtype=bool)  # a new pose at the first step and where the depth rises
     np.greater(depth[1:], depth[:-1], out=rises[1:])
-    stop = int(np.flatnonzero(np.isin(drafts, list(overflows)))[0]) if overflows else n
+    overflowed = np.flatnonzero(~np.isnan(overflow))
+    stop = int(overflowed[0]) if overflowed.size else n  # the first draft whose lane overflowed
     thrusts, tans = [], []
     for i in np.flatnonzero(rises[:stop]).tolist():
         z = float(depth[i])
@@ -268,7 +261,7 @@ def predict_series(
         thrusts.append(thrust)
         tans.append(math.tan(math.radians(thrust)))
     if stop < n:  # the scan at the depth where this draft's lane overflowed raises
-        max_crescent_force(overflows[float(drafts[stop])], width, soil)
+        max_crescent_force(float(overflow[stop]), width, soil)
     if error is not None:
         raise error
 

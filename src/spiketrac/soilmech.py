@@ -127,7 +127,6 @@ def _finite(value: float, what: str, depth_m: float, width_m: float) -> float:
     return value
 
 
-_BLOCK_ROWS = 32  # depths per block of CrescentKernel's full rows: small temporaries
 _WINDOW = 8  # grid angles either side of a hint in CrescentKernel.peaks
 _EDGE_GUARD = 1e-9  # how far below a window's peak its edges must lie, relative to it
 _TINY = np.finfo(float).tiny
@@ -179,35 +178,24 @@ class CrescentKernel:
         return cls(soil, law, lo + BETA_STEP_DEG * np.arange(n + 1))
 
     @np.errstate(over="ignore", invalid="ignore")
+    def _force(self, a, c, at=...):
+        """H = (rho g (a cot + c cot^2)) factor at the angle indices ``at``, broadcast with (a, c)."""
+        return (self.rho_g * (a * self.cot[at] + c * self.cot2[at])) * self.factor[at]
+
     def forces(self, depth_m: float, width_m: float):
         """Horizontal crescent force at each of the kernel's shear angles."""
-        a, c = _volume_terms(depth_m, width_m)
-        return (self.rho_g * (a * self.cot + c * self.cot2)) * self.factor
+        return self._force(*_volume_terms(depth_m, width_m))
 
-    @np.errstate(over="ignore", invalid="ignore")
     def cubic(self, index: np.ndarray, width_m: float) -> tuple[np.ndarray, np.ndarray]:
         """(A, B) with :meth:`forces` = A z^2 + B z^3 at the angles ``index``, up to rounding."""
-        weight, (a, c) = self.rho_g * self.factor[index], _volume_terms(1.0, width_m)
-        return weight * a * self.cot[index], weight * c * self.cot2[index]
+        a, c = _volume_terms(1.0, width_m)
+        return self._force(a, 0.0, index), self._force(0.0, c, index)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def _rows(self, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each full row's maximum and the index of its first maximum, in blocks."""
-        peaks = np.empty(len(terms))
-        index = np.empty(len(terms), dtype=np.intp)
-        block = np.empty((min(len(terms), _BLOCK_ROWS), self.cot.size))
-        side = np.empty_like(block)
-        for start in range(0, len(terms), _BLOCK_ROWS):
-            rows = terms[start : start + _BLOCK_ROWS]
-            out, cones = block[: len(rows)], side[: len(rows)]
-            np.multiply(rows[:, :1], self.cot, out=out)
-            out += np.multiply(rows[:, 1:], self.cot2, out=cones)
-            out *= self.rho_g
-            out *= self.factor
-            best = out.argmax(axis=1)  # finds any nan, as max would
-            index[start : start + len(rows)] = best
-            peaks[start : start + len(rows)] = out[np.arange(len(rows)), best]
-        return peaks, index
+        """Each full row's maximum and the index of its first maximum."""
+        rows = self._force(terms[:, :1], terms[:, 1:])
+        best = rows.argmax(axis=1)  # finds any nan, as max would
+        return rows[np.arange(len(rows)), best], best
 
     @np.errstate(over="ignore", invalid="ignore")
     def peaks(
@@ -215,21 +203,18 @@ class CrescentKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each depth's ``forces(z, width_m).max()``, bit for bit, and its first maximizing index.
 
-        A full row is computed with the same element-wise operations as
-        :meth:`forces`, ``_BLOCK_ROWS`` depths at a time.
-
         A unimodal kernel first takes the maximum over ``_WINDOW`` grid
-        angles either side of each depth's hint index, with the same
-        element-wise operations.  Each window edge must lie below that
-        maximum by ``_EDGE_GUARD`` relatively, or sit at the end of the
-        grid; then the peak lies strictly inside the window, every angle
-        outside it gives less, and the window's first maximum is the
-        row's.  That holds while every value of the row errs from the
-        exact force only by its rounding, about 1e-13 relatively: no value
-        overflows, the peak is of normal magnitude, and no sum
-        a cot + c cot^2 is subnormal, whose rounding rho g would magnify.
-        Bounds built from the extreme cot, cot^2 and factor check this.
-        The other depths get full rows.
+        angles either side of each depth's hint index.  Each window edge
+        must lie below that maximum by ``_EDGE_GUARD`` relatively, or sit
+        at the end of the grid; then the peak lies strictly inside the
+        window, every angle outside it gives less, and the window's first
+        maximum is the row's.  That holds while every value of the row
+        errs from the exact force only by its rounding, about 1e-13
+        relatively: no value overflows, the peak is of normal magnitude,
+        and no sum a cot + c cot^2 is subnormal, whose rounding rho g would
+        magnify.  Bounds built from the extreme cot, cot^2 and factor check
+        this.  The other depths get full rows.  Windows and rows both come
+        from :meth:`_force`, the expression :meth:`forces` evaluates.
         """
         terms = _terms(depths_m, width_m)
         if not self.unimodal:
@@ -237,11 +222,7 @@ class CrescentKernel:
         n = self.cot.size
         span = min(2 * _WINDOW + 1, n)
         start = np.clip(hints - _WINDOW, 0, n - span)
-        cols = start[:, None] + np.arange(span)
-        out = terms[:, :1] * self.cot[cols]
-        out += terms[:, 1:] * self.cot2[cols]
-        out *= self.rho_g
-        out *= self.factor[cols]
+        out = self._force(terms[:, :1], terms[:, 1:], start[:, None] + np.arange(span))
         best = out.argmax(axis=1)
         peak = out[np.arange(len(out)), best]
         edge = peak * (1.0 - _EDGE_GUARD)

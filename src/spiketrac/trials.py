@@ -34,6 +34,7 @@ import numpy as np
 
 from .geometry import (
     SpikeDesign,
+    bisect,
     depth_from_inclination,
     effective_sine,
     finite_rule,
@@ -573,11 +574,6 @@ def estimate_effective_application(
     if not feasible(0.0):
         return EffectiveApplication(kappa=0.0, inconsistent=True)
 
-    lo, hi = 0.0, 1.0  # feasible(lo) holds, feasible(hi) fails
-    while hi - lo > _KAPPA_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return EffectiveApplication(kappa=lo, inconsistent=False)
+    # feasible(0) holds and feasible(1) fails: the largest feasible kappa found.
+    kappa = bisect(lambda k: not feasible(k), 0.0, 1.0, _KAPPA_TOLERANCE)[0]
+    return EffectiveApplication(kappa=kappa, inconsistent=False)

@@ -17,6 +17,7 @@ END_TO_END = [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
     {"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.1},
 ]
+BOUNDS = {metric["name"]: metric for metric in END_TO_END}
 
 
 def change_tree(tmp_path: Path) -> Path:
@@ -52,7 +53,9 @@ def test_summarize_takes_medians_and_inclusive_quartiles():
         "change": 2.25, "change_quartiles": [1.625, 2.25, 2.625],
     }
     assert entry["metrics"]["peak_rss_mib"]["change_quartiles"] == [31.0] * 3
-    assert entry["wall_s_pairs_change_faster"] == "3 of 4"
+    metrics = bench_pair.summarize(pairs, BOUNDS)["metrics"]
+    assert metrics["wall_s"]["pairs_change_won"] == "3 of 4"
+    assert metrics["peak_rss_mib"]["pairs_change_won"] == "0 of 4"
     assert entry["pairs"][1] == {
         "first": None,
         "parent": {"wall_s": 2.0, "peak_rss_mib": 30.0},
@@ -62,16 +65,15 @@ def test_summarize_takes_medians_and_inclusive_quartiles():
 
 def test_summarize_rounds_to_six_places_and_takes_one_pair():
     entry = bench_pair.summarize([{"parent": result_line(0.1234567, 1.0),
-                                   "change": result_line(0.1234564, 1.0)}])
+                                   "change": result_line(0.1234564, 1.0)}], BOUNDS)
     assert entry["metrics"]["wall_s"]["parent_quartiles"] == [0.123457] * 3
     assert entry["metrics"]["wall_s"]["change"] == 0.123456
-    assert entry["wall_s_pairs_change_faster"] == "1 of 1"
+    assert entry["metrics"]["wall_s"]["pairs_change_won"] == "1 of 1"
 
 
 def test_summarize_flags_only_the_metric_beyond_its_bound():
-    bounds = {metric["name"]: metric for metric in END_TO_END}
     pairs = [{"parent": result_line(1.0, 40.0), "change": result_line(1.2, 45.0)}]
-    wall, rss = bench_pair.summarize(pairs, bounds)["metrics"].values()
+    wall, rss = bench_pair.summarize(pairs, BOUNDS)["metrics"].values()
     assert (wall["change_vs_parent"], wall["beyond_bound"]) == (0.2, False)
     assert (rss["change_vs_parent"], rss["beyond_bound"]) == (0.125, True)
     assert "beyond_bound" not in bench_pair.summarize(pairs)["metrics"]["wall_s"]
@@ -83,6 +85,30 @@ def test_summarize_honours_higher_is_better():
     falling = [{"parent": result_line(1.0, 1.0), "change": result_line(0.8, 1.0)}]
     assert bench_pair.summarize(rising, bounds)["metrics"]["wall_s"]["beyond_bound"] is False
     assert bench_pair.summarize(falling, bounds)["metrics"]["wall_s"]["beyond_bound"] is True
+    assert bench_pair.summarize(rising, bounds)["metrics"]["wall_s"]["pairs_change_won"] == "1 of 1"
+    assert bench_pair.summarize(falling, bounds)["metrics"]["wall_s"]["pairs_change_won"] == "0 of 1"
+
+
+def test_pairs_won_are_counted_on_every_bounded_metric_in_its_direction():
+    """A pair is won only where the change is strictly better; a metric
+    without a bound gets no count."""
+    bounds = {**BOUNDS, "peak_rss_mib": {"name": "peak_rss_mib", "better": "higher", "bound": 0.1}}
+    pairs = [
+        {"parent": result_line(p, pr), "change": result_line(c, cr)}
+        for p, c, pr, cr in [(1.0, 0.9, 40.0, 41.0), (1.0, 1.0, 40.0, 40.0),
+                             (1.0, 1.1, 40.0, 39.0), (1.0, 0.8, 40.0, 42.0)]
+    ]
+    metrics = bench_pair.summarize(pairs, bounds)["metrics"]
+    assert metrics["wall_s"]["pairs_change_won"] == "2 of 4"
+    assert metrics["peak_rss_mib"]["pairs_change_won"] == "2 of 4"
+    lower = bench_pair.summarize(pairs, BOUNDS)["metrics"]["peak_rss_mib"]
+    assert lower["pairs_change_won"] == "1 of 4"
+    only_wall = bench_pair.summarize(pairs, {"wall_s": BOUNDS["wall_s"]})["metrics"]
+    assert "pairs_change_won" not in only_wall["peak_rss_mib"]
+    # A parent median of zero gets a count, but no ratio.
+    zero = [{"parent": result_line(0.0, 40.0), "change": result_line(0.1, 40.0)}]
+    wall = bench_pair.summarize(zero, BOUNDS)["metrics"]["wall_s"]
+    assert wall["pairs_change_won"] == "0 of 1" and "change_vs_parent" not in wall
 
 
 def test_main_prints_one_line_per_metric_beyond_its_bound(tmp_path, monkeypatch, capsys):
@@ -149,7 +175,9 @@ def test_sides_alternate_and_the_file_is_written(tmp_path, monkeypatch):
     assert record["command"].endswith("--seconds 5 --trace 0")
     assert list(record["workloads"]) == ["design-grid", "field-session"]
     assert list(record["workloads"]["design-grid"]) == ["seed 1", "seed 2"]
-    assert record["workloads"]["design-grid"]["seed 1"]["wall_s_pairs_change_faster"] == "3 of 3"
+    metrics = record["workloads"]["design-grid"]["seed 1"]["metrics"]
+    assert metrics["wall_s"]["pairs_change_won"] == "3 of 3"
+    assert metrics["peak_rss_mib"]["pairs_change_won"] == "0 of 3"  # ties are not won
     # Every run is kept, in run order, with the side that ran first.
     pairs = record["workloads"]["design-grid"]["seed 1"]["pairs"]
     assert [pair["first"] for pair in pairs] == ["parent", "change", "parent"]

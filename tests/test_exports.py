@@ -1,4 +1,5 @@
-"""The package's public names: ``__all__`` lists exactly the names its lazy table exports."""
+"""The package's public names: ``__all__`` is built from the lazy table ``_EXPORTS``, sorted,
+and every name in it resolves to the object its module defines."""
 
 import importlib
 
@@ -17,7 +18,7 @@ def test_every_name_in_all_resolves():
 def test_all_equals_the_imported_public_names():
     table = [name for names in spiketrac._EXPORTS.values() for name in names]
     assert len(table) == len(set(table))
-    assert sorted(spiketrac.__all__) == sorted(table)
+    assert spiketrac.__all__ == sorted(table)
     for module, names in spiketrac._EXPORTS.items():
         library = importlib.import_module(f"spiketrac.{module}")
         for name in names:

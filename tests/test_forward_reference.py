@@ -483,30 +483,45 @@ def test_the_window_decides_most_bisection_steps(monkeypatch):
     assert counts["full"] < 0.1 * counts["depths"]
 
 
-def reference_lanes(soil, width, drafts, depth):
-    """Each draft bisected alone over ``max_crescent_force``: its depth, and its overflow depth."""
-    depths, overflows = {}, {}
+def reference_bisect(holds, lo: float, hi: float) -> float:
+    """The scalar bisection each lane must reproduce: hi once [lo, hi] is within the tolerance."""
+    while hi - lo > TOLERANCE_M:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_lanes(soil, width, drafts, depth) -> tuple[list[float], list[float]]:
+    """Each draft bisected alone over ``max_crescent_force``: its depth, and its overflow
+    depth or nan, one per lane."""
+    depths, overflows = [], []
     for draft in drafts:
+        overflows.append(math.nan)
+
         def holds(z, draft=draft):
             try:
                 return max_crescent_force(z, width, soil).force_n >= draft
             except ValueError:  # the maximum overflows: it carries the draft, and the lane stops
-                overflows[draft] = z
+                overflows[-1] = z
                 raise
         try:
-            depths[draft] = simulate._bisect(holds, 0.0, depth)
+            depths.append(reference_bisect(holds, 0.0, depth))
         except ValueError:
-            depths[draft] = overflows[draft]
+            depths.append(overflows[-1])
     return depths, overflows
 
 
+def lane_bits(lanes) -> tuple[list[str], ...]:
+    """Each per-lane column as ``float.hex``, nan included."""
+    return tuple([z.hex() for z in np.asarray(column, dtype=float).tolist()] for column in lanes)
+
+
 def assert_lanes_match(soil, width, drafts, depth) -> None:
-    depths, overflows = simulate._equilibrium_depths(soil, width, drafts, depth)
-    expected, expected_overflows = reference_lanes(soil, width, drafts, depth)
-    assert {d: repr(z) for d, z in depths.items()} == {d: repr(z) for d, z in expected.items()}
-    assert {d: repr(z) for d, z in overflows.items()} == {
-        d: repr(z) for d, z in expected_overflows.items()
-    }
+    lanes = simulate._equilibrium_depths(soil, width, drafts, depth)
+    assert lane_bits(lanes) == lane_bits(reference_lanes(soil, width, drafts, depth))
 
 
 @st.composite
@@ -563,12 +578,12 @@ def test_lanes_overflow_where_the_maximum_does():
     # The maximum is finite at 4 m and overflows at 6 m, the second midpoint.
     drafts = [1e300, 1e306, 1e307, 1e308]
     depths, overflows = simulate._equilibrium_depths(DENSER, 0.021, drafts, 8.0)
-    assert overflows == {1e307: 6.0, 1e308: 6.0}
-    assert depths[1e306] < 4.0
+    assert lane_bits([overflows]) == lane_bits([[math.nan, math.nan, 6.0, 6.0]])
+    assert depths[1] < 4.0
     # Over 16 m the first midpoint, 8 m, overflows, and every lane stops
     # there, even one already known to be carried far shallower.
     _, overflows = simulate._equilibrium_depths(DENSER, 0.021, drafts, 16.0)
-    assert overflows == dict.fromkeys(drafts, 8.0)
+    assert overflows.tolist() == [8.0] * len(drafts)
     for depth in (8.0, 16.0):
         assert_lanes_match(DENSER, 0.021, drafts, depth)
 
@@ -594,7 +609,7 @@ def test_a_wrong_root_estimate_changes_only_the_evaluations(monkeypatch, estimat
     else:
         monkeypatch.setattr(simulate, "_cubic_roots", lambda a, b, q: np.full(np.shape(a), wrong))
     counted.append(0)
-    assert repr(simulate._equilibrium_depths(soil, width, drafts, depth)) == repr(right)
+    assert lane_bits(simulate._equilibrium_depths(soil, width, drafts, depth)) == lane_bits(right)
     assert counted[1] > counted[0]
     assert_lanes_match(soil, width, drafts, depth)
 

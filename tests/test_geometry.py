@@ -19,7 +19,7 @@ from spiketrac import (
     tip_displacement,
 )
 from spiketrac import trials
-from spiketrac.geometry import effective_sine, rotated_rake
+from spiketrac.geometry import bisect, effective_sine, rotated_rake
 
 
 class TestSpikeDesign:
@@ -153,6 +153,63 @@ def test_effective_sine_keeps_the_inline_bits(radius, hinge_fraction, kappa, fra
     assert [value.hex() for value in seen[0].tolist()] == [
         ((h + kappa * z) / r).hex() for z in depths
     ]
+
+
+# The two bisection loops geometry.bisect replaced, as their callers wrote
+# them: the forward model's depth search kept hi (the predicate holds
+# there), the kappa estimate kept lo (its feasibility holds there).
+def former_depth_bisect(holds, lo, hi, tolerance):
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def former_kappa_bisect(feasible, lo, hi, tolerance):
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def thresholds(draw) -> tuple[float, float, float, float]:
+    """A tolerance, a bracket [lo, hi] (some exactly one or two tolerances wide) and a
+    threshold anywhere in it, at either end or one float off one."""
+    tolerance = draw(st.sampled_from([1e-6, 1e-4]))
+    lo = draw(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 50.0))
+    hi = lo + draw(st.sampled_from([0.5, 1.0, tolerance, 2 * tolerance]) | st.floats(0.0, 50.0))
+    ends = [lo, hi, *(math.nextafter(end, way) for end in (lo, hi) for way in (-math.inf, math.inf))]
+    return tolerance, lo, hi, draw(st.floats(lo, hi) | st.sampled_from(ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=thresholds(), strict=st.booleans())
+def test_bisect_keeps_both_former_loops_bits(case, strict):
+    """Monotone threshold predicates: the same midpoints, in order, and the same ends."""
+    tolerance, lo, hi, threshold = case
+
+    def recorded(calls):
+        def holds(z):
+            calls.append(z.hex())
+            return z > threshold if strict else z >= threshold
+        return holds
+
+    calls, depth_calls, kappa_calls = [], [], []
+    ends = bisect(recorded(calls), lo, hi, tolerance)
+    depth = former_depth_bisect(recorded(depth_calls), lo, hi, tolerance)
+    kappa_holds = recorded(kappa_calls)
+    kappa = former_kappa_bisect(lambda k: not kappa_holds(k), lo, hi, tolerance)
+    assert calls == depth_calls == kappa_calls
+    assert (ends[1].hex(), ends[0].hex()) == (depth.hex(), kappa.hex())
+    assert lo <= ends[0] <= ends[1] <= hi
+    assert ends[1] - ends[0] <= tolerance
 
 
 class TestDepthFromInclination:

@@ -15,14 +15,16 @@ Each pair runs ``python3 benchmark/run.py --trace 0`` once in each tree,
 from that tree's root, and the side that runs first alternates from pair
 to pair.  Runs go one at a time.  For every workload and seed the file
 keeps each end-to-end metric's median over one side's runs and its
-quartiles (inclusive method), the failed operations of each side, how
-many pairs the change won on ``wall_s``, and every pair's values of each
-side with the side that ran first, so a claim about each pair can be
-checked from the file.  Each end-to-end metric that the change tree's
-``BENCHMARK.json`` bounds also gets ``change / parent - 1`` of the
-medians and whether the change is worse than the parent by more than
-the bound; a line on standard error names each one that is.  A run that exits non-zero stops the recorder with its
-standard error.  Uses the standard library only.
+quartiles (inclusive method), the failed operations of each side, and
+every pair's values of each side with the side that ran first, so a
+claim about each pair can be checked from the file.  Each end-to-end
+metric that the change tree's ``BENCHMARK.json`` bounds also gets how
+many pairs the change won on it (strictly better, in the metric's
+``better`` direction), ``change / parent - 1`` of the medians and
+whether the change is worse than the parent by more than the bound; a
+line on standard error names each one that is.  A run that exits
+non-zero stops the recorder with its standard error.  Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -81,9 +83,10 @@ def summarize(pairs: list[dict[str, dict]], bounds: dict[str, dict] | None = Non
     """One workload and seed: ``pairs`` holds one result object per side and pair,
     and under ``first`` the side that ran first.
 
-    A metric named in ``bounds`` also gets its relative change of the
-    medians and whether that is worse than its ``bound``, honouring
-    ``better``; a metric whose parent median is zero gets neither.
+    A metric named in ``bounds`` also gets the pairs the change won on it
+    and, unless its parent median is zero, its relative change of the
+    medians and whether that is worse than its ``bound``, all honouring
+    ``better``.
     """
     entry = {
         "runs": {side: len(pairs) for side in SIDES},
@@ -101,17 +104,19 @@ def summarize(pairs: list[dict[str, dict]], bounds: dict[str, dict] | None = Non
             record[side] = round(statistics.median(values), 6)
             record[f"{side}_quartiles"] = [round(q, 6) for q in quartiles(values)]
         spec = (bounds or {}).get(name)
+        if spec:
+            sign = 1 if spec["better"] == "lower" else -1
+            won = sum(
+                sign * p["change"]["metrics"][name]["value"]
+                < sign * p["parent"]["metrics"][name]["value"]
+                for p in pairs
+            )
+            record["pairs_change_won"] = f"{won} of {len(pairs)}"
         if spec and record["parent"]:
             ratio = record["change"] / record["parent"] - 1
             record["change_vs_parent"] = round(ratio, 6)
-            worse = ratio if spec["better"] == "lower" else -ratio
-            record["beyond_bound"] = worse > spec["bound"]
+            record["beyond_bound"] = sign * ratio > spec["bound"]
         entry["metrics"][name] = record
-    faster = sum(
-        p["change"]["metrics"]["wall_s"]["value"] < p["parent"]["metrics"]["wall_s"]["value"]
-        for p in pairs
-    )
-    entry["wall_s_pairs_change_faster"] = f"{faster} of {len(pairs)}"
     entry["pairs"] = [
         {"first": p.get("first"), **{
             side: {name: round(metric["value"], 6) for name, metric in p[side]["metrics"].items()}
