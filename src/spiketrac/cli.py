@@ -306,9 +306,8 @@ def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    lines = chain([",".join(header)], map(",".join, rows))
-    _atomic_write(path, [("\n".join(lines) + "\n").encode()])
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    return "\n".join(chain([",".join(header)], map(",".join, rows))) + "\n"
 
 
 def finite(text: str) -> float:
@@ -458,32 +457,23 @@ def load_draft_schedule(path: Path) -> list[float]:
         lines = handle.read().splitlines()
     if not lines or lines[0].strip() != "draft_N":
         raise ConfigError(f"draft-schedule file {path}: first line must be 'draft_N'")
-    # Lines are parsed up to the first that is not a number.  A draft out
-    # of contract before that line is reported first, in line order.
-    numbers, drafts, unparsed = [], [], None
+    drafts: list[float] = []
+    line = f"draft-schedule file {path}: line"
     for number, raw in enumerate(lines[1:], start=2):
-        if raw.strip():
-            try:
-                drafts.append(float(raw))
-            except ValueError as exc:
-                unparsed = number, exc
-                break
-            numbers.append(number)
-    values = np.array(drafts)
-    wrong = (values < 0) | ~np.isfinite(values)
-    wrong[1:] |= values[1:] < values[:-1]
-    if wrong.any():
-        i = int(wrong.argmax())
-        where = f"draft-schedule file {path}: line {numbers[i]}"
-        if drafts[i] < 0 or not math.isfinite(drafts[i]):
-            raise ConfigError(f"{where}: draft must be finite and >= 0")
-        raise ConfigError(
-            f"{where}: draft ({drafts[i]}) decreased (previous {drafts[i - 1]}); "
-            "weights are only added"
-        )
-    if unparsed is not None:
-        number, exc = unparsed
-        raise ConfigError(f"draft-schedule file {path}: line {number}: {exc}") from exc
+        if not raw.strip():
+            continue
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{line} {number}: {exc}") from exc
+        if value < 0 or not math.isfinite(value):
+            raise ConfigError(f"{line} {number}: draft must be finite and >= 0")
+        if drafts and value < drafts[-1]:
+            raise ConfigError(
+                f"{line} {number}: draft ({value}) decreased (previous {drafts[-1]}); "
+                "weights are only added"
+            )
+        drafts.append(value)
     return drafts
 
 
@@ -617,15 +607,19 @@ def run_crescent(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         columns = (_fmt_column(column) for column in result.curve.T.tolist())
-        _write_csv(args.out, ["beta_deg", "force_N"], zip(*columns))
+        _atomic_write(args.out, [_csv_text(["beta_deg", "force_N"], zip(*columns)).encode()])
     print(f"beta_star_deg={_fmt(result.beta_star_deg)} force_N={_fmt(result.force_n)}")
     return EXIT_OK
 
 
-def _fmt_keyed(values: np.ndarray, key: np.ndarray) -> list[str]:
-    """``_fmt_column(values)``, formatting once per distinct key; equal keys hold equal values."""
+def _gather(strings: list[str], index: np.ndarray) -> list[str]:
+    return np.array(strings, dtype=object)[index].tolist()
+
+
+def _fmt_keyed(key: np.ndarray, *columns: np.ndarray) -> list[list[str]]:
+    """Each column's ``_fmt_column``, formatted once per distinct key; equal keys hold equal values."""
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return np.array(_fmt_column(values[first].tolist()), dtype=object)[inverse].tolist()
+    return [_gather(_fmt_column(column[first]), inverse) for column in columns]
 
 
 def _design_rows(result: GridSearchResult, top: int | None) -> list[tuple[str, ...]]:
@@ -633,18 +627,14 @@ def _design_rows(result: GridSearchResult, top: int | None) -> list[tuple[str, .
 
     Each axis value is formatted once, and so are the objective and
     thrust of each (radius, hinge, depth) arm and the window of each
-    (arm, rake); the strings are gathered by grid index.
+    (arm, rake); the strings are gathered by index.
     """
     index = [axis_index[:top] for axis_index in result.index]
-    columns = [_fmt_keyed(np.asarray(axis)[i], i) for axis, i in zip(result.axes, index)]
+    columns = [_gather(_fmt_column(axis), i) for axis, i in zip(result.axes, index)]
     ir, ih, ia, _, iz = index
-    sizes = [len(axis) for axis in result.axes]
-    arm = np.ravel_multi_index((ir, ih, iz), (sizes[0], sizes[1], sizes[4]))
-    columns += [
-        _fmt_keyed(result.objective[:top], arm),
-        _fmt_keyed(result.thrust_deg[:top], arm),
-        _fmt_keyed(result.window_deg[:top], arm * sizes[2] + ia),
-    ]
+    arm = np.ravel_multi_index((ir, ih, iz), [len(result.axes[k]) for k in (0, 1, 4)])
+    columns += _fmt_keyed(arm, result.objective[:top], result.thrust_deg[:top])
+    columns += _fmt_keyed(arm * len(result.axes[2]) + ia, result.window_deg[:top])
     return list(zip(*columns))
 
 
@@ -657,10 +647,9 @@ def run_design(args: argparse.Namespace) -> int:
     load_soil(args.soil)
     cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
     result = grid_search(space, constraints, cd_model)
-    header = [*_DESIGN_KEYS, *_EVALUATION_KEYS]
-    rows = _design_rows(result, args.top)
+    table = _csv_text([*_DESIGN_KEYS, *_EVALUATION_KEYS], _design_rows(result, args.top))
     if args.out is not None:
-        _write_csv(args.out, header, rows)
+        _atomic_write(args.out, [table.encode()])
     print(
         f"evaluated {result.evaluated} designs ({result.invalid} invalid grid points): "
         f"{result.feasible} feasible"
@@ -670,9 +659,7 @@ def run_design(args: argparse.Namespace) -> int:
         if worst is not None:
             print(f"no feasible designs; most common violation: {worst}")
     elif args.out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+        print(table, end="")
     return EXIT_OK
 
 
@@ -691,7 +678,8 @@ def run_simulate(args: argparse.Namespace) -> int:
     if args.out is not None:
         regime = [mode.value for mode in steps.regime.tolist()]
         sustained = np.where(steps.sustained, "true", "false").tolist()
-        _write_csv(args.out, header, zip(draft, depth, regime, sustained, thrust, rake, lift))
+        rows = zip(draft, depth, regime, sustained, thrust, rake, lift)
+        _atomic_write(args.out, [_csv_text(header, rows).encode()])
     if len(steps):
         final = steps[-1]
         print(

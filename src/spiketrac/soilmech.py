@@ -372,13 +372,14 @@ def critical_depth(
     return max(_critical_depth(width_m, min(rake_deg, _MAX_RAKE_DEG), model), 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def critical_depths(width_m, rake_deg, model: CriticalDepthModel = CriticalDepthModel()):
     """:func:`critical_depth` over broadcast arrays of widths and rakes.
 
-    Bit for bit the scalar values, without the validation: every width
-    must be positive and every rake must lie in (0, 180).  The scalar
-    function keeps Python's ``min``/``max``, because a numpy call on a
-    float costs microseconds and it sits in the forward model's onset scan.
+    Bit for bit the scalar values, an overflow's inf included, with no
+    warning or validation: widths must be positive, rakes in (0, 180).
+    The scalar function keeps Python's ``min``/``max``: a numpy call on
+    a float costs microseconds, and it sits in the forward model's onset scan.
     """
     capped = np.minimum(rake_deg, _MAX_RAKE_DEG)
     return np.maximum(_critical_depth(width_m, capped, model), 0.0)

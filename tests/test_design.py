@@ -554,6 +554,18 @@ class TestDesignOutputBytes:
         top_offset=st.sampled_from([None, -1, 0, 1]),
         to_file=st.booleans(),
     )
+    # Three distinct radii that all print as 1.2: each row's text is
+    # gathered by axis index, not looked up by its printed key.
+    @example(
+        space=DesignSpace(
+            ParameterRange(1.2, 1.2000002, 1e-7), point(0.09), ParameterRange(20.0, 40.0, 10.0),
+            point(21.0), point(0.4),
+        ),
+        constraints=DesignConstraints(60.0, 0.0, 75.0),
+        cd_model=CriticalDepthModel(),
+        top_offset=-1,
+        to_file=False,
+    )
     def test_random_small_spaces(self, space, constraints, cd_model, top_offset, to_file):
         feasible = grid_search(space, constraints, cd_model).feasible
         top = None if top_offset is None else max(feasible + top_offset, 1)

@@ -9,14 +9,21 @@ from spiketrac import (
     DRY_SAND,
     MOIST_SAND,
     CriticalDepthModel,
+    DesignConstraints,
+    DesignSpace,
     FailureMode,
     ForceLaw,
+    ParameterRange,
     SoilProperties,
+    SpikeDesign,
     crescent_force,
     crescent_volume,
     critical_depth,
     failure_mode,
+    grid_search,
+    lateral_onset_depth,
     max_crescent_force,
+    predict_series,
 )
 
 
@@ -270,6 +277,35 @@ def test_overflow_raises_without_a_numpy_warning(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="crescent force overflows"):
             call()
+
+
+def test_critical_depth_overflow_is_inf_without_a_numpy_warning():
+    # k1 * (rake - 45) overflows for every rake above 45 degrees; the
+    # scalar gives inf silently, and so must the array callers.
+    model = CriticalDepthModel(k1=1e308)
+    design = SpikeDesign(radius_m=1.34)
+    space = DesignSpace(
+        radius_m=ParameterRange(1.34, 1.34, 1.0),
+        hinge_height_m=ParameterRange(0.09, 0.09, 1.0),
+        initial_rake_deg=ParameterRange(20.0, 60.0, 20.0),
+        diameter_mm=ParameterRange(21.0, 21.0, 1.0),
+        design_depth_m=ParameterRange(0.5, 0.5, 1.0),
+    )
+    constraints = DesignConstraints(60.0, 0.0, 75.0, require_lateral_at_design_depth=True)
+    assert critical_depth(design.width_m, 50.0, model) == math.inf
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        onset = lateral_onset_depth(design, model)
+        steps = predict_series(design, DRY_SAND, [0.0, 10.0], model)
+        result = grid_search(space, constraints, model)
+    assert onset is None
+    assert steps.regime.tolist() == [FailureMode.CRESCENT] * 2
+    assert steps.sustained.all()
+    assert steps.depth_m[0] == 0.0 and steps.depth_m[1] > 0.0
+    assert result.feasible == 1
+    assert result.axes[2][result.index[2][0]] == 20.0
+    assert result.critical_depth_m.tolist() == [0.0]
+    assert result.violation_counts == {"critical_depth": 2}
 
 
 # nan fails every comparison, so it gets the range message, not an overflow.

@@ -73,6 +73,17 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def lengths_differ(parent: Path, change: Path, tool: str) -> bool:
+    """Whether the two checkouts' resolved paths differ in length; if so,
+    ``tool`` says so on standard error."""
+    lengths = [len(str(tree.resolve())) for tree in (parent, change)]
+    if lengths[0] == lengths[1]:
+        return False
+    print(f"{tool}: the checkout paths differ in length (parent {lengths[0]}, "
+          f"change {lengths[1]} characters); use paths of one length", file=sys.stderr)
+    return True
+
+
 def end_to_end_bounds(tree: Path) -> dict[str, dict]:
     """The ``end_to_end`` entries of ``tree``'s BENCHMARK.json, by metric name."""
     spec = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -156,10 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    lengths = [len(str(tree.resolve())) for tree in (args.parent, args.change)]
-    if lengths[0] != lengths[1]:
-        print(f"bench_pair: the checkout paths differ in length (parent {lengths[0]}, "
-              f"change {lengths[1]} characters); use paths of one length", file=sys.stderr)
+    if lengths_differ(args.parent, args.change, "bench_pair"):
         return 2
     bounds = end_to_end_bounds(args.change)
     machine = ""

@@ -28,7 +28,6 @@ import json
 import os
 import resource
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,13 +41,21 @@ CASES = {"analyze": "analyze", "crescent": "crescent-active", "design": "design"
 RUN_TIMEOUT_S = 120
 
 
+def sibling(name: str):
+    """The script ``tools/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).with_name(f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The quartiles and the checkout-length check are ``tools/bench_pair.py``'s.
+bench_pair = sibling("bench_pair")
+
+
 def golden_argv() -> dict[str, list[str]]:
     """Each subcommand's argv, from the golden cases ``tools/compare_outputs.py`` reads."""
-    path = Path(__file__).with_name("compare_outputs.py")
-    spec = importlib.util.spec_from_file_location("compare_outputs", path)
-    compare_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare_outputs)
-    cases = compare_outputs.golden_cases()
+    cases = sibling("compare_outputs").golden_cases()
     return {command: cases[case] for command, case in CASES.items()}
 
 
@@ -66,13 +73,6 @@ def run_once(tree: Path, argv: list[str], work: Path) -> tuple[float, int]:
     return cpu, proc.returncode
 
 
-def quartiles(values: list[float]) -> list[float]:
-    """First quartile, median and third quartile, inclusive method."""
-    if len(values) < 2:
-        return [values[0]] * 3
-    return statistics.quantiles(values, n=4, method="inclusive")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -83,12 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be positive")
 
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    lengths = [len(str(trees[side])) for side in SIDES]
-    if lengths[0] != lengths[1]:
-        print(f"startup_cpu: the checkout paths differ in length (parent {lengths[0]}, "
-              f"change {lengths[1]} characters); use paths of one length", file=sys.stderr)
+    if bench_pair.lengths_differ(args.parent, args.change, "startup_cpu"):
         return 2
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     cases = golden_argv()
     times = {command: {side: [] for side in SIDES} for command in cases}
     codes = {command: {side: set() for side in SIDES} for command in cases}
@@ -107,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     for command, sides in times.items():
         entry = {}
         for side in SIDES:
-            low, median, high = quartiles(sides[side])
+            low, median, high = bench_pair.quartiles(sides[side])
             entry[side] = {"median_ms": round(median, 3),
                            "quartiles_ms": [round(low, 3), round(high, 3)],
                            "exit_codes": sorted(codes[command][side])}
