@@ -670,12 +670,12 @@ def run_simulate(args: argparse.Namespace) -> int:
     drafts = load_draft_schedule(args.draft_schedule)
     cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
     steps = predict_series(design, soil, drafts, cd_model)
-    header = ["draft_N", "depth_m", "regime", "sustained", "thrust_deg", "rake_deg", "lift_N"]
-    draft, depth, thrust, rake, lift = (
-        _fmt_column(steps[name].tolist())
-        for name in ("draft_n", "depth_m", "thrust_deg", "rake_deg", "lift_n")
-    )
     if args.out is not None:
+        header = ["draft_N", "depth_m", "regime", "sustained", "thrust_deg", "rake_deg", "lift_N"]
+        draft, depth, thrust, rake, lift = (
+            _fmt_column(steps[name].tolist())
+            for name in ("draft_n", "depth_m", "thrust_deg", "rake_deg", "lift_n")
+        )
         regime = [mode.value for mode in steps.regime.tolist()]
         sustained = np.where(steps.sustained, "true", "false").tolist()
         rows = zip(draft, depth, regime, sustained, thrust, rake, lift)
@@ -683,7 +683,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     if len(steps):
         final = steps[-1]
         print(
-            f"{len(steps)} steps: final depth {depth[-1]} m, "
+            f"{len(steps)} steps: final depth {_fmt(final.depth_m)} m, "
             f"regime {final.regime.value}, sustained {'yes' if final.sustained else 'no'}"
         )
     else:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -257,16 +258,92 @@ def _parse_metadata(line: str) -> TrialMetadata:
     return metadata
 
 
-def _step_values(fields: list[str]) -> tuple[int, float, float, float]:
-    return int(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])
+# Step rows converted per block: bounds the field strings alive at once.
+_BLOCK_ROWS = 4096
+# The step columns in file order: name, converter, dtype.
+_STEP_COLUMNS = (("index", int, np.int64), ("basket_kg", float, np.float64),
+                 ("motion_mm", float, np.float64), ("incl_deg", float, np.float64))
+
+
+def _first(mask: np.ndarray) -> int:
+    """Position of the first true element of ``mask``, or its length."""
+    return int(np.append(mask, True).argmax())
+
+
+def _convert(fields: list[str], kind: type, dtype) -> tuple[np.ndarray | list, str | None]:
+    """``fields`` converted by ``kind`` up to the first that fails, and that failure's message."""
+    try:
+        return np.fromiter(map(kind, fields), dtype, len(fields)), None
+    except (ValueError, OverflowError):
+        pass
+    # int and float skip the whitespace around a number, except U+001F,
+    # which strip also removes.  Strip only on a failure: the retry accepts
+    # such a field, and the message quotes it stripped.
+    values = []
+    for text in fields:
+        try:
+            values.append(kind(text.strip()))
+        except ValueError as exc:
+            return values, f"bad value: {exc}"
+    return values, None
+
+
+def _step_columns(rows: list[str]) -> tuple[dict[str, np.ndarray], tuple[int, str] | None]:
+    """Rows of four fields as columns up to the first row that fails, and
+    ``(row, message)`` of that row or None: first a field that does not
+    convert, then a step index outside int64."""
+    columns = {name: np.empty(len(rows), dtype) for name, _, dtype in _STEP_COLUMNS}
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        fields = ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
+        converted = [_convert(fields[k::4], kind, dtype)
+                     for k, (_, kind, dtype) in enumerate(_STEP_COLUMNS)]
+        shortest, message = min(converted, key=lambda column: len(column[0]))
+        stop, index = len(shortest), converted[0][0]
+        try:  # the int64 column refuses an index it cannot hold
+            columns["index"][start:start + stop] = index[:stop]
+        except OverflowError:
+            stop = next(k for k, step in enumerate(index) if not -(2**63) <= step < 2**63)
+            message = f"bad value: step index {index[stop]} is outside int64"
+        for column, (values, _) in zip(columns.values(), converted):
+            column[start:start + stop] = values[:stop]
+        if message is not None:
+            end = start + stop
+            return {name: column[:end] for name, column in columns.items()}, (end, message)
+    return columns, None
+
+
+def _first_breach(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
+    """The first row that breaks a step rule, and the message of the first rule it breaks."""
+    index, kg, mm, deg = columns.values()
+    # A rule on a row and the row before has no entry for the first row.
+    rules = (
+        (~(np.isfinite(kg) & np.isfinite(mm) & np.isfinite(deg)), "values must be finite"),
+        (kg < 0, "basket_kg ({basket_kg}) must be >= 0"),
+        (~((deg >= 0) & (deg <= 90)), "incl_deg ({incl_deg}) must lie in [0, 90]"),
+        (index[1:] <= index[:-1], "step index {index} must increase (previous {previous[index]})"),
+        (kg[1:] < kg[:-1], "basket_kg ({basket_kg}) decreased (previous "
+         "{previous[basket_kg]}); weights are only added"),
+        (mm[1:] < mm[:-1], "motion_mm ({motion_mm}) decreased (previous "
+         "{previous[motion_mm]}); motion is cumulative"),
+    )
+    firsts = [len(index) - len(broken) + _first(broken) for broken, _ in rules]
+    row = min(firsts)
+    if row == len(index):
+        return None
+    values, previous = (
+        {name: column[at].item() for name, column in columns.items()} for at in (row, row - 1)
+    )
+    return row, rules[firsts.index(row)][1].format(**values, previous=previous)
 
 
 def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
     """Parse and validate a trial-log CSV into columns.
 
-    Raises TrialLogError naming the first offending line and the first
-    rule it breaks there.  A file with only the two header lines yields
-    an empty (zero-step) log.
+    The non-blank step lines are converted as columns, in blocks of
+    rows, and each rule is checked once over the converted rows.  Raises
+    TrialLogError naming the first offending line and the first rule it
+    breaks there.  A file with only the two header lines yields an empty
+    (zero-step) log.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -281,57 +358,18 @@ def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
     if len(lines) < 2 or lines[1].strip() != _HEADER_COLUMNS:
         raise TrialLogError(f"second line must be '{_HEADER_COLUMNS}'", line=2)
 
-    index: list[int] = []
-    basket: list[float] = []
-    motion: list[float] = []
-    incl: list[float] = []
-    for offset, raw in enumerate(lines[2:], start=3):
-        if not raw.strip():
-            continue
-        fields = raw.split(",")
-        if len(fields) != 4:
-            raise TrialLogError(f"expected 4 comma-separated fields, got {len(fields)}", line=offset)
-        try:
-            step, kg, mm, deg = _step_values(fields)
-        except ValueError:
-            # int and float skip the whitespace around a number, except
-            # U+001F, which strip also removes.  Strip only on a failure: the
-            # retry accepts such a field, and the message quotes it stripped.
-            try:
-                step, kg, mm, deg = _step_values([part.strip() for part in fields])
-            except ValueError as exc:
-                raise TrialLogError(f"bad value: {exc}", line=offset) from exc
-        if not -(2**63) <= step < 2**63:
-            raise TrialLogError(f"bad value: step index {step} is outside int64", line=offset)
-        if not (math.isfinite(kg) and math.isfinite(mm) and math.isfinite(deg)):
-            raise TrialLogError("values must be finite", line=offset)
-        if kg < 0:
-            raise TrialLogError(f"basket_kg ({kg}) must be >= 0", line=offset)
-        if not 0 <= deg <= 90:
-            raise TrialLogError(f"incl_deg ({deg}) must lie in [0, 90]", line=offset)
-        if index:
-            if step <= index[-1]:
-                raise TrialLogError(
-                    f"step index {step} must increase (previous {index[-1]})", line=offset
-                )
-            if kg < basket[-1]:
-                raise TrialLogError(
-                    f"basket_kg ({kg}) decreased (previous {basket[-1]}); "
-                    "weights are only added",
-                    line=offset,
-                )
-            if mm < motion[-1]:
-                raise TrialLogError(
-                    f"motion_mm ({mm}) decreased (previous {motion[-1]}); "
-                    "motion is cumulative",
-                    line=offset,
-                )
-        index.append(step)
-        basket.append(kg)
-        motion.append(mm)
-        incl.append(deg)
-
-    return TrialLog(metadata, index, basket, motion, incl)
+    rows = list(filter(str.strip, lines[2:]))
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
+    end = _first(commas != 3)
+    columns, failure = _step_columns(rows[:end])
+    if failure is None and end < len(rows):
+        failure = end, f"expected 4 comma-separated fields, got {commas[end] + 1}"
+    failure = _first_breach(columns) or failure
+    if failure is not None:
+        row, message = failure
+        steps = (number for number, raw in enumerate(lines[2:], start=3) if raw.strip())
+        raise TrialLogError(message, line=next(islice(steps, row, None)))
+    return TrialLog(metadata, **columns)
 
 
 def write_trial_log(log: TrialLog, target: str | Path | IO[str]) -> None:

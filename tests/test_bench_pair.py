@@ -111,6 +111,29 @@ def test_pairs_won_are_counted_on_every_bounded_metric_in_its_direction():
     assert wall["pairs_change_won"] == "0 of 1" and "change_vs_parent" not in wall
 
 
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_medians_apart_beyond_the_parents_spread():
+    parent = [1.0 + k / 100 for k in range(10)]  # quartiles 1.0225 and 1.0675
+
+    def metrics(change, bounds=BOUNDS):
+        pairs = [{"parent": result_line(p, 30.0), "change": result_line(c, 30.0)}
+                 for p, c in zip(parent, change)]
+        return bench_pair.summarize(pairs, bounds)["metrics"]
+
+    far = [p - 0.2 for p in parent]
+    assert metrics(far)["wall_s"]["gain_shown"] is True
+    assert metrics(far)["peak_rss_mib"]["gain_shown"] is False  # ten ties win nothing
+    nine = metrics(far[:9] + [parent[9] + 0.5])["wall_s"]
+    assert (nine["pairs_change_won"], nine["gain_shown"]) == ("9 of 10", True)
+    eight = metrics(far[:8] + parent[8:])["wall_s"]
+    assert (eight["pairs_change_won"], eight["gain_shown"]) == ("8 of 10", False)
+    # Every pair won, but the medians lie 0.01 apart within a spread of 0.045.
+    near = metrics([p - 0.01 for p in parent])["wall_s"]
+    assert (near["pairs_change_won"], near["gain_shown"]) == ("10 of 10", False)
+    higher = {"wall_s": {"name": "wall_s", "better": "higher", "bound": 0.1}}
+    assert metrics([p + 0.2 for p in parent], higher)["wall_s"]["gain_shown"] is True
+    assert metrics(far, higher)["wall_s"]["gain_shown"] is False
+
+
 def test_main_prints_one_line_per_metric_beyond_its_bound(tmp_path, monkeypatch, capsys):
     def fake_run(tree, workload, seed, seconds):
         return MACHINE, result_line(1.0, 40.0 if tree.name == "old" else 45.0)

@@ -20,6 +20,7 @@ from spiketrac import (
     detect_landslides,
     tractive_efficiency,
 )
+from spiketrac import cli
 from spiketrac.cli import ConfigError, _atomic_write, load_draft_schedule, main
 
 
@@ -536,6 +537,21 @@ class TestSimulate:
         assert lines[1].startswith("0,0,crescent,true")
         assert ",lateral,true," in lines[3]
         assert "final depth" in capsys.readouterr().out
+
+    def test_stdout_run_formats_no_column(self, tmp_path, capsys, monkeypatch):
+        argv = ["simulate", *self.write_inputs(tmp_path, schedule="draft_N\n0\n5\n2000\n"),
+                "--soil", "preset:dry"]
+        out = tmp_path / "sim.csv"
+        assert run(*argv, "--out", str(out)) == 0
+        with_out = capsys.readouterr().out
+        calls = []
+        fmt_column = cli._fmt_column
+        monkeypatch.setattr(cli, "_fmt_column", lambda values: calls.append(values) or fmt_column(values))
+        assert run(*argv) == 0
+        assert calls == []
+        assert capsys.readouterr().out == with_out
+        final_depth = out.read_text().splitlines()[-1].split(",")[1]
+        assert with_out.startswith(f"3 steps: final depth {final_depth} m, ")
 
     def test_bad_schedule_header_exits_2(self, tmp_path):
         design = tmp_path / "design.json"

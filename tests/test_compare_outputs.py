@@ -21,7 +21,7 @@ def test_a_checkout_against_itself_exits_0(capsys):
 def test_one_changed_format_string_exits_1_and_names_each_differing_operation(tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src")
     cli = tmp_path / "src" / "spiketrac" / "cli.py"
-    old = 'f"{len(steps)} steps: final depth {depth[-1]} m, "'
+    old = 'f"{len(steps)} steps: final depth {_fmt(final.depth_m)} m, "'
     assert old in cli.read_text(encoding="utf-8")
     cli.write_text(cli.read_text(encoding="utf-8").replace(old, old.replace(" m, ", " metres, ")),
                    encoding="utf-8")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from trial_data import same_bits
 
 from spiketrac import TrialLogError, parse_trial_log
+from spiketrac.trials import _BLOCK_ROWS
 
 HEADER = (
     "# site=dry diameter_mm=21.0 radius_m=1.34 hinge_m=0.09 rake0_deg=45.0 "
@@ -206,3 +207,72 @@ def test_int64_bounds_are_valid_indices():
     rows = ["-9223372036854775808,0,0,5", "9223372036854775807,0,0,5"]
     log = parse_trial_log(io.StringIO("\n".join([HEADER, COLUMNS, *rows]) + "\n"))
     assert log.index.tolist() == [-(2**63), 2**63 - 1]
+
+
+# Logs longer than two blocks, with one row changed at a block boundary.
+_ROWS = 2 * _BLOCK_ROWS + 2
+
+
+def _valid_fields(row: int) -> list[str]:
+    return [str(row - 5), repr(row * 0.37), repr(row * 1.1 / 3), repr(row * 7.3 % 90)]
+
+
+_CHANGES = {
+    "valid": lambda fields, before: fields,
+    "padded": lambda fields, before: ["\x1f" + fields[0] + "\u2005", *fields[1:3], "\t" + fields[3]],
+    "integer_text": lambda fields, before: ["+" + fields[0], *fields[1:]],
+    "too_few_fields": lambda fields, before: fields[:3],
+    "too_many_fields": lambda fields, before: [*fields, "0"],
+    "line_space": lambda fields, before: [fields[0], fields[1] + "\u2028", *fields[2:]],
+    "not_number": lambda fields, before: [*fields[:2], "1.5.2", fields[3]],
+    "padded_not_number": lambda fields, before: [fields[0], "\x1f abc\u3000", *fields[2:]],
+    "non_finite": lambda fields, before: [*fields[:3], "nan"],
+    "infinite_basket": lambda fields, before: [fields[0], "inf", *fields[2:]],
+    "negative_basket": lambda fields, before: [fields[0], "-5e-324", *fields[2:]],
+    "low_incl": lambda fields, before: [*fields[:3], "-0.5"],
+    "high_incl": lambda fields, before: [*fields[:3], "90.00001"],
+    "decreasing_basket": lambda fields, before: [
+        fields[0], repr(float(before[1]) - 1e-9), *fields[2:]
+    ],
+    "decreasing_motion": lambda fields, before: [
+        *fields[:2], repr(float(before[2]) - 1e-9), fields[3]
+    ],
+    "repeated_index": lambda fields, before: [before[0], *fields[1:]],
+    "lower_index": lambda fields, before: [str(int(before[0]) - 2), *fields[1:]],
+    "index_above_int64": lambda fields, before: ["9223372036854775808", *fields[1:]],
+    "index_below_int64": lambda fields, before: ["-9223372036854775809", *fields[1:]],
+    "int64_and_not_number": lambda fields, before: [
+        "9223372036854775808", fields[1], "x", fields[3]
+    ],
+}
+
+
+@pytest.mark.parametrize("row", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _ROWS - 1])
+@pytest.mark.parametrize("change", sorted(_CHANGES))
+def test_block_boundaries_match_the_reference(change, row):
+    rows = [",".join(_valid_fields(k)) for k in range(_ROWS)]
+    rows[row] = ",".join(_CHANGES[change](_valid_fields(row), _valid_fields(row - 1)))
+    # Blank lines ahead of the change move its line away from its row.
+    ahead = ["", *rows[:3], " \t", *rows[3:row], "\u3000"]
+    text = "\n".join([HEADER, COLUMNS, *ahead, rows[row], "", *rows[row + 1:]]) + "\n"
+    if change.startswith("index_"):  # the reference predates the int64 rule
+        with pytest.raises(TrialLogError) as caught:
+            parse_trial_log(io.StringIO(text))
+        line = len(ahead) + 3
+        index = rows[row].split(",")[0]
+        assert str(caught.value) == f"line {line}: bad value: step index {index} is outside int64"
+        assert caught.value.line == line
+        return
+    try:
+        steps = reference_steps(text.splitlines()[2:])
+    except TrialLogError as expected:
+        with pytest.raises(TrialLogError) as caught:
+            parse_trial_log(io.StringIO(text))
+        assert (str(caught.value), caught.value.line) == (str(expected), expected.line)
+        return
+    assert change in ("valid", "padded", "integer_text")
+    log = parse_trial_log(io.StringIO(text))
+    assert same_bits(log.index, [step.index for step in steps], np.int64)
+    for name in ("basket_kg", "motion_mm", "incl_deg"):
+        expected = [getattr(step, name) for step in steps]
+        assert same_bits(getattr(log, name), expected, np.float64), name

@@ -20,9 +20,12 @@ every pair's values of each side with the side that ran first, so a
 claim about each pair can be checked from the file.  Each end-to-end
 metric that the change tree's ``BENCHMARK.json`` bounds also gets how
 many pairs the change won on it (strictly better, in the metric's
-``better`` direction), ``change / parent - 1`` of the medians and
-whether the change is worse than the parent by more than the bound; a
-line on standard error names each one that is.  A run that exits
+``better`` direction), ``change / parent - 1`` of the medians,
+whether the change is worse than the parent by more than the bound (a
+line on standard error names each one that is), and ``gain_shown``: the
+change won at least nine tenths of the pairs, ties counting for neither
+side, and its median is better than the parent's by more than the
+distance between the parent's quartiles.  A run that exits
 non-zero stops the recorder with its standard error.  Uses the standard
 library only.
 """
@@ -94,10 +97,10 @@ def summarize(pairs: list[dict[str, dict]], bounds: dict[str, dict] | None = Non
     """One workload and seed: ``pairs`` holds one result object per side and pair,
     and under ``first`` the side that ran first.
 
-    A metric named in ``bounds`` also gets the pairs the change won on it
-    and, unless its parent median is zero, its relative change of the
-    medians and whether that is worse than its ``bound``, all honouring
-    ``better``.
+    A metric named in ``bounds`` also gets the pairs the change won on it,
+    whether that and the medians show a gain and, unless its parent median
+    is zero, its relative change of the medians and whether that is worse
+    than its ``bound``, all honouring ``better``.
     """
     entry = {
         "runs": {side: len(pairs) for side in SIDES},
@@ -110,19 +113,18 @@ def summarize(pairs: list[dict[str, dict]], bounds: dict[str, dict] | None = Non
     }
     for name, metric in pairs[0]["parent"]["metrics"].items():
         record = {"unit": metric["unit"]}
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         for side in SIDES:
-            values = [p[side]["metrics"][name]["value"] for p in pairs]
-            record[side] = round(statistics.median(values), 6)
-            record[f"{side}_quartiles"] = [round(q, 6) for q in quartiles(values)]
+            record[side] = round(statistics.median(values[side]), 6)
+            record[f"{side}_quartiles"] = [round(q, 6) for q in quartiles(values[side])]
         spec = (bounds or {}).get(name)
         if spec:
             sign = 1 if spec["better"] == "lower" else -1
-            won = sum(
-                sign * p["change"]["metrics"][name]["value"]
-                < sign * p["parent"]["metrics"][name]["value"]
-                for p in pairs
-            )
+            won = sum(sign * c < sign * p for p, c in zip(values["parent"], values["change"]))
             record["pairs_change_won"] = f"{won} of {len(pairs)}"
+            low, median, high = quartiles(values["parent"])
+            margin = sign * (median - statistics.median(values["change"]))
+            record["gain_shown"] = 10 * won >= 9 * len(pairs) and margin > high - low
         if spec and record["parent"]:
             ratio = record["change"] / record["parent"] - 1
             record["change_vs_parent"] = round(ratio, 6)
