@@ -274,12 +274,18 @@ def _json_array(cells: np.ndarray) -> list:
 
 
 def _csv_chunks(header: str, columns: Sequence[np.ndarray]) -> list:
-    """Byte chunks of a CSV whose columns are ``%.6g`` cells, rows laid out side by side."""
-    rows = np.empty((len(columns[0]), 2 * len(columns)), "<u8")
+    """Byte chunks of a CSV whose columns are ``%.6g`` cells, rows laid out side by side.
+
+    A column's cells are one or two words each; the last byte of a
+    cell's last word is free, and takes the comma or newline after it.
+    """
+    rows = np.empty((len(columns[0]), sum(cells.shape[1] for cells in columns)), "<u8")
+    stop = 0
     for j, cells in enumerate(columns):
-        rows[:, 2 * j] = cells[:, 0]
+        start, stop = stop, stop + cells.shape[1]
+        rows[:, start:stop - 1] = cells[:, :-1]
         end = _COMMA if j + 1 < len(columns) else _NEWLINE
-        np.bitwise_or(cells[:, 1], end, out=rows[:, 2 * j + 1])
+        np.bitwise_or(cells[:, -1], end, out=rows[:, stop - 1])
     return [f"{header}\n".encode(), _without_nuls(rows)]
 
 
@@ -612,30 +618,31 @@ def run_crescent(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _gather(strings: list[str], index: np.ndarray) -> list[str]:
-    return np.array(strings, dtype=object)[index].tolist()
+def _gathered_cells(strings: list[str], index: np.ndarray) -> np.ndarray:
+    """The cells of ``strings`` at ``index``: one word each if no string passes 7 bytes, else two."""
+    return _cells_of(strings, 1 if max(map(len, strings), default=0) <= 7 else 2)[index]
 
 
-def _fmt_keyed(key: np.ndarray, *columns: np.ndarray) -> list[list[str]]:
-    """Each column's ``_fmt_column``, formatted once per distinct key; equal keys hold equal values."""
+def _keyed_cells(key: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    """Each column's cells, formatted once per distinct key; equal keys hold equal values."""
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return [_gather(_fmt_column(column[first]), inverse) for column in columns]
+    return [_gathered_cells(_fmt_column(column[first]), inverse) for column in columns]
 
 
-def _design_rows(result: GridSearchResult, top: int | None) -> list[tuple[str, ...]]:
-    """The ranked CSV's rows.
+def _design_chunks(result: GridSearchResult, top: int | None) -> list:
+    """The ranked CSV's byte chunks.
 
     Each axis value is formatted once, and so are the objective and
     thrust of each (radius, hinge, depth) arm and the window of each
-    (arm, rake); the strings are gathered by index.
+    (arm, rake); their cells are gathered by index, with no per-row object.
     """
     index = [axis_index[:top] for axis_index in result.index]
-    columns = [_gather(_fmt_column(axis), i) for axis, i in zip(result.axes, index)]
+    columns = [_gathered_cells(_fmt_column(axis), i) for axis, i in zip(result.axes, index)]
     ir, ih, ia, _, iz = index
     arm = np.ravel_multi_index((ir, ih, iz), [len(result.axes[k]) for k in (0, 1, 4)])
-    columns += _fmt_keyed(arm, result.objective[:top], result.thrust_deg[:top])
-    columns += _fmt_keyed(arm * len(result.axes[2]) + ia, result.window_deg[:top])
-    return list(zip(*columns))
+    columns += _keyed_cells(arm, result.objective[:top], result.thrust_deg[:top])
+    columns += _keyed_cells(arm * len(result.axes[2]) + ia, result.window_deg[:top])
+    return _csv_chunks(",".join((*_DESIGN_KEYS, *_EVALUATION_KEYS)), columns)
 
 
 def run_design(args: argparse.Namespace) -> int:
@@ -647,9 +654,18 @@ def run_design(args: argparse.Namespace) -> int:
     load_soil(args.soil)
     cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
     result = grid_search(space, constraints, cd_model)
-    table = _csv_text([*_DESIGN_KEYS, *_EVALUATION_KEYS], _design_rows(result, args.top))
+    # A zero effective thrust angle makes the ratio infinite; no ranking follows from it.
+    infinite = np.flatnonzero(~np.isfinite(result.objective))
+    if infinite.size:
+        n = infinite[0]
+        point = ", ".join(
+            f"{key}={_fmt(axis[index[n]])}"
+            for key, axis, index in zip(_DESIGN_KEYS, result.axes, result.index)
+        )
+        raise ValueError(f"design {point} has a pull/weight ratio of {_fmt(result.objective[n])}")
+    chunks = _design_chunks(result, args.top)
     if args.out is not None:
-        _atomic_write(args.out, [table.encode()])
+        _atomic_write(args.out, chunks)
     print(
         f"evaluated {result.evaluated} designs ({result.invalid} invalid grid points): "
         f"{result.feasible} feasible"
@@ -659,7 +675,7 @@ def run_design(args: argparse.Namespace) -> int:
         if worst is not None:
             print(f"no feasible designs; most common violation: {worst}")
     elif args.out is None:
-        print(table, end="")
+        print(b"".join(chunks).decode(), end="")
     return EXIT_OK
 
 

@@ -278,8 +278,9 @@ def grid_search(
     The grid is the product of the five ranges in field order, evaluated
     as arrays over that product.  The transcendental parts (thrust at
     design depth and at the surface, and the objective) depend only on
-    the (radius, hinge, depth) arm, so :func:`evaluate_design` and the
-    surface :func:`thrust_angle` run once per arm.  Window, rake,
+    the (radius, hinge, depth) arm, so :func:`evaluate_design` runs once
+    per arm and the surface :func:`thrust_angle` once per (radius,
+    hinge).  Window, rake,
     critical depth and the checks are float64 array arithmetic broadcast
     over the grid, in the scalar code's operation order, so every point
     is judged and valued exactly as :func:`evaluate_design` judges and
@@ -293,24 +294,26 @@ def grid_search(
     values = space._values()
     radius, hinge, rake0, diameter, depth = values
     arms = (len(radius), len(hinge), len(depth))
-    thrust = np.full(arms, np.nan)
-    gamma0 = np.full(arms, np.nan)
-    objective = np.full(arms, np.nan)
-    arm_ok = np.zeros(arms, dtype=bool)
+    per_arm_values = []
     arm = None
-    for i, j, k in np.ndindex(*arms):
-        try:
-            # The default rake and diameter are valid: this checks the arm.
-            arm = SpikeDesign(radius[i], hinge[j], design_depth_m=depth[k])
-        except ValueError:
-            continue
-        # Thrust and objective depend on the arm alone; the default
-        # constraints make no critical-depth call.
-        evaluation = evaluate_design(arm)
-        arm_ok[i, j, k] = True
-        thrust[i, j, k] = evaluation.thrust_deg
-        gamma0[i, j, k] = thrust_angle(arm, 0.0)
-        objective[i, j, k] = evaluation.objective
+    for r in radius:
+        for h in hinge:
+            surface = None
+            for z in depth:
+                try:
+                    # The default rake and diameter are valid: this checks the arm.
+                    arm = SpikeDesign(r, h, design_depth_m=z)
+                except ValueError:
+                    per_arm_values.append((math.nan,) * 3)
+                    continue
+                # Thrust and objective depend on the arm alone; the default
+                # constraints make no critical-depth call.
+                evaluation = evaluate_design(arm)
+                if surface is None:
+                    surface = thrust_angle(arm, 0.0)
+                per_arm_values.append((evaluation.thrust_deg, surface, evaluation.objective))
+    thrust, gamma0, objective = np.moveaxis(np.array(per_arm_values).reshape(*arms, 3), -1, 0)
+    arm_ok = ~np.isnan(thrust)
 
     # Validity is separable: a rake or a diameter is valid when the last
     # valid arm's design stays valid with it swapped in.

@@ -14,6 +14,8 @@ from trial_data import sample_log_text
 
 from spiketrac import (
     DRY_SAND,
+    SpikeDesign,
+    evaluate_design,
     max_crescent_force,
     parse_trial_log,
     derive_series,
@@ -419,6 +421,27 @@ class TestDesign:
         messages = capsys.readouterr().out
         assert "0 feasible" in messages
         assert "most common violation: penetration_window" in messages
+
+    def test_infinite_pull_weight_ratio_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # (h + z) / r = 2e-300 / 1e300 underflows to 0: a valid, feasible
+        # design whose zero thrust angle gives an infinite ratio.
+        extreme = {"radius_m": 1e300, "hinge_height_m": 1e-300, "design_depth_m": 1e-300}
+        assert evaluate_design(
+            SpikeDesign(initial_rake_deg=30.0, diameter_mm=21.0, **extreme)
+        ).objective == math.inf
+        space = tmp_path / "space.json"
+        self.write_space(
+            space, **{key: {"start": v, "stop": v, "step": 1.0} for key, v in extreme.items()}
+        )
+        out = tmp_path / "ranked.csv"
+        assert run("design", "--space", str(space), "--out", str(out)) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: design radius_m=1e+300, hinge_height_m=1e-300, initial_rake_deg=30, "
+            "diameter_mm=21, design_depth_m=1e-300 has a pull/weight ratio of inf\n"
+        )
 
     def test_top_truncates_after_ranking(self, tmp_path):
         space = tmp_path / "space.json"

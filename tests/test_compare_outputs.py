@@ -18,13 +18,33 @@ def test_a_checkout_against_itself_exits_0(capsys):
     assert capsys.readouterr().out == "0 of 16 operations differ\n"
 
 
+# Appended to a copy of cli.py: simulate's stdout spells its " m, " out.
+IN_METRES = """
+
+import contextlib as _contextlib
+import io as _io
+
+
+def _in_metres(run):
+    def run_in_metres(args):
+        out = _io.StringIO()
+        try:
+            with _contextlib.redirect_stdout(out):
+                return run(args)
+        finally:
+            print(out.getvalue().replace(" m, ", " metres, "), end="")
+    return run_in_metres
+
+
+_COMMANDS["simulate"] = _in_metres(_COMMANDS["simulate"])
+"""
+
+
 def test_one_changed_format_string_exits_1_and_names_each_differing_operation(tmp_path, capsys):
     shutil.copytree(ROOT / "src", tmp_path / "src")
     cli = tmp_path / "src" / "spiketrac" / "cli.py"
-    old = 'f"{len(steps)} steps: final depth {_fmt(final.depth_m)} m, "'
-    assert old in cli.read_text(encoding="utf-8")
-    cli.write_text(cli.read_text(encoding="utf-8").replace(old, old.replace(" m, ", " metres, ")),
-                   encoding="utf-8")
+    with cli.open("a", encoding="utf-8") as handle:
+        handle.write(IN_METRES)
     assert compare_outputs.main([str(ROOT), str(tmp_path), *ARGS]) == 1
     lines = capsys.readouterr().out.splitlines()
     # The four schedules and the four golden simulate cases print their final depth.

@@ -566,6 +566,46 @@ class TestDesignOutputBytes:
         top_offset=-1,
         to_file=False,
     )
+    # Cells are one word when no string in the column passes 7 bytes, else
+    # two: a radius column of exactly 7 characters, then a hinge column of 8.
+    @example(
+        space=DesignSpace(
+            point(1.23456), point(0.09), ParameterRange(20.0, 40.0, 10.0), point(21.0), point(0.4)
+        ),
+        constraints=DesignConstraints(60.0, 0.0, 75.0),
+        cd_model=CriticalDepthModel(),
+        top_offset=None,
+        to_file=True,
+    )
+    @example(
+        space=DesignSpace(
+            point(1.5), point(0.123456), ParameterRange(20.0, 40.0, 10.0), point(21.0), point(0.4)
+        ),
+        constraints=DesignConstraints(60.0, 0.0, 75.0),
+        cd_model=CriticalDepthModel(),
+        top_offset=0,
+        to_file=False,
+    )
+    # Negative windows, and --top 1 of two feasible designs.
+    @example(
+        space=DesignSpace(
+            point(1.2), point(0.09), point(2.0), ParameterRange(12.0, 24.0, 12.0), point(0.4)
+        ),
+        constraints=DesignConstraints(60.0, -60.0, 75.0),
+        cd_model=CriticalDepthModel(),
+        top_offset=-1,
+        to_file=True,
+    )
+    # No feasible design: --out holds the header alone.
+    @example(
+        space=DesignSpace(
+            point(1.5), point(0.09), ParameterRange(20.0, 40.0, 10.0), point(21.0), point(0.4)
+        ),
+        constraints=DesignConstraints(max_thrust_deg=1.0),
+        cd_model=CriticalDepthModel(),
+        top_offset=None,
+        to_file=True,
+    )
     def test_random_small_spaces(self, space, constraints, cd_model, top_offset, to_file):
         feasible = grid_search(space, constraints, cd_model).feasible
         top = None if top_offset is None else max(feasible + top_offset, 1)
