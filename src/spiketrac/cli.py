@@ -623,10 +623,16 @@ def _gathered_cells(strings: list[str], index: np.ndarray) -> np.ndarray:
     return _cells_of(strings, 1 if max(map(len, strings), default=0) <= 7 else 2)[index]
 
 
-def _keyed_cells(key: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
-    """Each column's cells, formatted once per distinct key; equal keys hold equal values."""
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return [_gathered_cells(_fmt_column(column[first]), inverse) for column in columns]
+def _keyed_cells(index: tuple, shape: tuple, *columns: np.ndarray) -> list[np.ndarray]:
+    """Each column's cells, formatted once per distinct key; equal keys hold equal values.
+
+    The keys are the points ``index`` in a grid of ``shape``, found with dense tables over it."""
+    key = np.ravel_multi_index(index, shape)
+    first = np.full(math.prod(shape), len(key))
+    first[key[::-1]] = np.arange(len(key))[::-1]  # the last of repeated stores stays
+    seen = first < len(key)
+    inverse = np.cumsum(seen)[key] - 1
+    return [_gathered_cells(_fmt_column(column[first[seen]]), inverse) for column in columns]
 
 
 def _design_chunks(result: GridSearchResult, top: int | None) -> list:
@@ -634,14 +640,16 @@ def _design_chunks(result: GridSearchResult, top: int | None) -> list:
 
     Each axis value is formatted once, and so are the objective and
     thrust of each (radius, hinge, depth) arm and the window of each
-    (arm, rake); their cells are gathered by index, with no per-row object.
+    (radius, hinge, rake), on which alone it depends; their cells are
+    gathered by index, with no per-row object.
     """
     index = [axis_index[:top] for axis_index in result.index]
     columns = [_gathered_cells(_fmt_column(axis), i) for axis, i in zip(result.axes, index)]
     ir, ih, ia, _, iz = index
-    arm = np.ravel_multi_index((ir, ih, iz), [len(result.axes[k]) for k in (0, 1, 4)])
-    columns += _keyed_cells(arm, result.objective[:top], result.thrust_deg[:top])
-    columns += _keyed_cells(arm * len(result.axes[2]) + ia, result.window_deg[:top])
+    nr, nh, na, _, nz = map(len, result.axes)
+    objective, thrust, window = (getattr(result, key)[:top] for key in _EVALUATION_KEYS)
+    columns += _keyed_cells((ir, ih, iz), (nr, nh, nz), objective, thrust)
+    columns += _keyed_cells((ir, ih, ia), (nr, nh, na), window)
     return _csv_chunks(",".join((*_DESIGN_KEYS, *_EVALUATION_KEYS)), columns)
 
 

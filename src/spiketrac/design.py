@@ -154,6 +154,8 @@ class GridSearchResult:
         )
 
     def most_common_violation(self) -> str | None:
+        """The check that failed most often, or None.  Equal counts go to the
+        alphabetically last name: penetration_window, max_thrust, critical_depth."""
         if not self.violation_counts:
             return None
         return max(self.violation_counts.items(), key=lambda item: (item[1], item[0]))[0]
@@ -278,9 +280,9 @@ def grid_search(
     The grid is the product of the five ranges in field order, evaluated
     as arrays over that product.  The transcendental parts (thrust at
     design depth and at the surface, and the objective) depend only on
-    the (radius, hinge, depth) arm, so :func:`evaluate_design` runs once
-    per arm and the surface :func:`thrust_angle` once per (radius,
-    hinge).  Window, rake,
+    the (radius, hinge, depth) arm: the checks take one :func:`thrust_angle` per
+    arm and one at the surface per (radius, hinge); :func:`evaluate_design`
+    runs once per arm that keeps a feasible point, for its objective.  Window, rake,
     critical depth and the checks are float64 array arithmetic broadcast
     over the grid, in the scalar code's operation order, so every point
     is judged and valued exactly as :func:`evaluate_design` judges and
@@ -294,7 +296,7 @@ def grid_search(
     values = space._values()
     radius, hinge, rake0, diameter, depth = values
     arms = (len(radius), len(hinge), len(depth))
-    per_arm_values = []
+    per_arm = []
     arm = None
     for r in radius:
         for h in hinge:
@@ -304,15 +306,14 @@ def grid_search(
                     # The default rake and diameter are valid: this checks the arm.
                     arm = SpikeDesign(r, h, design_depth_m=z)
                 except ValueError:
-                    per_arm_values.append((math.nan,) * 3)
+                    per_arm.append((None, math.nan, math.nan))
                     continue
-                # Thrust and objective depend on the arm alone; the default
-                # constraints make no critical-depth call.
-                evaluation = evaluate_design(arm)
                 if surface is None:
                     surface = thrust_angle(arm, 0.0)
-                per_arm_values.append((evaluation.thrust_deg, surface, evaluation.objective))
-    thrust, gamma0, objective = np.moveaxis(np.array(per_arm_values).reshape(*arms, 3), -1, 0)
+                # evaluate_design's thrust_deg: the same call on the same arm.
+                per_arm.append((arm, thrust_angle(arm, z), surface))
+    designs, *angles = zip(*per_arm)
+    thrust, gamma0 = np.reshape(angles, (2, *arms))
     arm_ok = ~np.isnan(thrust)
 
     # Validity is separable: a rake or a diameter is valid when the last
@@ -347,6 +348,12 @@ def grid_search(
         if count:
             violation_counts[check] = count
         feasible &= ~failing
+
+    # Only arms with a feasible point rank; with the default constraints
+    # evaluate_design cannot raise for a valid arm, so the others drop no error.
+    objective = np.full(arms, math.nan)
+    for k in np.flatnonzero(feasible.any(axis=(2, 3))).tolist():
+        objective.flat[k] = evaluate_design(designs[k]).objective
 
     index = np.unravel_index(np.flatnonzero(feasible), feasible.shape)
     ir, ih, _, idiam, iz = index

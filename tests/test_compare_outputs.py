@@ -4,6 +4,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
@@ -56,3 +58,13 @@ def test_one_changed_format_string_exits_1_and_names_each_differing_operation(tm
            ("simulate", "simulate-deep", "simulate-surface", "simulate-unsustained")]
     )
     assert all(line.endswith(": stdout") for line in lines[:-1])
+
+
+def test_an_unknown_workload_exits_2_and_names_the_workloads(capsys):
+    # Exit 1 means "operations differ"; a typo must not read as one.
+    with pytest.raises(SystemExit) as exit_info:
+        compare_outputs.main([str(ROOT), str(ROOT), "--seeds", "1", "--workload", "bogus"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(repr(name) in err for name in compare_outputs.load_generator().WORKLOADS)

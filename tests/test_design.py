@@ -8,9 +8,10 @@ from dataclasses import asdict, fields
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from trial_data import LARGE_FIELD_DESIGN
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from spiketrac import (
@@ -29,7 +30,9 @@ from spiketrac import (
     thrust_angle,
 )
 from spiketrac import design as design_module
-from spiketrac.cli import _DESIGN_KEYS, _EVALUATION_KEYS, main
+from spiketrac.cli import (
+    _DESIGN_KEYS, _EVALUATION_KEYS, _fmt_column, _gathered_cells, _keyed_cells, main,
+)
 
 
 def point(value: float) -> ParameterRange:
@@ -107,6 +110,36 @@ class TestEvaluateDesign:
         first = evaluate_design(LARGE_FIELD_DESIGN)
         second = evaluate_design(LARGE_FIELD_DESIGN)
         assert first == second
+
+
+@st.composite
+def valid_designs(draw):
+    """Any valid design: hinge and depth are fractions of what the radius leaves."""
+    radius = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    hinge = radius * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    depth = (radius - hinge) * draw(st.floats(0.0, 1.0, exclude_min=True))
+    rake = draw(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True))
+    diameter = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    try:
+        return SpikeDesign(radius, hinge, rake, diameter, depth)
+    except ValueError:
+        # A product that rounds to zero or past the reachable depth.
+        reject()
+
+
+# grid_search calls evaluate_design only for arms that rank, which drops
+# no error only if it never raises for a valid design.  The examples: a
+# thrust angle that underflows to zero (objective inf), and a tiny arm
+# whose tip reaches the vertical at design depth.
+@settings(max_examples=300, deadline=None)
+@given(design=valid_designs())
+@example(design=SpikeDesign(1e300, 1e-300, design_depth_m=1e-300))
+@example(design=SpikeDesign(1e-300, 5e-301, 89.9, 1e-300, 5e-301))
+def test_evaluate_design_returns_for_every_valid_design(design):
+    evaluation = evaluate_design(design)
+    assert isinstance(evaluation, DesignEvaluation)
+    if design.radius_m == 1e300:
+        assert evaluation.objective == math.inf
 
 
 def reference_evaluation(design, constraints, cd_model) -> DesignEvaluation:
@@ -313,6 +346,29 @@ class TestGridSearch:
         assert result.ranked == ()
         assert result.violation_counts == {"critical_depth": 1}
 
+    # One design fails each named check once: equal counts go to the
+    # alphabetically last name.
+    @pytest.mark.parametrize(
+        "constraints, worst",
+        [
+            (DesignConstraints(max_thrust_deg=1.0, window_low_deg=30.0), "penetration_window"),
+            (
+                DesignConstraints(max_thrust_deg=1.0, require_lateral_at_design_depth=True),
+                "max_thrust",
+            ),
+            (
+                DesignConstraints(1.0, 30.0, 35.0, require_lateral_at_design_depth=True),
+                "penetration_window",
+            ),
+        ],
+    )
+    def test_most_common_violation_breaks_ties_by_the_later_name(self, constraints, worst):
+        space = DesignSpace(point(1.5), point(0.09), point(30.0), point(21.0), point(0.40))
+        result = grid_search(space, constraints, CriticalDepthModel(k0=100.0))
+        assert set(result.violation_counts.values()) == {1}
+        assert len(result.violation_counts) >= 2
+        assert result.most_common_violation() == worst
+
 
 def _brute_force(space, constraints, cd_model):
     """``evaluate_design`` at every grid point, ranked and counted point by point."""
@@ -484,6 +540,30 @@ class TestRankedColumns:
         assert main(["design", "--space", str(tmp_path / "space.json")]) == 0
         assert len(built) == 3
 
+    @pytest.mark.parametrize(
+        "constraints, calls",
+        [
+            # 14 valid arms, 8 of which keep a feasible point.
+            (DesignConstraints(require_lateral_at_design_depth=True), 8),
+            (DesignConstraints(max_thrust_deg=1.0), 0),
+        ],
+    )
+    def test_evaluate_design_runs_once_per_ranked_arm(self, constraints, calls, monkeypatch):
+        space = DesignSpace(
+            ParameterRange(0.6, 1.8, 0.3), point(0.09), ParameterRange(25.0, 45.0, 10.0),
+            ParameterRange(8.0, 34.0, 13.0), ParameterRange(0.2, 0.6, 0.2),
+        )
+        evaluated = []
+
+        def counted(*args, **kwargs):
+            evaluated.append(args)
+            return evaluate_design(*args, **kwargs)
+
+        monkeypatch.setattr(design_module, "evaluate_design", counted)
+        result = grid_search(space, constraints)
+        ir, ih, _, _, iz = (axis_index.tolist() for axis_index in result.index)
+        assert len(evaluated) == len(set(zip(ir, ih, iz))) == calls
+
 
 def _reference_design_output(space, constraints, cd_model, top, to_file):
     """``design``'s stdout and ``--out`` text, one record per ranked design.
@@ -621,3 +701,29 @@ class TestDesignOutputBytes:
             space, DesignConstraints(max_thrust_deg=1.0), CriticalDepthModel(), 2, to_file
         )
         assert stdout.endswith("no feasible designs; most common violation: max_thrust\n")
+
+
+def _unique_keyed_cells(key, *columns):
+    """``_keyed_cells`` as written with ``np.unique``."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return [_gathered_cells(_fmt_column(column[first]), inverse) for column in columns]
+
+
+# Keys with gaps, keys whose first occurrence comes late, a single key
+# (--top 1) and none (an empty feasible set).
+@settings(max_examples=100, deadline=None)
+@given(key=st.lists(st.integers(0, 11)))
+@example(key=[9, 2, 7, 2, 9])
+@example(key=[5, 5, 5, 0, 5, 0, 11])
+@example(key=[4])
+@example(key=[])
+def test_keyed_cells_equal_the_unique_reference(key):
+    key = np.array(key, np.intp)
+    # Equal keys hold equal values: a short column, and one of two-word cells.
+    short, long = key * 0.5, 1.0 / (key + 7.0)
+    expected = _unique_keyed_cells(key, short, long)
+    cells = _keyed_cells((key,), (12,), short, long)
+    assert len(cells) == len(expected)
+    for got, want in zip(cells, expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

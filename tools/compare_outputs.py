@@ -3,7 +3,7 @@
 Run from anywhere, with two checkouts of the repository:
 
     python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE --seeds 1 2 \\
-        [--workload simulate-schedules ...]
+        [--workload design-grid --workload simulate-schedules ...]
 
 For every workload (all four by default) and seed, the operations'
 inputs are written once with this repository's ``benchmark/inputs.py``;
@@ -75,16 +75,23 @@ def golden_cases() -> dict[str, list[str]]:
     raise SystemExit("compare_outputs: no CASES in tests/test_golden.py")
 
 
-def write_inputs(inputs: Path, workloads: list[str] | None, seeds: list[int]) -> list[dict]:
+def load_generator():
+    """This repository's ``benchmark/inputs.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("inputs", ROOT / "benchmark" / "inputs.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    return generator
+
+
+def write_inputs(
+    generator, inputs: Path, workloads: list[str] | None, seeds: list[int]
+) -> list[dict]:
     """Write every operation's inputs under ``inputs``; return the operations.
 
     ``workloads`` None means all four.  An operation's ``cwd`` and
     ``outputs`` are relative to a copy of ``inputs``: it runs in ``cwd``
     and writes what is compared under ``outputs``.
     """
-    spec = importlib.util.spec_from_file_location("inputs", ROOT / "benchmark" / "inputs.py")
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
     ops = []
     for workload in workloads or generator.WORKLOADS:
         for seed in seeds:
@@ -136,12 +143,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
     parser.add_argument("change", type=Path, help="root of the changed checkout")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workload", action="append", help="a workload (default: all four)")
+    generator = load_generator()
+    parser.add_argument("--workload", action="append", choices=generator.WORKLOADS,
+                        help="a workload, repeatable (default: all four)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as scratch:
         inputs = Path(scratch) / "inputs"
-        ops = write_inputs(inputs, args.workload, args.seeds)
+        ops = write_inputs(generator, inputs, args.workload, args.seeds)
         results = {side: run_side(tree, inputs, Path(scratch) / side, ops)
                    for side, tree in zip(SIDES, (args.parent, args.change))}
     differing = 0
