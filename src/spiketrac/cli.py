@@ -635,7 +635,7 @@ def _keyed_cells(index: tuple, shape: tuple, *columns: np.ndarray) -> list[np.nd
     return [_gathered_cells(_fmt_column(column[first[seen]]), inverse) for column in columns]
 
 
-def _design_chunks(result: GridSearchResult, top: int | None) -> list:
+def _design_chunks(result: GridSearchResult) -> list:
     """The ranked CSV's byte chunks.
 
     Each axis value is formatted once, and so are the objective and
@@ -643,11 +643,10 @@ def _design_chunks(result: GridSearchResult, top: int | None) -> list:
     (radius, hinge, rake), on which alone it depends; their cells are
     gathered by index, with no per-row object.
     """
-    index = [axis_index[:top] for axis_index in result.index]
-    columns = [_gathered_cells(_fmt_column(axis), i) for axis, i in zip(result.axes, index)]
-    ir, ih, ia, _, iz = index
+    columns = [_gathered_cells(_fmt_column(axis), i) for axis, i in zip(result.axes, result.index)]
+    ir, ih, ia, _, iz = result.index
     nr, nh, na, _, nz = map(len, result.axes)
-    objective, thrust, window = (getattr(result, key)[:top] for key in _EVALUATION_KEYS)
+    objective, thrust, window = (getattr(result, key) for key in _EVALUATION_KEYS)
     columns += _keyed_cells((ir, ih, iz), (nr, nh, nz), objective, thrust)
     columns += _keyed_cells((ir, ih, ia), (nr, nh, na), window)
     return _csv_chunks(",".join((*_DESIGN_KEYS, *_EVALUATION_KEYS)), columns)
@@ -661,7 +660,7 @@ def run_design(args: argparse.Namespace) -> int:
     # feasibility checks are geometric.
     load_soil(args.soil)
     cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
-    result = grid_search(space, constraints, cd_model)
+    result = grid_search(space, constraints, cd_model, top=args.top)
     # A zero effective thrust angle makes the ratio infinite; no ranking follows from it.
     infinite = np.flatnonzero(~np.isfinite(result.objective))
     if infinite.size:
@@ -671,7 +670,7 @@ def run_design(args: argparse.Namespace) -> int:
             for key, axis, index in zip(_DESIGN_KEYS, result.axes, result.index)
         )
         raise ValueError(f"design {point} has a pull/weight ratio of {_fmt(result.objective[n])}")
-    chunks = _design_chunks(result, args.top)
+    chunks = _design_chunks(result)
     if args.out is not None:
         _atomic_write(args.out, chunks)
     print(

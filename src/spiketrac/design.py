@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import SpikeDesign, effective_sine, finite_rule, rotated_rake, thrust_angle
+from .geometry import (
+    SpikeDesign, arm_rules, effective_sine, finite_rule, rotated_rake, sine_degrees, thrust_angle,
+)
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
-# The search holds arrays over the whole grid: 10 million points took about 170 MiB.
+# The search holds arrays over the whole grid.  On a 10-million-point grid with
+# 6.3 million feasible points, `design --top 5` peaked at 61 MiB RSS and
+# `design --out` (every row written) at 1,885 MiB (getrusage, 2-vCPU Xeon).
 MAX_GRID_POINTS = 10_000_000
 
 
@@ -123,6 +128,8 @@ class GridSearchResult:
     design on axis ``k``.  ``objective``, ``thrust_deg``, ``window_deg``
     and ``critical_depth_m`` (``None`` when the lateral check is off) are
     that design's evaluation, bit for bit :func:`evaluate_design`'s.
+    The columns hold the first ``top`` ranked designs when the search
+    was given ``top``; ``feasible`` counts every feasible design.
     """
 
     axes: tuple[list[float], ...]
@@ -131,13 +138,10 @@ class GridSearchResult:
     thrust_deg: np.ndarray
     window_deg: np.ndarray
     critical_depth_m: np.ndarray | None
+    feasible: int
     evaluated: int
     invalid: int
     violation_counts: dict[str, int]
-
-    @property
-    def feasible(self) -> int:
-        return len(self.objective)
 
     @property
     def ranked(self) -> tuple[RankedDesign, ...]:
@@ -146,7 +150,7 @@ class GridSearchResult:
             *([axis[i] for i in index.tolist()] for axis, index in zip(self.axes, self.index))
         )
         zc = self.critical_depth_m
-        zc = [None] * self.feasible if zc is None else zc.tolist()
+        zc = [None] * len(self.objective) if zc is None else zc.tolist()
         columns = (self.objective.tolist(), self.thrust_deg.tolist(), self.window_deg.tolist(), zc)
         return tuple(
             RankedDesign(SpikeDesign(*point), DesignEvaluation(True, (), *evaluation))
@@ -270,19 +274,48 @@ def _axis(values, position: int) -> np.ndarray:
     return np.asarray(values).reshape(shape)
 
 
+def _thrust_angles(radius: np.ndarray, hinge: np.ndarray, depth) -> np.ndarray:
+    """:func:`thrust_angle` of each (radius, hinge) arm at its depth, bit for bit."""
+    arms = SimpleNamespace(radius_m=radius, hinge_height_m=hinge)
+    return np.array(list(map(sine_degrees, effective_sine(arms, depth).tolist())))
+
+
+def _arm_table(radius: list[float], hinge: list[float], depth: list[float]):
+    """Which (radius, hinge, depth) arms are valid, their thrust, and each (radius, hinge)'s
+    surface thrust, as arrays of shape (radius, hinge, depth) and (radius, hinge, 1).
+
+    Validity is :class:`SpikeDesign`'s rule and each angle is :func:`thrust_angle`'s, bit
+    for bit; an invalid arm, and a (radius, hinge) with no valid arm, hold nan.
+    """
+    radius, hinge, depth = map(np.asarray, (radius, hinge, depth))
+    # Python float arithmetic overflows to inf without a warning; so does this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lever_ok, depth_ok = arm_rules(radius[:, None, None], hinge[:, None], depth)
+        arm_ok = lever_ok & depth_ok
+        ir, ih, iz = np.nonzero(arm_ok)
+        thrust = np.full(arm_ok.shape, math.nan)
+        thrust[ir, ih, iz] = _thrust_angles(radius[ir], hinge[ih], depth[iz])
+        gamma0 = np.full(arm_ok.shape[:2] + (1,), math.nan)
+        ir, ih = np.nonzero(arm_ok.any(axis=2))
+        gamma0[ir, ih, 0] = _thrust_angles(radius[ir], hinge[ih], 0.0)
+    return arm_ok, thrust, gamma0
+
+
 def grid_search(
     space: DesignSpace,
     constraints: DesignConstraints = DesignConstraints(),
     cd_model: CriticalDepthModel = CriticalDepthModel(),
+    top: int | None = None,
 ) -> GridSearchResult:
     """Evaluate every grid point and rank the feasible designs.
 
     The grid is the product of the five ranges in field order, evaluated
     as arrays over that product.  The transcendental parts (thrust at
     design depth and at the surface, and the objective) depend only on
-    the (radius, hinge, depth) arm: the checks take one :func:`thrust_angle` per
-    arm and one at the surface per (radius, hinge); :func:`evaluate_design`
-    runs once per arm that keeps a feasible point, for its objective.  Window, rake,
+    the (radius, hinge, depth) arm: the arms are judged by the rule of
+    :class:`SpikeDesign` and take their thrust as :func:`thrust_angle`
+    does, as arrays, and :func:`evaluate_design` runs once per arm that
+    keeps a feasible point, for its objective.  Window, rake,
     critical depth and the checks are float64 array arithmetic broadcast
     over the grid, in the scalar code's operation order, so every point
     is judged and valued exactly as :func:`evaluate_design` judges and
@@ -291,38 +324,29 @@ def grid_search(
     Sorted by objective descending, ties broken by smaller radius, then
     smaller diameter, then grid order.  Grid points with inconsistent
     geometry (e.g. design depth beyond the reachable range) are skipped
-    and counted.
+    and counted.  With ``top``, the columns hold the first ``top``
+    ranked designs: the arms are ranked by (objective, radius), and only
+    the points of those that reach the top, and of those tied with the
+    last of them, are sorted.
     """
+    if top is not None and not top >= 0:
+        raise ValueError(f"top ({top}) must be >= 0")
     values = space._values()
     radius, hinge, rake0, diameter, depth = values
-    arms = (len(radius), len(hinge), len(depth))
-    per_arm = []
-    arm = None
-    for r in radius:
-        for h in hinge:
-            surface = None
-            for z in depth:
-                try:
-                    # The default rake and diameter are valid: this checks the arm.
-                    arm = SpikeDesign(r, h, design_depth_m=z)
-                except ValueError:
-                    per_arm.append((None, math.nan, math.nan))
-                    continue
-                if surface is None:
-                    surface = thrust_angle(arm, 0.0)
-                # evaluate_design's thrust_deg: the same call on the same arm.
-                per_arm.append((arm, thrust_angle(arm, z), surface))
-    designs, *angles = zip(*per_arm)
-    thrust, gamma0 = np.reshape(angles, (2, *arms))
-    arm_ok = ~np.isnan(thrust)
+    arm_ok, thrust, gamma0 = _arm_table(radius, hinge, depth)
+    arms = arm_ok.shape
 
     # Validity is separable: a rake or a diameter is valid when the last
     # valid arm's design stays valid with it swapped in.
+    last = None
+    if arm_ok.any():
+        i, j, n = np.unravel_index(np.flatnonzero(arm_ok)[-1], arms)
+        last = SpikeDesign(radius[i], hinge[j], design_depth_m=depth[n])
     per_arm = (slice(None), slice(None), None, None, slice(None))
     valid = (
         arm_ok[per_arm]
-        & _axis([_valid_with(arm, initial_rake_deg=a) for a in rake0], 2)
-        & _axis([_valid_with(arm, diameter_mm=d) for d in diameter], 3)
+        & _axis([_valid_with(last, initial_rake_deg=a) for a in rake0], 2)
+        & _axis([_valid_with(last, diameter_mm=d) for d in diameter], 3)
     )
 
     rake0_grid = _axis(rake0, 2)
@@ -352,14 +376,33 @@ def grid_search(
     # Only arms with a feasible point rank; with the default constraints
     # evaluate_design cannot raise for a valid arm, so the others drop no error.
     objective = np.full(arms, math.nan)
-    for k in np.flatnonzero(feasible.any(axis=(2, 3))).tolist():
-        objective.flat[k] = evaluate_design(designs[k]).objective
+    counts = np.count_nonzero(feasible, axis=(2, 3))
+    ranking = np.flatnonzero(counts)
+    arm_index = np.unravel_index(ranking, arms)
+    objective.flat[ranking] = [
+        evaluate_design(SpikeDesign(radius[i], hinge[j], design_depth_m=depth[n])).objective
+        for i, j, n in zip(*(axis_index.tolist() for axis_index in arm_index))
+    ]
+    total = int(counts.sum())
+    if top is not None and top < total:
+        # A point of an arm that ranks after the arm filling the top ranks
+        # after every point up to it: expand only the arms up to that one
+        # and those tied with it on (objective, radius).
+        arm_objective = objective.flat[ranking]
+        arm_radius = np.asarray(radius)[arm_index[0]]
+        order = np.lexsort((arm_radius, -arm_objective))
+        filled = order[np.searchsorted(np.cumsum(counts.flat[ranking][order]), top)]
+        taken = np.zeros(arms, bool)
+        taken.flat[ranking] = (arm_objective > arm_objective[filled]) | (
+            (arm_objective == arm_objective[filled]) & (arm_radius <= arm_radius[filled])
+        )
+        feasible &= taken[per_arm]
 
     index = np.unravel_index(np.flatnonzero(feasible), feasible.shape)
     ir, ih, _, idiam, iz = index
     order = np.lexsort(
         (np.asarray(diameter)[idiam], np.asarray(radius)[ir], -objective[ir, ih, iz])
-    )
+    )[:top]
     index = tuple(axis_index[order] for axis_index in index)
     ir, ih, ia, _, iz = index
     evaluated = int(np.count_nonzero(valid))
@@ -368,8 +411,9 @@ def grid_search(
         index=index,
         objective=objective[ir, ih, iz],
         thrust_deg=thrust[ir, ih, iz],
-        window_deg=window[ir, ih, ia, 0, iz],
+        window_deg=window[ir, ih, ia, 0, 0],
         critical_depth_m=None if zc is None else zc[index],
+        feasible=total,
         evaluated=evaluated,
         invalid=valid.size - evaluated,
         violation_counts=violation_counts,

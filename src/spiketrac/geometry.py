@@ -52,13 +52,14 @@ class SpikeDesign:
     tip_mass_kg: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.inf > self.radius_m > self.hinge_height_m > 0:
+        lever_ok, depth_ok = arm_rules(self.radius_m, self.hinge_height_m, self.design_depth_m)
+        if not lever_ok:
             rule = finite_rule("positive", self.radius_m, self.hinge_height_m)
             raise ValueError(
                 f"radius_m ({self.radius_m}) must exceed hinge_height_m "
                 f"({self.hinge_height_m}) and both must be {rule}"
             )
-        if not 0 < self.design_depth_m <= self.max_depth_m:
+        if not depth_ok:
             raise ValueError(
                 f"design_depth_m ({self.design_depth_m}) must lie in "
                 f"(0, radius_m - hinge_height_m] = (0, {self.max_depth_m}]"
@@ -85,13 +86,33 @@ class SpikeDesign:
         return self.diameter_mm / 1000.0
 
 
+def arm_rules(radius_m, hinge_height_m, depth_m):
+    """Whether a lever arm and a design depth are valid: ``(inf > r > h > 0, 0 < z <= r - h)``.
+
+    Takes scalars or broadcast arrays; :class:`SpikeDesign` and the
+    design grid both judge their arms by it.
+    """
+    lever_ok = (math.inf > radius_m) & (radius_m > hinge_height_m) & (hinge_height_m > 0)
+    return lever_ok, (0 < depth_m) & (depth_m <= radius_m - hinge_height_m)
+
+
 def effective_sine(design: SpikeDesign, depth_m, kappa=1.0):
     """sin(gamma_eff) = (hinge_height + kappa * depth) / radius.
 
-    The draft acts at fraction kappa of the tip depth.  Takes scalars or
-    arrays and checks nothing: each caller validates its own domain.
+    The draft acts at fraction kappa of the tip depth.  ``design`` is
+    anything with ``radius_m`` and ``hinge_height_m``, scalars or arrays
+    (the design grid passes arrays of arms).  Checks nothing: each caller
+    validates its own domain.
     """
     return (design.hinge_height_m + kappa * depth_m) / design.radius_m
+
+
+def sine_degrees(ratio: float) -> float:
+    """The angle in degrees whose sine is ``ratio``, a ratio past 1 (pure rounding) taken as 1.
+
+    ``math.asin`` on one float: ``np.arcsin`` may differ in the last bits.
+    """
+    return math.degrees(math.asin(min(ratio, 1.0)))
 
 
 def margins_hold(margins: np.ndarray, guard: float, exact, *columns: np.ndarray) -> np.ndarray:
@@ -133,9 +154,7 @@ def thrust_angle(design: SpikeDesign, depth_m: float) -> float:
             f"depth_m ({depth_m}) exceeds the reachable maximum "
             f"radius_m - hinge_height_m = {design.max_depth_m}"
         )
-    ratio = effective_sine(design, depth_m)
-    # depth is validated above; a ratio beyond 1 is pure rounding.
-    return math.degrees(math.asin(min(ratio, 1.0)))
+    return sine_degrees(effective_sine(design, depth_m))
 
 
 def depth_from_inclination(design: SpikeDesign, arm_inclination_deg):

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -140,7 +141,8 @@ def test_main_prints_one_line_per_metric_beyond_its_bound(tmp_path, monkeypatch,
 
     monkeypatch.setattr(bench_pair, "run_once", fake_run)
     args = [str(tmp_path / "old"), str(change_tree(tmp_path)), "--workload", "design-grid:2",
-            "--seeds", "1", "--seconds", "5", "--out", str(tmp_path / "bench.json")]
+            "--seeds", "1", "--seconds", "5", "--out", str(tmp_path / "bench.json"),
+            "--parent-commit", "813b86f"]
     assert bench_pair.main(args) == 0
     flagged = [line for line in capsys.readouterr().err.splitlines() if "bound" in line]
     assert flagged == [
@@ -186,7 +188,7 @@ def test_sides_alternate_and_the_file_is_written(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     args = [str(tmp_path / "old"), str(change_tree(tmp_path)), "--workload", "design-grid:3",
             "--workload", "field-session:1", "--seeds", "1", "2", "--seconds", "5",
-            "--out", str(out)]
+            "--out", str(out), "--parent-commit", "813b86f"]
     assert bench_pair.main(args) == 0
     assert [name for name, *_ in calls[:6]] == ["old", "new", "new", "old", "old", "new"]
     assert {(w, s) for _, w, s, _ in calls} == {
@@ -195,6 +197,7 @@ def test_sides_alternate_and_the_file_is_written(tmp_path, monkeypatch):
     assert len(calls) == 2 * (3 + 3 + 1 + 1) and {c[3] for c in calls} == {5}
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["host"] == "2 vCPU Intel(R) Xeon(R) Processor, Python 3.11.7, numpy 2.4.6"
+    assert record["parent"] == "813b86f"
     assert record["command"].endswith("--seconds 5 --trace 0")
     assert list(record["workloads"]) == ["design-grid", "field-session"]
     assert list(record["workloads"]["design-grid"]) == ["seed 1", "seed 2"]
@@ -208,3 +211,33 @@ def test_sides_alternate_and_the_file_is_written(tmp_path, monkeypatch):
     assert walls == [(1.001, 0.902), (1.004, 0.903), (1.005, 0.906)]
     assert set(pairs[0]["change"]) == {"wall_s", "peak_rss_mib"}
     assert record["workloads"]["field-session"]["seed 2"]["runs"] == {"parent": 1, "change": 1}
+
+
+def test_a_parent_tree_outside_git_needs_its_commit_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_pair, "run_once", lambda *args: pytest.fail("a benchmark ran"))
+    parent = tmp_path / "old"
+    parent.mkdir()
+    args = [str(parent), str(change_tree(tmp_path)), "--workload", "design-grid:2",
+            "--seeds", "1", "--seconds", "5", "--out", str(tmp_path / "bench.json")]
+    assert bench_pair.main(args) == 2
+    assert capsys.readouterr().err == (
+        f"bench_pair: {parent} is not a git checkout; name its commit with --parent-commit\n"
+    )
+    assert not (tmp_path / "bench.json").exists()
+
+
+def test_the_parent_commit_comes_from_git_in_a_checkout(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pair, "run_once", lambda *args: (MACHINE, result_line(1.0, 30.0)))
+    parent = tmp_path / "old"
+    parent.mkdir()
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=parent, check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "parent"], cwd=parent, check=True)
+    commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=parent, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    out = tmp_path / "bench.json"
+    args = [str(parent), str(change_tree(tmp_path)), "--workload", "design-grid:1",
+            "--seeds", "1", "--seconds", "5", "--out", str(out)]
+    assert bench_pair.main(args) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["parent"] == commit

@@ -565,6 +565,123 @@ class TestRankedColumns:
         assert len(evaluated) == len(set(zip(ir, ih, iz))) == calls
 
 
+def _accepted(radius, hinge, depth) -> SpikeDesign | None:
+    """The arm's design with the default rake and diameter, or None if SpikeDesign rejects it."""
+    try:
+        return SpikeDesign(radius, hinge, design_depth_m=depth)
+    except ValueError:
+        return None
+
+
+# Coarse values make r == h and z == r - h occur; any float reaches nan, inf and subnormals.
+ARM_AXES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.25, 0.09, 0.25, 0.5, 0.75, 1.0, 1.3, 1.3 - 0.09]), st.floats()
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius=ARM_AXES, hinge=ARM_AXES, depth=ARM_AXES)
+@example(radius=[1.0, 1.3], hinge=[0.25, 0.09], depth=[0.75, 1.3 - 0.09])  # z == r - h
+@example(radius=[0.5], hinge=[0.5], depth=[0.25])  # r == h
+@example(radius=[1.3], hinge=[0.09], depth=[math.nextafter(1.3 - 0.09, math.inf)])
+@example(radius=[1e300], hinge=[1e-300], depth=[1e-300])  # the thrust underflows to 0
+@example(radius=[0.25], hinge=[0.5], depth=[0.125])  # no valid arm
+def test_arm_table_is_the_spike_design_rule_and_thrust_angle_bit_for_bit(radius, hinge, depth):
+    arm_ok, thrust, gamma0 = design_module._arm_table(radius, hinge, depth)
+    assert arm_ok.shape == thrust.shape == (len(radius), len(hinge), len(depth))
+    for (i, r), (j, h) in itertools.product(enumerate(radius), enumerate(hinge)):
+        arms = [_accepted(r, h, z) for z in depth]
+        for n, (z, arm) in enumerate(zip(depth, arms)):
+            assert arm_ok[i, j, n] == (arm is not None)
+            expected = math.nan if arm is None else thrust_angle(arm, z)
+            assert _hex([thrust[i, j, n]]) == _hex([expected])
+        valid = [arm for arm in arms if arm is not None]
+        surface = thrust_angle(valid[0], 0.0) if valid else math.nan
+        assert _hex([gamma0[i, j, 0]]) == _hex([surface])
+
+
+def test_a_grid_with_no_valid_arm_checks_rakes_and_diameters_against_no_design(monkeypatch):
+    checked, valid_with = [], design_module._valid_with
+
+    def recording(design, **changes):
+        checked.append(design)
+        return valid_with(design, **changes)
+
+    monkeypatch.setattr(design_module, "_valid_with", recording)
+    space = DesignSpace(
+        point(0.5), point(0.5), ParameterRange(20.0, 40.0, 10.0), point(21.0), point(0.25)
+    )
+    result = grid_search(space)
+    assert checked == [None] * 4
+    assert (result.feasible, result.evaluated, result.invalid) == (0, 0, 3)
+
+
+def test_an_arm_whose_thrust_underflows_ranks_with_an_infinite_objective():
+    space = DesignSpace(point(1e300), point(1e-300), point(30.0), point(21.0), point(1e-300))
+    result = grid_search(space)
+    assert (result.objective.tolist(), result.thrust_deg.tolist()) == ([math.inf], [0.0])
+    assert result.feasible == 1
+
+
+# Two arms of radius 1.0 whose hinge + depth is 0.5 tie on (objective,
+# radius), below an arm whose sum is 0.375: the fourth row is the second
+# tied arm's thinner spike, not the first tied arm's thicker one.
+TIED_ARMS = DesignSpace(
+    point(1.0), ParameterRange(0.125, 0.25, 0.125), point(30.0),
+    ParameterRange(12.0, 24.0, 12.0), ParameterRange(0.25, 0.375, 0.125),
+)
+WIDE_WINDOW = DesignConstraints(max_thrust_deg=60.0, window_low_deg=0.0, window_high_deg=75.0)
+
+
+class TestTop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        space=SMALL_SPACES,
+        constraints=CONSTRAINTS,
+        cd_model=CD_MODELS,
+        top=st.one_of(st.integers(0, 6), st.integers(0, 120)),
+    )
+    @example(space=TIED_ARMS, constraints=WIDE_WINDOW, cd_model=CriticalDepthModel(), top=4)
+    @example(space=TIED_ARMS, constraints=WIDE_WINDOW, cd_model=CriticalDepthModel(), top=3)
+    @example(space=TIED_ARMS, constraints=WIDE_WINDOW, cd_model=CriticalDepthModel(), top=1)
+    @example(space=TIED_ARMS, constraints=WIDE_WINDOW, cd_model=CriticalDepthModel(), top=0)
+    @example(space=TIED_ARMS, constraints=WIDE_WINDOW, cd_model=CriticalDepthModel(), top=9)
+    def test_columns_are_the_first_rows_of_the_full_result(self, space, constraints, cd_model, top):
+        full = grid_search(space, constraints, cd_model)
+        part = grid_search(space, constraints, cd_model, top=top)
+        assert part.axes == full.axes
+        for whole, first in zip(full.index, part.index):
+            assert first.dtype == whole.dtype
+            assert first.tolist() == whole[:top].tolist()
+        for key in _EVALUATION_KEYS + ("critical_depth_m",):
+            whole, first = getattr(full, key), getattr(part, key)
+            if whole is None:
+                assert first is None
+            else:
+                assert _hex(first.tolist()) == _hex(whole[:top].tolist())
+        assert (part.feasible, part.evaluated, part.invalid) == (
+            full.feasible, full.evaluated, full.invalid
+        )
+        assert part.violation_counts == full.violation_counts
+
+    def test_the_tied_arms_fill_the_top_in_diameter_order(self):
+        result = grid_search(TIED_ARMS, WIDE_WINDOW, top=4)
+        _, hinge, _, diameter, depth = result.axes
+        _, ih, _, idiam, iz = (axis_index.tolist() for axis_index in result.index)
+        assert [(hinge[j], diameter[d], depth[n]) for j, d, n in zip(ih, idiam, iz)] == [
+            (0.125, 12.0, 0.25), (0.125, 24.0, 0.25), (0.125, 12.0, 0.375), (0.25, 12.0, 0.25),
+        ]
+        assert result.feasible == 8
+
+    def test_a_negative_top_is_rejected(self):
+        with pytest.raises(ValueError, match=r"top \(-1\) must be >= 0"):
+            grid_search(TIED_ARMS, WIDE_WINDOW, top=-1)
+
+
 def _reference_design_output(space, constraints, cd_model, top, to_file):
     """``design``'s stdout and ``--out`` text, one record per ranked design.
 

@@ -119,6 +119,13 @@ def test_cli_output_matches_golden(case, tmp_path):
         assert outputs[name] == data, f"{case}: {name} differs from the golden file"
 
 
+def test_design_top_5_writes_the_first_5_rows_of_the_full_table(tmp_path):
+    outputs = run_case([*CASES["design"], "--top", "5"], tmp_path / "work")
+    expected = _files(EXPECTED / "design")
+    assert outputs["ranked.csv"] == b"".join(expected["ranked.csv"].splitlines(True)[:6])
+    assert outputs[STDOUT] == expected[STDOUT]
+
+
 def test_negative_penetration_work_is_a_result(tmp_path):
     # The arm rises to 89 degrees while the hinge advances 4 mm: the tip
     # swings back, so the work is negative and has no efficiency; exit 0.

@@ -11,6 +11,10 @@ identical sources whose paths differed by three characters read 3-7%
 apart on ``simulate-schedules`` ``wall_s`` in 6 of 6 pairs; with paths
 of equal length they read the same.
 
+The file records the parent tree's commit: ``git rev-parse`` gives it in
+a git checkout, ``--parent-commit`` for a tree exported without ``.git``
+(``git archive``); with neither the recorder exits 2 before any run.
+
 Each pair runs ``python3 benchmark/run.py --trace 0`` once in each tree,
 from that tree's root, and the side that runs first alternates from pair
 to pair.  Runs go one at a time.  For every workload and seed the file
@@ -141,7 +145,7 @@ def summarize(pairs: list[dict[str, dict]], bounds: dict[str, dict] | None = Non
 
 
 def parent_commit(tree: Path) -> str | None:
-    """The parent tree's short commit id, or None outside a git checkout."""
+    """The tree's short commit id, or None outside a git checkout."""
     try:
         proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree,
                               capture_output=True, text=True, check=False)
@@ -167,9 +171,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--parent-commit", metavar="COMMIT",
+                        help="the parent tree's commit, for a tree that is not a git checkout")
     args = parser.parse_args(argv)
 
     if lengths_differ(args.parent, args.change, "bench_pair"):
+        return 2
+    parent = args.parent_commit or parent_commit(args.parent)
+    if not parent:
+        print(f"bench_pair: {args.parent} is not a git checkout; name its commit with "
+              "--parent-commit", file=sys.stderr)
         return 2
     bounds = end_to_end_bounds(args.change)
     machine = ""
@@ -200,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": "python3 benchmark/run.py --workload <workload> --seed <seed> "
                    f"--seconds {args.seconds} --trace 0",
         "host": host(machine),
-        "parent": parent_commit(args.parent),
+        "parent": parent,
         "note": "Each value is the median over one side's runs; parent and change runs "
                 "alternate, and the side that runs first alternates from pair to pair. "
                 "Times are the benchmark's scaled CPU times (see benchmark/README.md). "
