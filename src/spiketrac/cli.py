@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +77,8 @@ _SERIES_CSVS = {
     "thrust_angle.csv": ("draft_N", "thrust_deg"),
     "lift_force.csv": ("draft_N", "lift_N", "weight_N"),
 }
+# The series whose ``%.6g`` cells the CSVs read.
+_CSV_SERIES = frozenset(chain.from_iterable(_SERIES_CSVS.values()))
 # Columns of the ranked design CSV: design fields, then evaluation fields.
 _DESIGN_KEYS = ("radius_m", "hinge_height_m", "initial_rake_deg", "diameter_mm", "design_depth_m")
 _EVALUATION_KEYS = ("objective", "thrust_deg", "window_deg")
@@ -216,39 +218,31 @@ def _cells_of(strings: Sequence[str], words: int) -> np.ndarray:
 
 # Values per ``_fixed_notation`` pass, so that its temporaries stay in
 # cache: the ten columns of a 20,000-step log took 16-28 ms in one pass
-# and 8-9 ms in passes of this size (2-vCPU Xeon, ``timeit``).
+# and 8-9 ms in passes of this size (2-vCPU Xeon, ``timeit``).  It is
+# also the rows of each layout buffer of the report series and the CSVs,
+# so that the writers' memory does not grow with the row count.
 _BLOCK = 8192
 
 
-def _format_cells(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``%.6g`` cells and the JSON cells of a float64 matrix.
+def _format_block(values: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out in ``cells``, three words a row, the ``%.6g`` cell of each value.
 
     A cell is a value's ASCII text, left-aligned and padded with NULs:
-    two little-endian words of ``format(x, ".6g")``, and three of its
-    JSON number, which is ``repr(float(s))`` of that string ``s``, or
-    ``null`` when x is not finite.  ``_fixed_notation`` lays out the
-    values that print in fixed notation, ``_BLOCK`` values at a time;
-    ``repr`` writes such a string as it is, with ``.0`` after an
-    integer.  Every other value (zero, nan, inf, exponent notation) is
-    formatted by ``%`` and read back, and its cells are written in place.
+    ``format(x, ".6g")`` in the first two words.  A value's JSON number is
+    ``repr(float(s))`` of that string ``s``, or ``null`` when x is not
+    finite.  ``_fixed_notation`` lays out the values that print in fixed
+    notation, whose JSON number is ``s`` as it is, with ``.0`` after an
+    integer: the third word takes that ``.0``, so their rows are their
+    JSON numbers.  Every other value (zero, nan, inf, exponent notation)
+    is formatted by ``%``, and its JSON number is read back.  Returns the
+    indices of those values and their JSON numbers, three words each.
     """
-    flat = matrix.ravel()
-    text = np.empty((flat.size, 2), "<u8")
-    json_cells = np.zeros((flat.size, 3), "<u8")
-    fixed = np.empty(flat.size, bool)
-    for start in range(0, flat.size, _BLOCK):
-        part = slice(start, start + _BLOCK)
-        fixed[part], integer = _fixed_notation(flat[part], text[part])
-        json_cells[part, :2] = text[part]
-        json_cells[part, 2][integer] = _DOT_ZERO
+    fixed, integer = _fixed_notation(values, cells[:, :2])
+    cells[:, 2] = np.where(integer, _DOT_ZERO, 0)
     rest = np.flatnonzero(~fixed)
-    if rest.size:
-        strings = _fmt_column(flat[rest])
-        text[rest] = _cells_of(strings, 2)
-        json_cells[rest] = _cells_of(
-            ["null" if s in _NON_FINITE else repr(float(s)) for s in strings], 3
-        )
-    return text.reshape(*matrix.shape, 2), json_cells.reshape(*matrix.shape, 3)
+    strings = _fmt_column(values[rest])
+    cells[rest] = _cells_of(strings, 3)
+    return rest, _cells_of(["null" if s in _NON_FINITE else repr(float(s)) for s in strings], 3)
 
 
 def _without_nuls(words: np.ndarray) -> np.ndarray:
@@ -257,36 +251,70 @@ def _without_nuls(words: np.ndarray) -> np.ndarray:
     return data[data != 0]
 
 
-def _json_array(cells: np.ndarray) -> list:
-    """Byte chunks of the JSON array of ``cells``, laid out as a report series.
-
-    Each row is the item separator and indent, then the item's cell; the
-    first separator's comma becomes the ``[``.
-    """
-    if not len(cells):
-        return [b"[]"]
-    rows = np.empty((len(cells), 1 + cells.shape[1]), "<u8")
-    rows[:, 0] = _ITEM
-    rows[:, 1:] = cells
+def _items(rows: np.ndarray, first: bool) -> np.ndarray:
+    """The bytes of laid-out series items; the first item's separator comma becomes the ``[``."""
     body = _without_nuls(rows)
-    body[0] = ord("[")
-    return [body, b"\n    ]"]
+    if first:
+        body[0] = ord("[")
+    return body
 
 
-def _csv_chunks(header: str, columns: Sequence[np.ndarray]) -> list:
-    """Byte chunks of a CSV whose columns are ``%.6g`` cells, rows laid out side by side.
+def _float_items(
+    columns: Sequence[np.ndarray], layout: np.ndarray, cells: Sequence[np.ndarray | None]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The report series items of float ``columns`` of one length, a block of values at a time.
 
-    A column's cells are one or two words each; the last byte of a
-    cell's last word is free, and takes the comma or newline after it.
+    A block holds as many whole columns as fit in ``len(layout)`` values,
+    so that short columns share one ``_fixed_notation`` pass; a longer
+    column is taken in slices of itself.  A block's items are laid out in
+    ``layout``, a row each: the item separator and indent, then the
+    value's JSON number.  The ``%.6g`` cells of column j are kept in
+    ``cells[j]`` unless it is None.  Yields each column's part of a block
+    as the row the part ends at and the part's bytes.  A block's parts
+    are all made before the first is yielded, so the caller may lay out
+    other items in ``layout`` between yields.
     """
-    rows = np.empty((len(columns[0]), sum(cells.shape[1] for cells in columns)), "<u8")
-    stop = 0
-    for j, cells in enumerate(columns):
-        start, stop = stop, stop + cells.shape[1]
-        rows[:, start:stop - 1] = cells[:, :-1]
-        end = _COMMA if j + 1 < len(columns) else _NEWLINE
-        np.bitwise_or(cells[:, -1], end, out=rows[:, stop - 1])
-    return [f"{header}\n".encode(), _without_nuls(rows)]
+    n, size = len(columns[0]), len(layout)
+    values = np.empty(size)
+    per_block = max(size // n, 1)
+    for first in range(0, len(columns), per_block):
+        group = range(first, min(first + per_block, len(columns)))
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            rows = layout[:len(group) * (stop - start)]
+            block = values[:len(rows)]
+            np.concatenate([columns[j][start:stop] for j in group], out=block)
+            rest, numbers = _format_block(block, rows[:, 1:])
+            parts = rows.reshape(len(group), stop - start, 4)
+            for j, part in zip(group, parts):
+                if cells[j] is not None:
+                    cells[j][start:stop] = part[:, 1:3]
+            rows[rest, 1:] = numbers
+            yield from [(stop, _items(part, not start)) for part in parts]
+
+
+def _csv_chunks(header: str, columns: Sequence) -> Iterator[bytes]:
+    """Byte chunks of a CSV whose columns are ``%.6g`` cells, ``_BLOCK`` rows at a time.
+
+    A column is an array of cells, or a ``_Gathered`` one, sliced by
+    rows.  Its cells are one or two words each; the last byte of a cell's
+    last word is free, and takes the comma or newline after it.  Each
+    block's rows are laid out side by side in one reused buffer.
+    """
+    yield f"{header}\n".encode()
+    n = len(columns[0])
+    widths = [cells[:0].shape[1] for cells in columns]
+    rows = np.empty((min(_BLOCK, n), sum(widths)), "<u8")
+    for start in range(0, n, _BLOCK):
+        block = rows[:n - start]
+        stop = 0
+        for j, (cells, width) in enumerate(zip(columns, widths)):
+            first, stop = stop, stop + width
+            cells = cells[start:start + _BLOCK]
+            block[:, first:stop - 1] = cells[:, :-1]
+            end = _COMMA if j + 1 < len(columns) else _NEWLINE
+            np.bitwise_or(cells[:, -1], end, out=block[:, stop - 1])
+        yield _without_nuls(block)
 
 
 def _json_ready(value):
@@ -522,34 +550,53 @@ def _build_report(
 
 
 def _write_report(
-    path: Path, report: dict, columns: dict[str, np.ndarray]
+    path: Path, report: dict, columns: dict[str, np.ndarray], csv_cells: bool = False
 ) -> dict[str, np.ndarray]:
     """Write ``report`` as indented JSON with ``columns`` in its empty series block.
 
-    The text is ``json.dumps(report, indent=2)`` with each column a
-    series array of its values rounded as ``_json_ready`` rounds them.
-    The float columns are formatted together, as one matrix, by
-    ``_format_cells``, so each JSON number carries the digits of its CSV
-    cell.  Columns are laid out and written one at a time.  Returns the
-    ``%.6g`` cells of each float column.
+    The text is ``json.dumps(report, indent=2)`` with each column, all of
+    one length, a series array of its values rounded as ``_json_ready``
+    rounds them.  The float columns are formatted and laid out a block
+    at a time by ``_float_items``, so each JSON number carries the digits
+    of its CSV cell, and a bool column is laid out in the same buffer;
+    each block is written as it is made.  With ``csv_cells``, returns the
+    ``%.6g`` cells of the float columns that ``_SERIES_CSVS`` reads.
     """
     head, tail = json.dumps(report, indent=2).split('\n  "series": {},\n')
+    n = len(next(iter(columns.values())))
     floats = [name for name, column in columns.items() if column.dtype != bool]
-    text, json_cells = _format_cells(np.array([columns[name] for name in floats], np.float64))
-    numbers = dict(zip(floats, json_cells))
+    kept = {
+        name: np.empty((n, 2), "<u8") for name in floats if csv_cells and name in _CSV_SERIES
+    }
+    layout = np.empty((min(_BLOCK, n * len(columns)), 4), "<u8")
+    layout[:, 0] = _ITEM
+    items = _float_items(
+        [columns[name] for name in floats], layout, [kept.get(name) for name in floats]
+    )
 
     def chunks():
         yield (head + '\n  "series": {').encode()
         for i, (name, column) in enumerate(columns.items()):
             yield f'{"," if i else ""}\n    {json.dumps(name)}: '.encode()
+            if not n:
+                yield b"[]"
+                continue
             if column.dtype == bool:
-                yield from _json_array(np.where(column, _TRUE, _FALSE)[:, None])
+                for start in range(0, n, len(layout)):
+                    rows = layout[:n - start]
+                    rows[:, 1] = np.where(column[start:start + len(rows)], _TRUE, _FALSE)
+                    rows[:, 2:] = 0
+                    yield _items(rows, not start)
             else:
-                yield from _json_array(numbers[name])
+                for stop, body in items:
+                    yield body
+                    if stop == n:
+                        break
+            yield b"\n    ]"
         yield ("\n  },\n" + tail + "\n").encode()
 
     _atomic_write(path, chunks())
-    return dict(zip(floats, text))
+    return kept
 
 
 def _write_series_csvs(directory: Path, cells: dict[str, np.ndarray], weight_n: float) -> None:
@@ -589,7 +636,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         "lift_filtered_N": filtered.lift_n,
     }
     report = _build_report(log, series, events, args.push_distance)
-    cells = _write_report(args.out, report, columns)
+    cells = _write_report(args.out, report, columns, csv_cells=args.series is not None)
     if args.series is not None:
         _write_series_csvs(args.series, cells, log.metadata.vehicle.weight_n)
     print(f"wrote {args.out}: {len(series)} steps, {len(events)} landslide events")
@@ -618,12 +665,25 @@ def run_crescent(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _gathered_cells(strings: list[str], index: np.ndarray) -> np.ndarray:
+class _Gathered:
+    """The cells ``table[index]``, gathered only for the rows sliced out."""
+
+    def __init__(self, table: np.ndarray, index: np.ndarray) -> None:
+        self.table, self.index = table, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.table[self.index[rows]]
+
+
+def _gathered_cells(strings: list[str], index: np.ndarray) -> _Gathered:
     """The cells of ``strings`` at ``index``: one word each if no string passes 7 bytes, else two."""
-    return _cells_of(strings, 1 if max(map(len, strings), default=0) <= 7 else 2)[index]
+    return _Gathered(_cells_of(strings, 1 if max(map(len, strings), default=0) <= 7 else 2), index)
 
 
-def _keyed_cells(index: tuple, shape: tuple, *columns: np.ndarray) -> list[np.ndarray]:
+def _keyed_cells(index: tuple, shape: tuple, *columns: np.ndarray) -> list[_Gathered]:
     """Each column's cells, formatted once per distinct key; equal keys hold equal values.
 
     The keys are the points ``index`` in a grid of ``shape``, found with dense tables over it."""
@@ -635,13 +695,14 @@ def _keyed_cells(index: tuple, shape: tuple, *columns: np.ndarray) -> list[np.nd
     return [_gathered_cells(_fmt_column(column[first[seen]]), inverse) for column in columns]
 
 
-def _design_chunks(result: GridSearchResult) -> list:
+def _design_chunks(result: GridSearchResult) -> Iterator[bytes]:
     """The ranked CSV's byte chunks.
 
     Each axis value is formatted once, and so are the objective and
     thrust of each (radius, hinge, depth) arm and the window of each
     (radius, hinge, rake), on which alone it depends; their cells are
-    gathered by index, with no per-row object.
+    gathered by index as ``_csv_chunks`` lays out each block of rows,
+    with no per-row object.
     """
     columns = [_gathered_cells(_fmt_column(axis), i) for axis, i in zip(result.axes, result.index)]
     ir, ih, ia, _, iz = result.index
@@ -670,9 +731,8 @@ def run_design(args: argparse.Namespace) -> int:
             for key, axis, index in zip(_DESIGN_KEYS, result.axes, result.index)
         )
         raise ValueError(f"design {point} has a pull/weight ratio of {_fmt(result.objective[n])}")
-    chunks = _design_chunks(result)
     if args.out is not None:
-        _atomic_write(args.out, chunks)
+        _atomic_write(args.out, _design_chunks(result))
     print(
         f"evaluated {result.evaluated} designs ({result.invalid} invalid grid points): "
         f"{result.feasible} feasible"
@@ -682,7 +742,7 @@ def run_design(args: argparse.Namespace) -> int:
         if worst is not None:
             print(f"no feasible designs; most common violation: {worst}")
     elif args.out is None:
-        print(b"".join(chunks).decode(), end="")
+        print(b"".join(_design_chunks(result)).decode(), end="")
     return EXIT_OK
 
 

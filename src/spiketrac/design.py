@@ -23,8 +23,8 @@ from .geometry import (
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
 # The search holds arrays over the whole grid.  On a 10-million-point grid with
-# 6.3 million feasible points, `design --top 5` peaked at 61 MiB RSS and
-# `design --out` (every row written) at 1,885 MiB (getrusage, 2-vCPU Xeon).
+# 7.5 million feasible points, `design --top 5` peaked at 60 MiB RSS and
+# `design --out` (every row written) at 869 MiB (getrusage, 2-vCPU Xeon).
 MAX_GRID_POINTS = 10_000_000
 
 

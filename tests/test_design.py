@@ -29,6 +29,7 @@ from spiketrac import (
     rake_angle,
     thrust_angle,
 )
+from spiketrac import cli
 from spiketrac import design as design_module
 from spiketrac.cli import (
     _DESIGN_KEYS, _EVALUATION_KEYS, _fmt_column, _gathered_cells, _keyed_cells, main,
@@ -819,6 +820,20 @@ class TestDesignOutputBytes:
         )
         assert stdout.endswith("no feasible designs; most common violation: max_thrust\n")
 
+    # 18 ranked rows, or the first 7 or 8 of them, laid out in blocks of 1,
+    # 3 or 7 rows: partial blocks, and blocks that end on the last row.
+    @pytest.mark.parametrize("top", [None, 7, 8])
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rows_laid_out_in_small_blocks(self, monkeypatch, block, top, to_file):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        space = DesignSpace(
+            ParameterRange(1.2, 1.8, 0.3), point(0.09), ParameterRange(20.0, 40.0, 10.0),
+            ParameterRange(12.0, 24.0, 12.0), point(0.4),
+        )
+        assert grid_search(space, WIDE_WINDOW).feasible == 18
+        self.assert_matches_reference(space, WIDE_WINDOW, CriticalDepthModel(), top, to_file)
+
 
 def _unique_keyed_cells(key, *columns):
     """``_keyed_cells`` as written with ``np.unique``."""
@@ -842,5 +857,6 @@ def test_keyed_cells_equal_the_unique_reference(key):
     cells = _keyed_cells((key,), (12,), short, long)
     assert len(cells) == len(expected)
     for got, want in zip(cells, expected):
+        got, want = got[:], want[:]
         assert got.shape == want.shape
         assert np.array_equal(got, want)

@@ -106,14 +106,14 @@ def test_the_loaders_work_before_any_dispatch():
 
 
 def test_importing_builds_no_format_table():
-    # Only the report's matrix formatter builds it; the ``%`` pass needs none.
+    # Only the report's block formatter builds it; the ``%`` pass needs none.
     code = (
         "import numpy as np\n"
         "import spiketrac.cli as cli\n"
         "assert cli._format_tables.cache_info().currsize == 0\n"
         "cli._fmt_column([0.5] * 400)\n"
         "assert cli._format_tables.cache_info().currsize == 0\n"
-        "cli._format_cells(np.full((10, 3), 0.5))\n"
+        "cli._format_block(np.full(30, 0.5), np.empty((30, 3), np.uint64))\n"
         "assert cli._format_tables.cache_info().currsize == 1\n"
     )
     assert loaded_after(code) == BASE

@@ -20,6 +20,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -220,7 +221,11 @@ def cell_strings(cells: np.ndarray) -> list[str]:
 
 def assert_cells_equal_the_spec(column: np.ndarray) -> None:
     """Each value's cells hold ``format(x, ".6g")`` and its JSON number."""
-    text, numbers = cli._format_cells(column)
+    cells = np.empty((len(column), 3), np.uint64)
+    rest, rest_numbers = cli._format_block(column, cells)
+    text, numbers = cells[:, :2], cells.copy()
+    # The other values' rows are their JSON numbers.
+    numbers[rest] = rest_numbers
     values = column.tolist()
     assert cell_strings(text) == [format(value, ".6g") for value in values]
     # The CSV writer puts the separator after a text cell into its last byte.
@@ -262,7 +267,7 @@ def written_files(report: dict, columns: dict, weight_n: float) -> tuple[str, di
     """The report and the CSVs that ``_write_report`` and ``_write_series_csvs`` write."""
     with tempfile.TemporaryDirectory() as directory:
         root = Path(directory)
-        cells = cli._write_report(root / "r.json", report, columns)
+        cells = cli._write_report(root / "r.json", report, columns, csv_cells=True)
         cli._write_series_csvs(root / "series", cells, weight_n)
         csvs = {name: (root / "series" / name).read_bytes().decode() for name in cli._SERIES_CSVS}
         return (root / "r.json").read_bytes().decode(), csvs
@@ -353,6 +358,61 @@ class TestLongColumns:
         values = [0.5 * i for i in range(400)]
         assert cli._fmt_column(values) == list(map(cli._fmt, values))
         assert cli._fmt_column(np.array(values, np.float32)) == list(map(cli._fmt, values))
+
+
+# Cycled over the float columns by ``series_of``.  Eight values, so that
+# at 7 and 21 steps, with blocks of 1, 3 or 7 values, each of them opens
+# and closes some block: the ``%``-formatted 0, -0.0, nan, inf, 1e-05 and
+# 1e+06 among values in fixed notation.
+BOUNDARY_VALUES = np.array([0.0, 0.5, -0.0, math.nan, 123.25, math.inf, 1e-05, 1e6])
+
+
+class TestBlockBoundaries:
+    # No steps; columns shorter than, as long as and longer than a block,
+    # so blocks of whole columns, of one, and of slices of one.
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 7, 8, 21])
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_report_and_csvs_equal_the_reference(self, monkeypatch, block, steps):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert_files_equal_the_reference(series_of(BOUNDARY_VALUES, steps))
+
+    # A field log's ten columns take one pass, as do ten 819-step columns,
+    # but only nine 820-step ones fit in one; a 20,000-step column takes
+    # three slices.
+    @pytest.mark.parametrize(
+        ("steps", "expected"), [(20, 1), (200, 1), (819, 1), (820, 2), (20000, 30)]
+    )
+    def test_columns_share_format_passes(self, monkeypatch, tmp_path, steps, expected):
+        passes = []
+        fixed_notation = cli._fixed_notation
+        monkeypatch.setattr(
+            cli, "_fixed_notation", lambda *args: passes.append(1) or fixed_notation(*args)
+        )
+        report = {"metadata": {}, "series": {}, "events": [], "summary": {}}
+        cli._write_report(tmp_path / "r.json", report, series_of(BOUNDARY_VALUES, steps))
+        assert len(passes) == expected
+
+    def test_writers_keep_only_the_csv_cells_and_block_buffers(self, tmp_path):
+        # The seven float columns the CSVs read keep 16 bytes of cells per
+        # step; everything else lives in buffers of _BLOCK rows (1.4 MB
+        # measured at 100,000 steps).  Writers that held every column's
+        # cells and rows at once took 97 MB here.
+        steps = 100_000
+        rng = np.random.default_rng(0)
+        size = 10.0 ** rng.uniform(-6.0, 8.0, 10 * steps)
+        values = np.copysign(size, rng.random(10 * steps) - 0.5)
+        columns = series_of(values, steps)
+        report = {"metadata": {}, "series": {}, "events": [], "summary": {}}
+        # Builds the format tables, which are kept for the process's life.
+        cli._write_report(tmp_path / "warm.json", report, series_of(values, 10))
+        tracemalloc.start()
+        try:
+            cells = cli._write_report(tmp_path / "r.json", report, columns, csv_cells=True)
+            cli._write_series_csvs(tmp_path / "series", cells, 490.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 16 * steps + 2 * 2**20
 
 
 meta_values = st.fixed_dictionaries({
