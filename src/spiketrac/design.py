@@ -12,19 +12,20 @@ depth under conservative tip application.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
 
 from .geometry import (
-    SpikeDesign, arm_rules, effective_sine, finite_rule, rotated_rake, sine_degrees, thrust_angle,
+    SpikeDesign, arm_rules, effective_sine, finite_rule, rotated_rake, sine_degrees, spike_rules,
+    thrust_angle,
 )
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
 # The search holds arrays over the whole grid.  On a 10-million-point grid with
-# 7.5 million feasible points, `design --top 5` peaked at 60 MiB RSS and
-# `design --out` (every row written) at 869 MiB (getrusage, 2-vCPU Xeon).
+# 7.3 million feasible points, `design --top 5` peaked at 60 MiB RSS and
+# `design --out` (every row written) at 661 MiB (getrusage, 2-vCPU Xeon).
 MAX_GRID_POINTS = 10_000_000
 
 
@@ -125,9 +126,11 @@ class GridSearchResult:
 
     ``axes`` holds the five grid axes' values in :class:`DesignSpace`
     field order, and ``index[k][n]`` is the position of the n-th ranked
-    design on axis ``k``.  ``objective``, ``thrust_deg``, ``window_deg``
-    and ``critical_depth_m`` (``None`` when the lateral check is off) are
-    that design's evaluation, bit for bit :func:`evaluate_design`'s.
+    design on axis ``k``; the designs come by objective descending, then
+    smaller radius, smaller diameter and grid order.  ``objective``,
+    ``thrust_deg``, ``window_deg`` and ``critical_depth_m`` (``None``
+    when the lateral check is off) are that design's evaluation, bit for
+    bit :func:`evaluate_design`'s.
     The columns hold the first ``top`` ranked designs when the search
     was given ``top``; ``feasible`` counts every feasible design.
     """
@@ -256,17 +259,6 @@ def evaluate_design(
     )
 
 
-def _valid_with(design: SpikeDesign | None, **changes: float) -> bool:
-    """Whether ``design`` with ``changes`` applied is a valid design."""
-    if design is None:
-        return False
-    try:
-        replace(design, **changes)
-    except ValueError:
-        return False
-    return True
-
-
 def _axis(values, position: int) -> np.ndarray:
     """``values`` laid along one of the five grid axes, for broadcasting."""
     shape = [1] * 5
@@ -310,60 +302,62 @@ def grid_search(
     """Evaluate every grid point and rank the feasible designs.
 
     The grid is the product of the five ranges in field order, evaluated
-    as arrays over that product.  The transcendental parts (thrust at
-    design depth and at the surface, and the objective) depend only on
-    the (radius, hinge, depth) arm: the arms are judged by the rule of
-    :class:`SpikeDesign` and take their thrust as :func:`thrust_angle`
-    does, as arrays, and :func:`evaluate_design` runs once per arm that
-    keeps a feasible point, for its objective.  Window, rake,
-    critical depth and the checks are float64 array arithmetic broadcast
-    over the grid, in the scalar code's operation order, so every point
-    is judged and valued exactly as :func:`evaluate_design` judges and
-    values it.  The result holds the ranked designs as columns.
+    as arrays over that product.  Validity is :class:`SpikeDesign`'s
+    rules (:func:`~spiketrac.geometry.arm_rules` and
+    :func:`~spiketrac.geometry.spike_rules`) applied to the axes.  The
+    transcendental parts (thrust at design depth and at the surface, and
+    the objective) depend only on the (radius, hinge, depth) arm: the
+    arms take their thrust as :func:`thrust_angle` does, as arrays, and
+    :func:`evaluate_design` runs once per arm that keeps a feasible
+    point, for its objective.  Window, rake, critical depth and the
+    checks are float64 array arithmetic broadcast over the grid, in the
+    scalar code's operation order, so every point is judged and valued
+    exactly as :func:`evaluate_design` judges and values it.  The
+    critical depths of the grid become the check's mask at once; the
+    ranked designs' depths are computed again from their own width and
+    rake.  The result holds the ranked designs as columns.
 
     Sorted by objective descending, ties broken by smaller radius, then
-    smaller diameter, then grid order.  Grid points with inconsistent
-    geometry (e.g. design depth beyond the reachable range) are skipped
-    and counted.  With ``top``, the columns hold the first ``top``
-    ranked designs: the arms are ranked by (objective, radius), and only
-    the points of those that reach the top, and of those tied with the
-    last of them, are sorted.
+    smaller diameter, then grid order.  The objective belongs to the
+    arm, so the arms are ranked first: arms equal on (objective, radius)
+    share a rank.  The feasible points, in grid order, are then sorted
+    once, stably, on the small integer key (arm rank, rank of the
+    diameter value), which keeps grid order among equal keys.  Grid
+    points with inconsistent geometry (e.g. design depth beyond the
+    reachable range) are skipped and counted.  With ``top``, the
+    columns hold the first ``top`` ranked designs: only the points of
+    the arms up to the rank at which the feasible count reaches ``top``
+    are sorted.
     """
     if top is not None and not top >= 0:
         raise ValueError(f"top ({top}) must be >= 0")
     values = space._values()
     radius, hinge, rake0, diameter, depth = values
     arm_ok, thrust, gamma0 = _arm_table(radius, hinge, depth)
-    arms = arm_ok.shape
-
-    # Validity is separable: a rake or a diameter is valid when the last
-    # valid arm's design stays valid with it swapped in.
-    last = None
-    if arm_ok.any():
-        i, j, n = np.unravel_index(np.flatnonzero(arm_ok)[-1], arms)
-        last = SpikeDesign(radius[i], hinge[j], design_depth_m=depth[n])
+    rake_ok, diameter_ok = spike_rules(np.asarray(rake0), np.asarray(diameter))
     per_arm = (slice(None), slice(None), None, None, slice(None))
-    valid = (
-        arm_ok[per_arm]
-        & _axis([_valid_with(last, initial_rake_deg=a) for a in rake0], 2)
-        & _axis([_valid_with(last, diameter_mm=d) for d in diameter], 3)
-    )
+    valid = arm_ok[per_arm] & _axis(rake_ok, 2) & _axis(diameter_ok, 3)
 
     rake0_grid = _axis(rake0, 2)
     window = rake0_grid - gamma0[per_arm]
-    zc = None
+    zc = rake = width = None
     if constraints.require_lateral_at_design_depth:
         rake = rotated_rake(rake0_grid, thrust[per_arm], gamma0[per_arm])
-        width = _axis(diameter, 3) / 1000.0
+        width = np.asarray(diameter) / 1000.0
         # The first point critical_depth rejects (a width that underflows
-        # to zero) stops the search with its error.
-        rejected = np.flatnonzero(valid & ~((width > 0) & (rake > 0) & (rake < 180)))
-        if rejected.size:
-            index = np.unravel_index(rejected[0], valid.shape)
-            point = [axis[i] for axis, i in zip(values, index)]
-            evaluate_design(SpikeDesign(*point), constraints, cd_model)
-        zc = critical_depths(width, rake, cd_model)
+        # to zero) stops the search with its error.  The rakes and widths
+        # are checked on their own axes first; the grid only if one fails.
+        bad_rake = ~((rake > 0) & (rake < 180)) & arm_ok[per_arm] & _axis(rake_ok, 2)
+        bad_width = ~(width > 0) & diameter_ok
+        if bad_rake.any() or bad_width.any():
+            rejected = np.flatnonzero(valid & (bad_rake | _axis(bad_width, 3)))
+            if rejected.size:
+                index = np.unravel_index(rejected[0], valid.shape)
+                point = [axis[i] for axis, i in zip(values, index)]
+                evaluate_design(SpikeDesign(*point), constraints, cd_model)
+        zc = critical_depths(_axis(width, 3), rake, cd_model)
     failed = _failed_checks(constraints, thrust[per_arm], window, _axis(depth, 4), zc)
+    del zc
 
     feasible = valid.copy()
     violation_counts: dict[str, int] = {}
@@ -372,49 +366,64 @@ def grid_search(
         if count:
             violation_counts[check] = count
         feasible &= ~failing
+    evaluated = int(np.count_nonzero(valid))
+    del failed, valid
 
     # Only arms with a feasible point rank; with the default constraints
     # evaluate_design cannot raise for a valid arm, so the others drop no error.
-    objective = np.full(arms, math.nan)
     counts = np.count_nonzero(feasible, axis=(2, 3))
     ranking = np.flatnonzero(counts)
-    arm_index = np.unravel_index(ranking, arms)
+    arm_index = np.unravel_index(ranking, counts.shape)
+    objective = np.full(counts.shape, math.nan)
     objective.flat[ranking] = [
         evaluate_design(SpikeDesign(radius[i], hinge[j], design_depth_m=depth[n])).objective
         for i, j, n in zip(*(axis_index.tolist() for axis_index in arm_index))
     ]
+    # Dense rank of each arm by (-objective, radius), with float equality.
+    # The arms come in grid order, so by radius: a stable sort keeps that.
+    arm_objective, arm_radius = objective.flat[ranking], np.asarray(radius)[arm_index[0]]
+    order = np.argsort(-arm_objective, kind="stable")
+    ranking, arm_objective, arm_radius = ranking[order], arm_objective[order], arm_radius[order]
+    rank = np.zeros(ranking.size, np.intp)
+    np.cumsum(
+        (arm_objective[1:] != arm_objective[:-1]) | (arm_radius[1:] != arm_radius[:-1]),
+        out=rank[1:],
+    )
+    arm_rank = np.zeros(counts.shape, np.intp)
+    arm_rank.flat[ranking] = rank
+    ranks = int(rank[-1]) + 1 if rank.size else 0
     total = int(counts.sum())
     if top is not None and top < total:
-        # A point of an arm that ranks after the arm filling the top ranks
-        # after every point up to it: expand only the arms up to that one
-        # and those tied with it on (objective, radius).
-        arm_objective = objective.flat[ranking]
-        arm_radius = np.asarray(radius)[arm_index[0]]
-        order = np.lexsort((arm_radius, -arm_objective))
-        filled = order[np.searchsorted(np.cumsum(counts.flat[ranking][order]), top)]
-        taken = np.zeros(arms, bool)
-        taken.flat[ranking] = (arm_objective > arm_objective[filled]) | (
-            (arm_objective == arm_objective[filled]) & (arm_radius <= arm_radius[filled])
-        )
-        feasible &= taken[per_arm]
+        # A point of an arm ranked after the arm that fills the top ranks
+        # after every point up to it: keep the arms up to that arm's rank.
+        ranks = int(rank[np.searchsorted(np.cumsum(counts.flat[ranking]), top)]) + 1
+        feasible &= (arm_rank < ranks)[per_arm]
 
-    index = np.unravel_index(np.flatnonzero(feasible), feasible.shape)
-    ir, ih, _, idiam, iz = index
-    order = np.lexsort(
-        (np.asarray(diameter)[idiam], np.asarray(radius)[ir], -objective[ir, ih, iz])
-    )[:top]
-    index = tuple(axis_index[order] for axis_index in index)
-    ir, ih, ia, _, iz = index
-    evaluated = int(np.count_nonzero(valid))
+    # One stable sort of the feasible points, in grid order, on (arm rank,
+    # rank of the diameter value): a key of at most 16 bits sorts by radix.
+    # An axis lists start + i * step and never decreases, so a value's
+    # rank counts the changes of value before it.
+    diameter_rank = np.cumsum([False] + [a != b for a, b in zip(diameter, diameter[1:])])
+    diameters = int(diameter_rank[-1]) + 1
+    # Arms past the cut keep no feasible point, so no key that is used overflows.
+    key = (arm_rank[per_arm] * diameters + _axis(diameter_rank, 3)).astype(
+        np.min_scalar_type(max(ranks * diameters - 1, 0))
+    )
+    points = np.flatnonzero(feasible)
+    order = np.argsort(np.broadcast_to(key, feasible.shape)[feasible], kind="stable")[:top]
+    index = np.unravel_index(points[order], feasible.shape)
+    ir, ih, ia, idiam, iz = index
     return GridSearchResult(
         axes=tuple(values),
         index=index,
         objective=objective[ir, ih, iz],
         thrust_deg=thrust[ir, ih, iz],
         window_deg=window[ir, ih, ia, 0, 0],
-        critical_depth_m=None if zc is None else zc[index],
+        critical_depth_m=None if rake is None else critical_depths(
+            width[idiam], rake[ir, ih, ia, 0, iz], cd_model
+        ),
         feasible=total,
         evaluated=evaluated,
-        invalid=valid.size - evaluated,
+        invalid=feasible.size - evaluated,
         violation_counts=violation_counts,
     )

@@ -64,11 +64,12 @@ class SpikeDesign:
                 f"design_depth_m ({self.design_depth_m}) must lie in "
                 f"(0, radius_m - hinge_height_m] = (0, {self.max_depth_m}]"
             )
-        if not 0 < self.initial_rake_deg < 90:
+        rake_ok, diameter_ok = spike_rules(self.initial_rake_deg, self.diameter_mm)
+        if not rake_ok:
             raise ValueError(
                 f"initial_rake_deg ({self.initial_rake_deg}) must lie in (0, 90)"
             )
-        if not 0 < self.diameter_mm < math.inf:
+        if not diameter_ok:
             rule = finite_rule("positive", self.diameter_mm)
             raise ValueError(f"diameter_mm ({self.diameter_mm}) must be {rule}")
         if not 0 <= self.tip_mass_kg < math.inf:
@@ -94,6 +95,16 @@ def arm_rules(radius_m, hinge_height_m, depth_m):
     """
     lever_ok = (math.inf > radius_m) & (radius_m > hinge_height_m) & (hinge_height_m > 0)
     return lever_ok, (0 < depth_m) & (depth_m <= radius_m - hinge_height_m)
+
+
+def spike_rules(initial_rake_deg, diameter_mm):
+    """Whether a spike's rake and diameter are valid: ``(0 < alpha0 < 90, 0 < d < inf)``.
+
+    Takes scalars or arrays; :class:`SpikeDesign` and the design grid both
+    judge their rakes and diameters by it.
+    """
+    rake_ok = (0 < initial_rake_deg) & (initial_rake_deg < 90)
+    return rake_ok, (0 < diameter_mm) & (diameter_mm < math.inf)
 
 
 def effective_sine(design: SpikeDesign, depth_m, kappa=1.0):

@@ -381,8 +381,9 @@ def critical_depths(width_m, rake_deg, model: CriticalDepthModel = CriticalDepth
     The scalar function keeps Python's ``min``/``max``: a numpy call on
     a float costs microseconds, and it sits in the forward model's onset scan.
     """
-    capped = np.minimum(rake_deg, _MAX_RAKE_DEG)
-    return np.maximum(_critical_depth(width_m, capped, model), 0.0)
+    depths = _critical_depth(width_m, np.minimum(rake_deg, _MAX_RAKE_DEG), model)
+    # The product is a fresh array (or a numpy scalar): clamp it in place.
+    return np.maximum(depths, 0.0, out=depths if isinstance(depths, np.ndarray) else None)
 
 
 def failure_mode(

@@ -34,6 +34,7 @@ from spiketrac import design as design_module
 from spiketrac.cli import (
     _DESIGN_KEYS, _EVALUATION_KEYS, _fmt_column, _gathered_cells, _keyed_cells, main,
 )
+from spiketrac.geometry import spike_rules
 
 
 def point(value: float) -> ParameterRange:
@@ -402,6 +403,17 @@ def assert_matches_brute_force(space, constraints, cd_model=CriticalDepthModel()
     assert [r.evaluation for r in result.ranked] == [e for _, e in ranked]
     assert (result.evaluated, result.invalid) == (evaluated, invalid)
     assert result.violation_counts == counts
+    # Equal values cannot tell duplicate axis values apart: designs equal on
+    # the sort key must also come in grid order.
+    radius, _, _, diameter, _ = result.axes
+    ir, idiam = result.index[0].tolist(), result.index[3].tolist()
+    key = [
+        (-objective, radius[i], diameter[d])
+        for objective, i, d in zip(result.objective.tolist(), ir, idiam)
+    ]
+    position = np.ravel_multi_index(result.index, tuple(map(len, result.axes))).tolist()
+    for n in range(1, len(key)):
+        assert key[n - 1] < key[n] or (key[n - 1] == key[n] and position[n - 1] < position[n])
     return result
 
 
@@ -434,6 +446,33 @@ CONSTRAINTS = st.builds(
 )
 CD_MODELS = st.builds(CriticalDepthModel, k0=st.floats(0.5, 20.0), k1=st.floats(0.0, 2.0))
 
+# Ties the sort keeps in grid order: arms equal on (objective, radius), and
+# axes whose values repeat, whose points interleave with their neighbours'.
+# 2**53 + 1 rounds to 2**53, 1.0 + 1e-16 to 1.0, and 1.0 + (0.5 + 2**-53)
+# to 1.5, so the two depths' arms tie.
+DUPLICATE_DIAMETERS = ParameterRange(2.0**53, 2.0**53 + 2, 1.0)
+DUPLICATE_RADII = ParameterRange(1.0, math.nextafter(1.0, 2.0), 1e-16)
+ULP_DEPTHS = ParameterRange(0.5, 0.5 + 2**-53, 2**-53)
+TIE_SPACES = [
+    DesignSpace(
+        point(2.0), point(1.0), ParameterRange(1.0, 2.0, 1.0), DUPLICATE_DIAMETERS, ULP_DEPTHS
+    ),
+    DesignSpace(
+        DUPLICATE_RADII, point(0.25), ParameterRange(10.0, 15.0, 5.0),
+        ParameterRange(12.0, 24.0, 12.0), ParameterRange(0.25, 0.5, 0.25),
+    ),
+    DesignSpace(
+        point(2.0), point(1.0), point(1.0), ParameterRange(12.0, 24.0, 12.0), ULP_DEPTHS
+    ),
+]
+# Rakes that stay below 22.5 degrees at design depth clamp the critical
+# depth to zero, so the lateral check keeps even the 2**53 mm spikes.
+TIE_CONSTRAINTS = [
+    DesignConstraints(60.0, -40.0, 75.0, require_lateral_at_design_depth=lateral)
+    for lateral in (False, True)
+]
+TIE_MODEL = CriticalDepthModel(k0=6.0, k1=2.0)
+
 
 class TestArraySearchEqualsBruteForce:
     def test_rejected_critical_depth_input_stops_the_search(self):
@@ -450,8 +489,15 @@ class TestArraySearchEqualsBruteForce:
 
     @settings(max_examples=150, deadline=None)
     @given(space=SMALL_SPACES, constraints=CONSTRAINTS, cd_model=CD_MODELS)
+    @example(space=TIE_SPACES[0], constraints=TIE_CONSTRAINTS[0], cd_model=TIE_MODEL)
+    @example(space=TIE_SPACES[0], constraints=TIE_CONSTRAINTS[1], cd_model=TIE_MODEL)
+    @example(space=TIE_SPACES[1], constraints=TIE_CONSTRAINTS[0], cd_model=TIE_MODEL)
+    @example(space=TIE_SPACES[1], constraints=TIE_CONSTRAINTS[1], cd_model=TIE_MODEL)
+    @example(space=TIE_SPACES[2], constraints=TIE_CONSTRAINTS[0], cd_model=TIE_MODEL)
+    @example(space=TIE_SPACES[2], constraints=TIE_CONSTRAINTS[1], cd_model=TIE_MODEL)
     def test_random_small_spaces(self, space, constraints, cd_model):
-        assert_matches_brute_force(space, constraints, cd_model)
+        result = assert_matches_brute_force(space, constraints, cd_model)
+        assert result.feasible or space not in TIE_SPACES
 
     @staticmethod
     def ranked_with_sine_half(radius, hinge, diameter, depth):
@@ -605,19 +651,43 @@ def test_arm_table_is_the_spike_design_rule_and_thrust_angle_bit_for_bit(radius,
         assert _hex([gamma0[i, j, 0]]) == _hex([surface])
 
 
-def test_a_grid_with_no_valid_arm_checks_rakes_and_diameters_against_no_design(monkeypatch):
-    checked, valid_with = [], design_module._valid_with
+def _accepted_with(**changes) -> bool:
+    """Whether SpikeDesign accepts a valid arm's design with ``changes``."""
+    try:
+        SpikeDesign(1.0, 0.25, design_depth_m=0.5, **changes)
+    except ValueError:
+        return False
+    return True
 
-    def recording(design, **changes):
-        checked.append(design)
-        return valid_with(design, **changes)
 
-    monkeypatch.setattr(design_module, "_valid_with", recording)
+EDGE_VALUES = [
+    0.0, -0.0, 90.0, math.nextafter(90.0, 0.0), math.nan, math.inf, -math.inf,
+    1e-300, -1e-300, -45.0, 45.0,
+]
+RULE_VALUES = st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.floats()), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rakes=RULE_VALUES, diameters=RULE_VALUES)
+@example(rakes=EDGE_VALUES, diameters=EDGE_VALUES)
+def test_the_grid_judges_rakes_and_diameters_as_spike_design_does(rakes, diameters):
+    # grid_search passes its axes to spike_rules as arrays.
+    rake_ok, diameter_ok = spike_rules(np.asarray(rakes), np.asarray(diameters))
+    assert rake_ok.tolist() == [_accepted_with(initial_rake_deg=a) for a in rakes]
+    assert diameter_ok.tolist() == [_accepted_with(diameter_mm=d) for d in diameters]
+    # A range admits finite values only: one grid point each, on a valid arm.
+    for a, d in zip(rakes, diameters):
+        if math.isfinite(a) and math.isfinite(d):
+            space = DesignSpace(point(1.0), point(0.25), point(a), point(d), point(0.5))
+            expected = _accepted_with(initial_rake_deg=a, diameter_mm=d)
+            assert grid_search(space).evaluated == expected
+
+
+def test_a_grid_with_no_valid_arm_evaluates_no_point():
     space = DesignSpace(
         point(0.5), point(0.5), ParameterRange(20.0, 40.0, 10.0), point(21.0), point(0.25)
     )
     result = grid_search(space)
-    assert checked == [None] * 4
     assert (result.feasible, result.evaluated, result.invalid) == (0, 0, 3)
 
 
@@ -651,6 +721,24 @@ class TestTop:
     @example(space=TIED_ARMS, constraints=WIDE_WINDOW, cd_model=CriticalDepthModel(), top=1)
     @example(space=TIED_ARMS, constraints=WIDE_WINDOW, cd_model=CriticalDepthModel(), top=0)
     @example(space=TIED_ARMS, constraints=WIDE_WINDOW, cd_model=CriticalDepthModel(), top=9)
+    @example(
+        space=TIE_SPACES[0], constraints=TIE_CONSTRAINTS[0], cd_model=TIE_MODEL, top=5
+    )
+    @example(
+        space=TIE_SPACES[0], constraints=TIE_CONSTRAINTS[1], cd_model=TIE_MODEL, top=5
+    )
+    @example(
+        space=TIE_SPACES[1], constraints=TIE_CONSTRAINTS[0], cd_model=TIE_MODEL, top=7
+    )
+    @example(
+        space=TIE_SPACES[1], constraints=TIE_CONSTRAINTS[1], cd_model=TIE_MODEL, top=7
+    )
+    @example(
+        space=TIE_SPACES[2], constraints=TIE_CONSTRAINTS[0], cd_model=TIE_MODEL, top=2
+    )
+    @example(
+        space=TIE_SPACES[2], constraints=TIE_CONSTRAINTS[1], cd_model=TIE_MODEL, top=2
+    )
     def test_columns_are_the_first_rows_of_the_full_result(self, space, constraints, cd_model, top):
         full = grid_search(space, constraints, cd_model)
         part = grid_search(space, constraints, cd_model, top=top)

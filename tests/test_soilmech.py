@@ -25,6 +25,7 @@ from spiketrac import (
     max_crescent_force,
     predict_series,
 )
+from spiketrac.soilmech import critical_depths
 
 
 def wedge_volume_grid(depth: float, beta_deg: float, width: float, n: int = 220) -> float:
@@ -277,6 +278,30 @@ def test_overflow_raises_without_a_numpy_warning(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="crescent force overflows"):
             call()
+
+
+def test_critical_depths_clamps_only_its_own_array():
+    model = CriticalDepthModel(k0=6.0, k1=3.0)
+    # 1e308 m overflows to inf: -inf where the rake factor is negative, clamped to 0.
+    widths = np.array([[0.021], [1e308], [0.049]])
+    rakes = np.array([10.0, 45.0, 95.0, 179.0])
+    given = widths.copy(), rakes.copy()
+    depths = critical_depths(widths, rakes, model)
+    assert widths.tobytes() == given[0].tobytes() and rakes.tobytes() == given[1].tobytes()
+    expected = [
+        [critical_depth(w, r, model) for r in rakes.tolist()] for w in widths[:, 0].tolist()
+    ]
+    assert depths.shape == (3, 4)
+    assert [list(map(float.hex, row)) for row in depths.tolist()] == [
+        list(map(float.hex, row)) for row in expected
+    ]
+    assert math.inf in depths and 0.0 in depths
+    # A scalar width with an array of rakes, as simulate's onset scan calls it.
+    assert critical_depths(0.021, rakes, model).tolist() == expected[0]
+    for width, rake in ((0.021, 45.0), (np.float64(0.021), np.array(10.0))):
+        scalar = critical_depths(width, rake, model)
+        assert type(scalar) is np.float64
+        assert float(scalar).hex() == critical_depth(float(width), float(rake), model).hex()
 
 
 def test_critical_depth_overflow_is_inf_without_a_numpy_warning():
