@@ -753,6 +753,14 @@ def run_simulate(args: argparse.Namespace) -> int:
     drafts = load_draft_schedule(args.draft_schedule)
     cd_model = CriticalDepthModel(k0=args.k0, k1=args.k1)
     steps = predict_series(design, soil, drafts, cd_model)
+    # A lift past the float range is returned as inf; it predicts nothing.
+    infinite = np.flatnonzero(~np.isfinite(steps.lift_n))
+    if infinite.size:
+        step = steps[infinite[0]]
+        raise ValueError(
+            f"draft {_fmt(step.draft_n)} N at depth {_fmt(step.depth_m)} m "
+            f"has a lift of {_fmt(step.lift_n)} N"
+        )
     if args.out is not None:
         header = ["draft_N", "depth_m", "regime", "sustained", "thrust_deg", "rake_deg", "lift_N"]
         draft, depth, thrust, rake, lift = (

@@ -24,7 +24,9 @@ degrees.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import islice, repeat
@@ -263,6 +265,11 @@ _BLOCK_ROWS = 4096
 # The step columns in file order: name, converter, dtype.
 _STEP_COLUMNS = (("index", int, np.int64), ("basket_kg", float, np.float64),
                  ("motion_mm", float, np.float64), ("incl_deg", float, np.float64))
+# The one row type that numpy's text reader converts plain step text into.
+_STEP_ROW = np.dtype([(name, dtype) for name, _, dtype in _STEP_COLUMNS])
+# The bytes of plain step text: no whitespace, underscore, letter of nan or
+# inf, or line separator but the newline.
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
 
 
 def _first(mask: np.ndarray) -> int:
@@ -288,10 +295,16 @@ def _convert(fields: list[str], kind: type, dtype) -> tuple[np.ndarray | list, s
     return values, None
 
 
-def _step_columns(rows: list[str]) -> tuple[dict[str, np.ndarray], tuple[int, str] | None]:
-    """Rows of four fields as columns up to the first row that fails, and
-    ``(row, message)`` of that row or None: first a field that does not
-    convert, then a step index outside int64."""
+def _step_columns(lines: list[str]) -> tuple[dict[str, np.ndarray], tuple[int, str] | None]:
+    """The non-blank step lines as columns up to the first row that fails,
+    and ``(row, message)`` of that row or None: first a field that does
+    not convert or a step index outside int64, then a wrong field count."""
+    rows = list(filter(str.strip, lines))
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
+    end = _first(commas != 3)
+    failure = None if end == len(rows) else (
+        end, f"expected 4 comma-separated fields, got {commas[end] + 1}")
+    rows = rows[:end]
     columns = {name: np.empty(len(rows), dtype) for name, _, dtype in _STEP_COLUMNS}
     for start in range(0, len(rows), _BLOCK_ROWS):
         fields = ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
@@ -309,7 +322,7 @@ def _step_columns(rows: list[str]) -> tuple[dict[str, np.ndarray], tuple[int, st
         if message is not None:
             end = start + stop
             return {name: column[:end] for name, column in columns.items()}, (end, message)
-    return columns, None
+    return columns, failure
 
 
 def _first_breach(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
@@ -336,20 +349,59 @@ def _first_breach(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
     return row, rules[firsts.index(row)][1].format(**values, previous=previous)
 
 
+def _plain_steps(body: str) -> dict[str, np.ndarray] | None:
+    """The columns of step text read by numpy's C text reader, or None
+    when the text is not plain or the reader raises or warns.
+
+    Plain text holds only ``_PLAIN_BYTES`` and no blank line.  The reader
+    converts each float field with the routine ``float`` uses on such a
+    field and each int64 field exactly; a field ``int`` or ``float``
+    refuses, an index outside int64 or a wrong field count makes it raise.
+    """
+    if not body.isascii():  # before encoding: a stream may hold a lone surrogate
+        return None
+    data = body.encode()
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        # Warnings as errors: no data, or an older numpy's deprecated int parse.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # From bytes: a StringIO of the text would hold four bytes a character.
+            rows = np.loadtxt(io.BytesIO(data), _STEP_ROW, delimiter=",", ndmin=1,
+                              encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    # The reader skips blank lines, so the text has none when each line is a row.
+    newlines = np.count_nonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if len(rows) != newlines + (not body.endswith("\n")):
+        return None
+    return {name: np.ascontiguousarray(rows[name]) for name in _STEP_ROW.names}
+
+
 def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
     """Parse and validate a trial-log CSV into columns.
 
-    The non-blank step lines are converted as columns, in blocks of
-    rows, and each rule is checked once over the converted rows.  Raises
+    Plain step text (``_plain_steps``) is converted by numpy's text
+    reader in one call.  Any other text, and plain text the reader
+    refuses, is converted line by line as columns, in blocks of rows,
+    skipping blank lines; that path writes every conversion message.
+    Each rule is then checked once over the converted rows.  Raises
     TrialLogError naming the first offending line and the first rule it
     breaks there.  A file with only the two header lines yields an empty
     (zero-step) log.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            text = handle.read()
     else:
-        lines = source.read().splitlines()
+        text = source.read()
+    # The two header lines split off at newlines are the first two of
+    # splitlines() unless either holds another line boundary.
+    *lines, body = text.split("\n", 2)
+    plain = len(lines) == 2 and all(line.splitlines() == [line] for line in lines)
+    if not plain:
+        lines = text.splitlines()
 
     if not lines or not lines[0].startswith("#"):
         raise TrialLogError("first line must be the '# key=value ...' metadata header", line=1)
@@ -358,16 +410,14 @@ def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
     if len(lines) < 2 or lines[1].strip() != _HEADER_COLUMNS:
         raise TrialLogError(f"second line must be '{_HEADER_COLUMNS}'", line=2)
 
-    rows = list(filter(str.strip, lines[2:]))
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
-    end = _first(commas != 3)
-    columns, failure = _step_columns(rows[:end])
-    if failure is None and end < len(rows):
-        failure = end, f"expected 4 comma-separated fields, got {commas[end] + 1}"
+    columns = _plain_steps(body) if plain else None
+    failure = None
+    if columns is None:
+        columns, failure = _step_columns(body.splitlines() if plain else lines[2:])
     failure = _first_breach(columns) or failure
     if failure is not None:
         row, message = failure
-        steps = (number for number, raw in enumerate(lines[2:], start=3) if raw.strip())
+        steps = (number for number, raw in enumerate(text.splitlines()[2:], start=3) if raw.strip())
         raise TrialLogError(message, line=next(islice(steps, row, None)))
     return TrialLog(metadata, **columns)
 

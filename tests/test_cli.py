@@ -586,6 +586,20 @@ class TestSimulate:
             "--draft-schedule", str(schedule),
         ) == 2
 
+    def test_a_lift_past_the_float_range_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        design = json.dumps({
+            "radius_m": 1.0, "hinge_height_m": 0.6, "initial_rake_deg": 45.0,
+            "diameter_mm": 21.0, "design_depth_m": 0.3, "tip_mass_kg": 0,
+        })
+        argv = self.write_inputs(tmp_path, design, "draft_N\n1e308\n1.7e308\n")
+        out = tmp_path / "sim.csv"
+        code = run("simulate", *argv, "--soil", "preset:dry", "--out", str(out))
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: draft 1.7e+308 N at depth 0.161679 m has a lift of inf N\n"
+        )
+        assert not out.exists()
+
     @staticmethod
     def write_inputs(tmp_path, design=None, schedule="draft_N\n"):
         design_path = tmp_path / "design.json"

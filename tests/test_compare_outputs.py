@@ -17,7 +17,7 @@ ARGS = ["--seeds", "1", "--workload", "simulate-schedules"]
 
 def test_a_checkout_against_itself_exits_0(capsys):
     assert compare_outputs.main([str(ROOT), str(ROOT), *ARGS]) == 0
-    assert capsys.readouterr().out == "0 of 16 operations differ\n"
+    assert capsys.readouterr().out == "0 of 17 operations differ\n"
 
 
 # Appended to a copy of cli.py: simulate's stdout spells its " m, " out.
@@ -49,8 +49,9 @@ def test_one_changed_format_string_exits_1_and_names_each_differing_operation(tm
         handle.write(IN_METRES)
     assert compare_outputs.main([str(ROOT), str(tmp_path), *ARGS]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # The four schedules and the four golden simulate cases print their final depth.
-    assert lines[-1] == "8 of 16 operations differ"
+    # Four schedules and 13 golden cases; the schedules and the four golden
+    # simulate cases print their final depth.
+    assert lines[-1] == "8 of 17 operations differ"
     differing = sorted(line.partition(": ")[2].rpartition(": ")[0] for line in lines[:-1])
     assert differing == sorted(
         [f"simulate-schedules seed 1 op {i:03d} (simulate)" for i in range(4)]

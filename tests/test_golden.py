@@ -31,6 +31,13 @@ CASES = {
         "analyze", "--log", "trial.csv", "--out", "report.json",
         "--series", "series", "--push-distance", "2.0",
     ],
+    # trial.csv with CRLF line ends, a space after each comma and a blank
+    # line mid-file: the per-column parser reads it, and its outputs equal
+    # the analyze case's byte for byte.
+    "analyze-spaced": [
+        "analyze", "--log", "trial_spaced.csv", "--out", "report.json",
+        "--series", "series", "--push-distance", "2.0",
+    ],
     # A light vehicle: tip application over-predicts lift, so kappa is bisected.
     "analyze-kappa": [
         "analyze", "--log", "trial_light.csv", "--out", "report.json",

@@ -6,20 +6,31 @@ step before.  For any step lines, ``parse_trial_log`` must raise the
 same ``TrialLogError`` (message and line) or return columns with the
 same bits as the reference's steps.  The header is fixed and valid: its
 rules changed with the columnar parser and are tested in
-``tests/test_trials.py``.
+``tests/test_trials.py``.  Plain step text is read by numpy's text
+reader and any other by the per-column path; both are held to the
+reference here, and the tests at the end check which path a log takes.
 """
 
+import importlib.util
 import io
 import math
+import os
+import random
+import subprocess
+import sys
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden import INPUTS
 from trial_data import same_bits
 
-from spiketrac import TrialLogError, parse_trial_log
+import spiketrac
+from spiketrac import TrialLog, TrialLogError, TrialMetadata, parse_trial_log, trials, write_trial_log
 from spiketrac.trials import _BLOCK_ROWS
 
 HEADER = (
@@ -167,14 +178,21 @@ def step_lines(draw) -> list[str]:
 @example(["\x1f0\x1f,\u20051\u2005,2\x1f\t,\u30003"])
 @example(["0,1,2,3", "1,\x1f abc\u3000,2,3"])
 @example(["0,1\u2028,2,3", "1,1,2,3"])
+@example(["0,1,2,\ud8003"])  # a lone surrogate, which UTF-8 cannot encode
 @example(["0,0,0,5", "1,1,1,-inf"])
 # Lines that break two rules against the line before.
 @example(["0,5,5,10", "1,4,4,10"])
 @example(["0,5,5,10", "0,4,4,10"])
 def test_parser_matches_the_reference(lines):
+    assert_matches(lines, reference_steps)
+
+
+def assert_matches(lines: list[str], reference) -> None:
+    """The log of ``lines`` raises the reference's error (message and line)
+    or has the bits of its steps."""
     text = "\n".join([HEADER, COLUMNS, *lines]) + "\n"
     try:
-        steps = reference_steps(text.splitlines()[2:])
+        steps = reference(text.splitlines()[2:])
     except TrialLogError as expected:
         with pytest.raises(TrialLogError) as caught:
             parse_trial_log(io.StringIO(text))
@@ -253,6 +271,8 @@ def test_block_boundaries_match_the_reference(change, row):
     rows = [",".join(_valid_fields(k)) for k in range(_ROWS)]
     rows[row] = ",".join(_CHANGES[change](_valid_fields(row), _valid_fields(row - 1)))
     # Blank lines ahead of the change move its line away from its row.
+    # They, and the whitespace in them, send every case to the per-column
+    # path, whose blocks this test is about.
     ahead = ["", *rows[:3], " \t", *rows[3:row], "\u3000"]
     text = "\n".join([HEADER, COLUMNS, *ahead, rows[row], "", *rows[row + 1:]]) + "\n"
     if change.startswith("index_"):  # the reference predates the int64 rule
@@ -276,3 +296,179 @@ def test_block_boundaries_match_the_reference(change, row):
     for name in ("basket_kg", "motion_mm", "incl_deg"):
         expected = [getattr(step, name) for step in steps]
         assert same_bits(getattr(log, name), expected, np.float64), name
+
+
+def reference_with_int64(lines: list[str]) -> list[ReferenceStep]:
+    """``reference_steps`` with the columnar parser's int64 rule: a step
+    index outside int64 is a bad value of its line, ahead of the line's
+    float fields."""
+    for offset, raw in enumerate(lines):
+        fields = [part.strip() for part in raw.split(",")]
+        try:
+            index = int(fields[0]) if len(fields) == 4 else 0
+        except ValueError:
+            continue
+        if not -(2**63) <= index < 2**63:
+            reference_steps(lines[:offset])  # an error on an earlier line comes first
+            raise TrialLogError(f"bad value: step index {index} is outside int64", line=offset + 3)
+    return reference_steps(lines)
+
+
+# The bytes of plain step text but the comma and the newline.
+_PLAIN_CHARS = "0123456789+-.eE"
+_FLOAT_SPELLINGS = st.sampled_from([repr, "{:.3f}".format, "{:.17g}".format, "{:e}".format,
+                                    "{:.25f}".format, "{:+.0f}".format])
+_INDEX_SPELLINGS = st.sampled_from(["{}", "+{}", "00{}"])
+_PLAIN_FIELDS = (
+    st.text(_PLAIN_CHARS, max_size=25)
+    | st.from_regex(r"[+-]?[0-9]{0,25}\.?[0-9]{0,25}([eE][+-]?[0-9]{1,4})?", fullmatch=True)
+    | st.integers(-(2**63) - 2, 2**63 + 1).map(str)
+)
+
+
+@st.composite
+def plain_step_lines(draw) -> list[str]:
+    """Step lines of plain text: valid rows spelt in several ways, some
+    with a field of plain bytes that may not convert or a field too few
+    or too many."""
+    lines = []
+    index = draw(st.integers(-3, 3))
+    basket = motion = 0.0
+    for _ in range(draw(st.integers(1, 12))):
+        index += draw(st.integers(1, 3))
+        basket += draw(st.sampled_from([0.0, 2.5]) | st.floats(0.0, 50.0))
+        motion += draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 50.0))
+        incl = draw(st.sampled_from([0.0, -0.0, 90.0]) | st.floats(0.0, 90.0))
+        fields = [draw(_INDEX_SPELLINGS).format(index) if index >= 0 else str(index)]
+        fields += [draw(_FLOAT_SPELLINGS)(value) for value in (basket, motion, incl)]
+        if draw(st.integers(0, 3)) == 0:
+            fields[draw(st.integers(0, 3))] = draw(_PLAIN_FIELDS)
+        if draw(st.integers(0, 9)) == 0:
+            fields = draw(st.sampled_from([fields[:3], [*fields, "0"], [*fields, ""]]))
+        lines.append(",".join(fields))
+    return lines
+
+
+@settings(max_examples=600, deadline=None)
+@given(plain_step_lines())
+@example(["-0,-0,0,-0", "+5,1.,.5,5", "007,1e-05,1E+3,1e-05"])
+@example(["0,0.12345678901234567,1234567890.123456789012345,89.9999999999999999999"])
+@example(["0,9007199254740993,2.2250738585072011e-308,4.9406564584124654e-324"])
+@example(["0,1e400,0,5"])
+@example(["0,-1e-400,0,5"])
+@example(["-9223372036854775808,0,0,5", "9223372036854775807,0,0,5"])
+@example(["0,0,0,5", "9223372036854775808,0,0,5"])
+@example(["-9223372036854775809,0,0,5"])
+@example(["0,0,0,5", "9223372036854775809,0,0,5"])
+@example(["0,0,0,5", "1e3,0,0,5"])
+@example(["0,0,0,5", "1.0,0,0,5"])
+@example(["0,0,0,5", "1,0,0"])
+@example(["0,0,0,5", "1,0,0,5,6"])
+@example(["0,0,0,5", "1,0,0,5,"])
+def test_plain_step_text_matches_the_reference(lines):
+    assert_matches(lines, reference_with_int64)
+
+
+_PLAIN_LOG = "\n".join([HEADER, COLUMNS, "0,0,0,5", "1,2.5,1,6.5", "3,2.5,4,7"]) + "\n"
+_PLAIN_STEPS = [(0, 0.0, 0.0, 5.0), (1, 2.5, 1.0, 6.5), (3, 2.5, 4.0, 7.0)]
+# Step text that numpy's text reader warns on ("input contained no data")
+# or that is not plain, with the rows or the (message, line) it parses to.
+_WARNING_CASES = {
+    "empty": ("\n".join([HEADER, COLUMNS]) + "\n", []),
+    "only_newlines": ("\n".join([HEADER, COLUMNS]) + "\n\n\n\n", []),
+    "trailing_blank_lines": (_PLAIN_LOG + "\n\n", _PLAIN_STEPS),
+    "crlf": (_PLAIN_LOG.replace("\n", "\r\n"), _PLAIN_STEPS),
+    "crlf_rule": (_PLAIN_LOG.replace("\n", "\r\n") + "2,3,5,8\r\n",
+                  ("step index 2 must increase (previous 3)", 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WARNING_CASES))
+def test_blank_and_crlf_step_text_parses_with_no_warning(case):
+    text, expected = _WARNING_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, tuple):
+            with pytest.raises(TrialLogError) as caught:
+                parse_trial_log(io.StringIO(text))
+            message, line = expected
+            assert (str(caught.value), caught.value.line) == (f"line {line}: {message}", line)
+            return
+        log = parse_trial_log(io.StringIO(text))
+    columns = (log.index, log.basket_kg, log.motion_mm, log.incl_deg)
+    assert list(zip(*(column.tolist() for column in columns))) == expected
+
+
+@pytest.mark.parametrize(("case", "steps"), [
+    ("empty", 0), ("only_newlines", 0), ("trailing_blank_lines", 20), ("crlf", 20),
+])
+def test_analyze_writes_no_warning_to_stderr(case, steps, tmp_path):
+    trial = (INPUTS / "trial.csv").read_text()
+    head = "\n".join(trial.splitlines()[:2]) + "\n"
+    text = {"empty": head, "only_newlines": head + "\n\n\n", "trailing_blank_lines": trial + "\n\n",
+            "crlf": trial.replace("\n", "\r\n")}[case]
+    (tmp_path / "log.csv").write_bytes(text.encode())
+    env = dict(os.environ)
+    src = str(Path(spiketrac.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spiketrac.cli", "analyze", "--log", "log.csv", "--out", "r.json"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=60, check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    events = 2 if steps else 0
+    assert proc.stdout == f"wrote r.json: {steps} steps, {events} landslide events\n".encode()
+
+
+def _benchmark_inputs():
+    """``benchmark/inputs.py``, loaded as a module without changing it."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _refuse(lines):
+    raise AssertionError("the per-column path converted a plain log")
+
+
+@pytest.fixture
+def no_per_column_path(monkeypatch):
+    """Make the per-column conversion raise: a log that parses took the reader's path."""
+    monkeypatch.setattr(trials, "_step_columns", _refuse)
+
+
+@pytest.mark.parametrize(("steps", "events"), [(20, 0), (200, 3), (20000, 100)])
+def test_benchmark_logs_take_the_reader_path(steps, events, tmp_path, no_per_column_path):
+    path = tmp_path / "log.csv"
+    _benchmark_inputs().trial_log(random.Random(steps), path, steps, events, 2.5)
+    assert len(parse_trial_log(path)) == steps
+
+
+@pytest.mark.parametrize("name", ["trial.csv", "trial_edge.csv", "trial_light.csv"])
+def test_golden_logs_take_the_reader_path(name, no_per_column_path):
+    assert len(parse_trial_log(INPUTS / name)) > 0
+
+
+_ROW_LISTS = st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n, unique=True),
+    *(st.lists(values, min_size=n, max_size=n) for values in (
+        st.floats(0.0, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, 90.0),
+    )),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROW_LISTS)
+def test_written_logs_take_the_reader_path(columns):
+    # A log with no step has no row to read: it takes the per-column path.
+    index, basket, motion, incl = columns
+    metadata = TrialMetadata("dry", 21.0, 1.34, 0.09, 45.0, 50.0, 0.23)
+    log = TrialLog(metadata, sorted(index), sorted(basket), sorted(motion), incl)
+    text = io.StringIO()
+    write_trial_log(log, text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trials, "_step_columns", _refuse)
+        assert parse_trial_log(io.StringIO(text.getvalue())) == log

@@ -7,7 +7,7 @@ Run from anywhere, with two checkouts of the repository:
 
 For every workload (all four by default) and seed, the operations'
 inputs are written once with this repository's ``benchmark/inputs.py``;
-the twelve golden cases of ``tests/test_golden.py`` run on a copy of
+the golden cases of ``tests/test_golden.py`` run on a copy of
 ``tests/golden/inputs`` each.  Each checkout gets its own copy of those
 inputs and runs every operation through ``spiketrac.cli.main`` in one
 fresh interpreter, with its own ``src`` first on the path.  An operation
