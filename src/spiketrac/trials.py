@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -260,13 +260,9 @@ def _parse_metadata(line: str) -> TrialMetadata:
     return metadata
 
 
-# Step rows converted per block: bounds the field strings alive at once.
-_BLOCK_ROWS = 4096
-# The step columns in file order: name, converter, dtype.
-_STEP_COLUMNS = (("index", int, np.int64), ("basket_kg", float, np.float64),
-                 ("motion_mm", float, np.float64), ("incl_deg", float, np.float64))
-# The one row type that numpy's text reader converts plain step text into.
-_STEP_ROW = np.dtype([(name, dtype) for name, _, dtype in _STEP_COLUMNS])
+# The one row type that both converters give the step text.
+_STEP_ROW = np.dtype([("index", np.int64), ("basket_kg", np.float64),
+                      ("motion_mm", np.float64), ("incl_deg", np.float64)])
 # The bytes of plain step text: no whitespace, underscore, letter of nan or
 # inf, or line separator but the newline.
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
@@ -277,52 +273,29 @@ def _first(mask: np.ndarray) -> int:
     return int(np.append(mask, True).argmax())
 
 
-def _convert(fields: list[str], kind: type, dtype) -> tuple[np.ndarray | list, str | None]:
-    """``fields`` converted by ``kind`` up to the first that fails, and that failure's message."""
-    try:
-        return np.fromiter(map(kind, fields), dtype, len(fields)), None
-    except (ValueError, OverflowError):
-        pass
-    # int and float skip the whitespace around a number, except U+001F,
-    # which strip also removes.  Strip only on a failure: the retry accepts
-    # such a field, and the message quotes it stripped.
-    values = []
-    for text in fields:
-        try:
-            values.append(kind(text.strip()))
-        except ValueError as exc:
-            return values, f"bad value: {exc}"
-    return values, None
-
-
 def _step_columns(lines: list[str]) -> tuple[dict[str, np.ndarray], tuple[int, str] | None]:
     """The non-blank step lines as columns up to the first row that fails,
-    and ``(row, message)`` of that row or None: first a field that does
-    not convert or a step index outside int64, then a wrong field count."""
-    rows = list(filter(str.strip, lines))
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
-    end = _first(commas != 3)
-    failure = None if end == len(rows) else (
-        end, f"expected 4 comma-separated fields, got {commas[end] + 1}")
-    rows = rows[:end]
-    columns = {name: np.empty(len(rows), dtype) for name, _, dtype in _STEP_COLUMNS}
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        fields = ",".join(rows[start:start + _BLOCK_ROWS]).split(",")
-        converted = [_convert(fields[k::4], kind, dtype)
-                     for k, (_, kind, dtype) in enumerate(_STEP_COLUMNS)]
-        shortest, message = min(converted, key=lambda column: len(column[0]))
-        stop, index = len(shortest), converted[0][0]
-        try:  # the int64 column refuses an index it cannot hold
-            columns["index"][start:start + stop] = index[:stop]
-        except OverflowError:
-            stop = next(k for k, step in enumerate(index) if not -(2**63) <= step < 2**63)
-            message = f"bad value: step index {index[stop]} is outside int64"
-        for column, (values, _) in zip(columns.values(), converted):
-            column[start:start + stop] = values[:stop]
-        if message is not None:
-            end = start + stop
-            return {name: column[:end] for name, column in columns.items()}, (end, message)
-    return columns, failure
+    and ``(row, message)`` of that row or None.  A row fails on a field
+    count other than 4, then on the first of its stripped fields that
+    ``int`` or ``float`` refuses, then on a step index outside int64."""
+    rows, message = [], None
+    for raw in filter(str.strip, lines):
+        fields = raw.split(",")
+        if len(fields) != 4:
+            message = f"expected 4 comma-separated fields, got {len(fields)}"
+            break
+        try:
+            row = (int(fields[0].strip()), *(float(text.strip()) for text in fields[1:]))
+        except ValueError as exc:
+            message = f"bad value: {exc}"
+            break
+        if not -(2**63) <= row[0] < 2**63:
+            message = f"bad value: step index {row[0]} is outside int64"
+            break
+        rows.append(row)
+    table = np.array(rows, _STEP_ROW)
+    columns = {name: np.ascontiguousarray(table[name]) for name in _STEP_ROW.names}
+    return columns, None if message is None else (len(rows), message)
 
 
 def _first_breach(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
@@ -384,8 +357,8 @@ def parse_trial_log(source: str | Path | IO[str]) -> TrialLog:
 
     Plain step text (``_plain_steps``) is converted by numpy's text
     reader in one call.  Any other text, and plain text the reader
-    refuses, is converted line by line as columns, in blocks of rows,
-    skipping blank lines; that path writes every conversion message.
+    refuses, is converted by a per-line loop (``_step_columns``) that
+    skips blank lines; that loop writes every conversion message.
     Each rule is then checked once over the converted rows.  Raises
     TrialLogError naming the first offending line and the first rule it
     breaks there.  A file with only the two header lines yields an empty

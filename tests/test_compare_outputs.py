@@ -13,11 +13,15 @@ compare_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_outputs)
 
 ARGS = ["--seeds", "1", "--workload", "simulate-schedules"]
+# The run above: four simulate schedules, then every golden case.
+GOLDEN = compare_outputs.golden_cases()
+OPERATIONS = 4 + len(GOLDEN)
+SIMULATE_CASES = sorted(case for case, argv in GOLDEN.items() if argv[0] == "simulate")
 
 
 def test_a_checkout_against_itself_exits_0(capsys):
     assert compare_outputs.main([str(ROOT), str(ROOT), *ARGS]) == 0
-    assert capsys.readouterr().out == "0 of 17 operations differ\n"
+    assert capsys.readouterr().out == f"0 of {OPERATIONS} operations differ\n"
 
 
 # Appended to a copy of cli.py: simulate's stdout spells its " m, " out.
@@ -49,14 +53,12 @@ def test_one_changed_format_string_exits_1_and_names_each_differing_operation(tm
         handle.write(IN_METRES)
     assert compare_outputs.main([str(ROOT), str(tmp_path), *ARGS]) == 1
     lines = capsys.readouterr().out.splitlines()
-    # Four schedules and 13 golden cases; the schedules and the four golden
-    # simulate cases print their final depth.
-    assert lines[-1] == "8 of 17 operations differ"
+    # The schedules and the golden simulate cases print their final depth.
+    assert lines[-1] == f"{4 + len(SIMULATE_CASES)} of {OPERATIONS} operations differ"
     differing = sorted(line.partition(": ")[2].rpartition(": ")[0] for line in lines[:-1])
     assert differing == sorted(
         [f"simulate-schedules seed 1 op {i:03d} (simulate)" for i in range(4)]
-        + [f"golden {case}" for case in
-           ("simulate", "simulate-deep", "simulate-surface", "simulate-unsustained")]
+        + [f"golden {case}" for case in SIMULATE_CASES]
     )
     assert all(line.endswith(": stdout") for line in lines[:-1])
 

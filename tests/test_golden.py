@@ -32,8 +32,8 @@ CASES = {
         "--series", "series", "--push-distance", "2.0",
     ],
     # trial.csv with CRLF line ends, a space after each comma and a blank
-    # line mid-file: the per-column parser reads it, and its outputs equal
-    # the analyze case's byte for byte.
+    # line mid-file: the parser's per-line loop reads it, and its outputs
+    # equal the analyze case's byte for byte.
     "analyze-spaced": [
         "analyze", "--log", "trial_spaced.csv", "--out", "report.json",
         "--series", "series", "--push-distance", "2.0",

@@ -7,7 +7,7 @@ same ``TrialLogError`` (message and line) or return columns with the
 same bits as the reference's steps.  The header is fixed and valid: its
 rules changed with the columnar parser and are tested in
 ``tests/test_trials.py``.  Plain step text is read by numpy's text
-reader and any other by the per-column path; both are held to the
+reader and any other by a per-line loop; both are held to the
 reference here, and the tests at the end check which path a log takes.
 """
 
@@ -31,7 +31,6 @@ from trial_data import same_bits
 
 import spiketrac
 from spiketrac import TrialLog, TrialLogError, TrialMetadata, parse_trial_log, trials, write_trial_log
-from spiketrac.trials import _BLOCK_ROWS
 
 HEADER = (
     "# site=dry diameter_mm=21.0 radius_m=1.34 hinge_m=0.09 rake0_deg=45.0 "
@@ -183,6 +182,10 @@ def step_lines(draw) -> list[str]:
 # Lines that break two rules against the line before.
 @example(["0,5,5,10", "1,4,4,10"])
 @example(["0,5,5,10", "0,4,4,10"])
+# Two failures in one row: the field count comes first, then the first
+# field from the left that does not convert.
+@example(["0,0,0,5", "x,1,y"])
+@example(["0,0,0,5", "x,1,y,5"])
 def test_parser_matches_the_reference(lines):
     assert_matches(lines, reference_steps)
 
@@ -227,8 +230,9 @@ def test_int64_bounds_are_valid_indices():
     assert log.index.tolist() == [-(2**63), 2**63 - 1]
 
 
-# Logs longer than two blocks, with one row changed at a block boundary.
-_ROWS = 2 * _BLOCK_ROWS + 2
+# Long logs of 8,194 rows, with one row changed on either side of row 4,096
+# or at the end.
+_ROWS = 2 * 4096 + 2
 
 
 def _valid_fields(row: int) -> list[str]:
@@ -265,14 +269,16 @@ _CHANGES = {
 }
 
 
-@pytest.mark.parametrize("row", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _ROWS - 1])
+@pytest.mark.parametrize("row", [4095, 4096, 4097, _ROWS - 1])
 @pytest.mark.parametrize("change", sorted(_CHANGES))
 def test_block_boundaries_match_the_reference(change, row):
+    """A long log with blank lines ahead of one changed row matches the
+    reference: the error's message and line, or every row's bits."""
     rows = [",".join(_valid_fields(k)) for k in range(_ROWS)]
     rows[row] = ",".join(_CHANGES[change](_valid_fields(row), _valid_fields(row - 1)))
     # Blank lines ahead of the change move its line away from its row.
-    # They, and the whitespace in them, send every case to the per-column
-    # path, whose blocks this test is about.
+    # They, and the whitespace in them, send every case to the per-line
+    # loop, which must count its rows and lines apart over a long log.
     ahead = ["", *rows[:3], " \t", *rows[3:row], "\u3000"]
     text = "\n".join([HEADER, COLUMNS, *ahead, rows[row], "", *rows[row + 1:]]) + "\n"
     if change.startswith("index_"):  # the reference predates the int64 rule
@@ -430,24 +436,24 @@ def _benchmark_inputs():
 
 
 def _refuse(lines):
-    raise AssertionError("the per-column path converted a plain log")
+    raise AssertionError("the per-line loop converted a plain log")
 
 
 @pytest.fixture
-def no_per_column_path(monkeypatch):
-    """Make the per-column conversion raise: a log that parses took the reader's path."""
+def no_per_line_path(monkeypatch):
+    """Make the per-line loop raise: a log that parses took the reader's path."""
     monkeypatch.setattr(trials, "_step_columns", _refuse)
 
 
 @pytest.mark.parametrize(("steps", "events"), [(20, 0), (200, 3), (20000, 100)])
-def test_benchmark_logs_take_the_reader_path(steps, events, tmp_path, no_per_column_path):
+def test_benchmark_logs_take_the_reader_path(steps, events, tmp_path, no_per_line_path):
     path = tmp_path / "log.csv"
     _benchmark_inputs().trial_log(random.Random(steps), path, steps, events, 2.5)
     assert len(parse_trial_log(path)) == steps
 
 
 @pytest.mark.parametrize("name", ["trial.csv", "trial_edge.csv", "trial_light.csv"])
-def test_golden_logs_take_the_reader_path(name, no_per_column_path):
+def test_golden_logs_take_the_reader_path(name, no_per_line_path):
     assert len(parse_trial_log(INPUTS / name)) > 0
 
 
@@ -463,7 +469,7 @@ _ROW_LISTS = st.integers(1, 30).flatmap(lambda n: st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(_ROW_LISTS)
 def test_written_logs_take_the_reader_path(columns):
-    # A log with no step has no row to read: it takes the per-column path.
+    # A log with no step has no row to read: it takes the per-line loop.
     index, basket, motion, incl = columns
     metadata = TrialMetadata("dry", 21.0, 1.34, 0.09, 45.0, 50.0, 0.23)
     log = TrialLog(metadata, sorted(index), sorted(basket), sorted(motion), incl)
