@@ -18,8 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .geometry import (
-    SpikeDesign, arm_rules, effective_sine, finite_rule, rotated_rake, sine_degrees, spike_rules,
-    thrust_angle,
+    SpikeDesign, arm_rules, effective_sine, finite_rule, rotated_rake, sine_angle, sine_degrees,
+    spike_rules,
 )
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
@@ -187,12 +187,14 @@ def pull_weight_ratio(
         raise ValueError(
             f"depth_m ({depth_m}) must lie in [0, {design.max_depth_m}]"
         )
-    sin_gamma = effective_sine(design, depth_m, application_fraction)
-    gamma = math.asin(min(sin_gamma, 1.0))
+    return _ratio_at(sine_angle(effective_sine(design, depth_m, application_fraction)))
+
+
+def _ratio_at(gamma: float) -> float:
+    """The pull/weight ratio 1/tan(gamma) at an effective thrust angle in radians;
+    math.inf when the tangent is 0."""
     tangent = math.tan(gamma)
-    if tangent == 0.0:
-        return math.inf
-    return 1.0 / tangent
+    return math.inf if tangent == 0.0 else 1.0 / tangent
 
 
 def _failed_checks(
@@ -228,8 +230,11 @@ def evaluate_design(
     soil enters them.
     """
     depth = design.design_depth_m
-    thrust = thrust_angle(design, depth)
-    gamma0 = thrust_angle(design, 0.0)
+    # A SpikeDesign holds 0 < depth <= radius - hinge, the range thrust_angle and
+    # pull_weight_ratio check; thrust and objective come from one angle.
+    gamma = sine_angle(effective_sine(design, depth))
+    thrust = math.degrees(gamma)
+    gamma0 = sine_degrees(effective_sine(design, 0.0))
     # alpha - gamma is depth-invariant under rigid rotation: its surface value.
     window = design.initial_rake_deg - gamma0
     zc: float | None = None
@@ -252,7 +257,7 @@ def evaluate_design(
     return DesignEvaluation(
         feasible=not violations,
         violations=tuple(violations),
-        objective=pull_weight_ratio(design, depth, 1.0),
+        objective=_ratio_at(gamma),
         thrust_deg=thrust,
         window_deg=window,
         critical_depth_m=zc,
@@ -267,9 +272,10 @@ def _axis(values, position: int) -> np.ndarray:
 
 
 def _thrust_angles(radius: np.ndarray, hinge: np.ndarray, depth) -> np.ndarray:
-    """:func:`thrust_angle` of each (radius, hinge) arm at its depth, bit for bit."""
+    """:func:`thrust_angle` of each (radius, hinge) arm at its depth, bit for bit: ``np.degrees``
+    is the one multiplication ``math.degrees`` makes."""
     arms = SimpleNamespace(radius_m=radius, hinge_height_m=hinge)
-    return np.array(list(map(sine_degrees, effective_sine(arms, depth).tolist())))
+    return np.degrees(list(map(sine_angle, effective_sine(arms, depth).tolist())))
 
 
 def _arm_table(radius: list[float], hinge: list[float], depth: list[float]):

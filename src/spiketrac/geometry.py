@@ -118,12 +118,19 @@ def effective_sine(design: SpikeDesign, depth_m, kappa=1.0):
     return (design.hinge_height_m + kappa * depth_m) / design.radius_m
 
 
-def sine_degrees(ratio: float) -> float:
-    """The angle in degrees whose sine is ``ratio``, a ratio past 1 (pure rounding) taken as 1.
+def sine_angle(ratio: float) -> float:
+    """The angle in radians whose sine is ``ratio``, a ratio past 1 (pure rounding) taken as 1.
 
-    ``math.asin`` on one float: ``np.arcsin`` may differ in the last bits.
+    ``math.asin(min(ratio, 1.0))`` with the comparison written out, which takes a
+    third of ``min``'s time.  ``math.asin`` on one float: ``np.arcsin`` may differ
+    in the last bits.
     """
-    return math.degrees(math.asin(min(ratio, 1.0)))
+    return math.asin(1.0 if ratio > 1.0 else ratio)
+
+
+def sine_degrees(ratio: float) -> float:
+    """:func:`sine_angle` in degrees."""
+    return math.degrees(sine_angle(ratio))
 
 
 def margins_hold(margins: np.ndarray, guard: float, exact, *columns: np.ndarray) -> np.ndarray:

@@ -502,7 +502,10 @@ def landslide_filter(series: DerivedSeries, events: Sequence[int]) -> DerivedSer
         if not 0 <= idx < n:
             raise ValueError(f"event index {idx} outside the series (length {n})")
     retained = np.array(sorted(set(event_set) | {0, n - 1}))
-    between = np.setdiff1d(np.arange(n), retained, assume_unique=True)
+    keep = np.ones(n, bool)
+    if n:  # an empty series has nothing between and retains [-1, 0]
+        keep[retained] = False
+    between = np.flatnonzero(keep)
     slot = np.searchsorted(retained, between)
     left, right = retained[slot - 1], retained[slot]
     draft = series.draft_n

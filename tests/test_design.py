@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tempfile
 from dataclasses import asdict, fields
 from operator import attrgetter
@@ -70,6 +71,14 @@ class TestPullWeightRatio:
     def test_rejects_fraction_out_of_range(self):
         with pytest.raises(ValueError, match="application_fraction"):
             pull_weight_ratio(LARGE_FIELD_DESIGN, 0.3, 1.5)
+
+    @pytest.mark.parametrize(
+        "depth", [-0.1, math.nan, math.nextafter(LARGE_FIELD_DESIGN.max_depth_m, math.inf)]
+    )
+    def test_rejects_depth_out_of_range(self, depth):
+        message = f"depth_m ({depth}) must lie in [0, {LARGE_FIELD_DESIGN.max_depth_m}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pull_weight_ratio(LARGE_FIELD_DESIGN, depth)
 
 
 class TestEvaluateDesign:
@@ -172,6 +181,9 @@ def reference_evaluation(design, constraints, cd_model) -> DesignEvaluation:
     )
 
 
+LATERAL = DesignConstraints(require_lateral_at_design_depth=True)
+
+
 @st.composite
 def spike_designs(draw) -> SpikeDesign:
     radius = draw(st.floats(0.2, 3.0))
@@ -197,6 +209,15 @@ def spike_designs(draw) -> SpikeDesign:
     ),
     cd_model=st.builds(CriticalDepthModel, k0=st.floats(0.5, 60.0), k1=st.floats(0.0, 3.0)),
 )
+# evaluate_design takes thrust and objective from one angle; the examples are
+# where that angle meets its edges: the tip at the vertical (sine exactly 1,
+# and a sine that rounds past 1) and a thrust that underflows to 0 (objective inf).
+@example(design=SpikeDesign(1.0, 0.25, design_depth_m=0.75), constraints=LATERAL,
+         cd_model=CriticalDepthModel())
+@example(design=SpikeDesign(0.58, 0.07, design_depth_m=0.58 - 0.07), constraints=LATERAL,
+         cd_model=CriticalDepthModel())
+@example(design=SpikeDesign(1e300, 1e-300, design_depth_m=1e-300), constraints=LATERAL,
+         cd_model=CriticalDepthModel())
 def test_evaluate_design_equals_the_earlier_formulas(design, constraints, cd_model):
     # == compares floats, so -0.0 passes for 0.0; repr tells them apart.
     expected = reference_evaluation(design, constraints, cd_model)

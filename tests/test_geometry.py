@@ -19,7 +19,7 @@ from spiketrac import (
     tip_displacement,
 )
 from spiketrac import trials
-from spiketrac.geometry import bisect, effective_sine, rotated_rake
+from spiketrac.geometry import bisect, effective_sine, rotated_rake, sine_angle, sine_degrees
 
 
 class TestSpikeDesign:
@@ -153,6 +153,15 @@ def test_effective_sine_keeps_the_inline_bits(radius, hinge_fraction, kappa, fra
     assert [value.hex() for value in seen[0].tolist()] == [
         ((h + kappa * z) / r).hex() for z in depths
     ]
+
+
+@pytest.mark.parametrize("ratio", [
+    0.0, -0.0, 5e-324, 0.5, -1.0, 1.0, math.nextafter(1.0, 2.0), 1.5, math.inf, math.nan,
+    np.float64(0.5), np.float64(math.nextafter(1.0, 2.0)),
+])
+def test_sine_angle_is_asin_of_the_ratio_capped_at_1(ratio):
+    assert repr(sine_angle(ratio)) == repr(math.asin(min(ratio, 1.0)))
+    assert repr(sine_degrees(ratio)) == repr(math.degrees(math.asin(min(ratio, 1.0))))
 
 
 # The two bisection loops geometry.bisect replaced, as their callers wrote

@@ -306,12 +306,16 @@ def test_block_boundaries_match_the_reference(change, row):
 
 def reference_with_int64(lines: list[str]) -> list[ReferenceStep]:
     """``reference_steps`` with the columnar parser's int64 rule: a step
-    index outside int64 is a bad value of its line, ahead of the line's
-    float fields."""
+    index outside int64 is a bad value of its line, after the line's
+    field count and number conversions and ahead of its value rules."""
     for offset, raw in enumerate(lines):
         fields = [part.strip() for part in raw.split(",")]
+        if len(fields) != 4:
+            continue
         try:
-            index = int(fields[0]) if len(fields) == 4 else 0
+            index = int(fields[0])
+            for field in fields[1:]:
+                float(field)
         except ValueError:
             continue
         if not -(2**63) <= index < 2**63:
@@ -366,6 +370,7 @@ def plain_step_lines(draw) -> list[str]:
 @example(["0,0,0,5", "9223372036854775808,0,0,5"])
 @example(["-9223372036854775809,0,0,5"])
 @example(["0,0,0,5", "9223372036854775809,0,0,5"])
+@example(["0,0,0,5", "9223372036854775808,0,x,5"])  # a float that fails names the error
 @example(["0,0,0,5", "1e3,0,0,5"])
 @example(["0,0,0,5", "1.0,0,0,5"])
 @example(["0,0,0,5", "1,0,0"])
