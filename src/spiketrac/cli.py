@@ -404,11 +404,12 @@ def _check_keys(data: dict, allowed: set[str], path: Path, what: str) -> None:
         raise ConfigError(f"{what} file {path}: unknown keys {', '.join(unknown)}")
 
 
-def _check_types(cls, data: dict, where: str) -> None:
-    """Reject a JSON value of the wrong kind for a float or bool field.
+def _build(cls, data: dict, where: str):
+    """A ``cls`` built from the JSON object ``data``; each rejection names ``where``.
 
-    Python counts ``true`` as the number 1 and ``"false"`` as true, so
-    neither may stand in for the other.
+    A JSON value of the wrong kind for a float or bool field is rejected
+    first: Python counts ``true`` as the number 1 and ``"false"`` as true,
+    so neither may stand in for the other.
     """
     for f in fields(cls):
         if f.name not in data:
@@ -418,17 +419,17 @@ def _check_types(cls, data: dict, where: str) -> None:
             raise ConfigError(f"{where}: {f.name} must be a number, not {json.dumps(value)}")
         if f.type == "bool" and not isinstance(value, bool):
             raise ConfigError(f"{where}: {f.name} must be true or false, not {json.dumps(value)}")
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _load_dataclass(cls, path: Path, what: str):
     """A ``cls`` built from a JSON object whose keys are its field names."""
     data = _load_json(path, what)
     _check_keys(data, {f.name for f in fields(cls)}, path, what)
-    _check_types(cls, data, f"{what} file {path}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} file {path}: {exc}") from exc
+    return _build(cls, data, f"{what} file {path}")
 
 
 def load_soil(spec: str) -> SoilProperties:
@@ -464,25 +465,17 @@ def load_space(path: Path) -> DesignSpace:
     data = _load_json(path, "design-space")
     names = [f.name for f in fields(DesignSpace)]
     _check_keys(data, set(names), path, "design-space")
+    where = f"design-space file {path}"
     missing = sorted(set(names) - set(data))
     if missing:
-        raise ConfigError(f"design-space file {path}: missing keys {', '.join(missing)}")
+        raise ConfigError(f"{where}: missing keys {', '.join(missing)}")
     ranges = {}
     for name in names:
         entry = data[name]
         if not isinstance(entry, dict) or set(entry) != {"start", "stop", "step"}:
-            raise ConfigError(
-                f"design-space file {path}: {name} must be an object with start, stop, step"
-            )
-        _check_types(ParameterRange, entry, f"design-space file {path}: {name}")
-        try:
-            ranges[name] = ParameterRange(**entry)
-        except ValueError as exc:
-            raise ConfigError(f"design-space file {path}: {name}: {exc}") from exc
-    try:
-        return DesignSpace(**ranges)
-    except ValueError as exc:
-        raise ConfigError(f"design-space file {path}: {exc}") from exc
+            raise ConfigError(f"{where}: {name} must be an object with start, stop, step")
+        ranges[name] = _build(ParameterRange, entry, f"{where}: {name}")
+    return _build(DesignSpace, ranges, where)
 
 
 def load_draft_schedule(path: Path) -> list[float]:

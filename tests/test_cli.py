@@ -290,6 +290,13 @@ class TestCrescent:
         assert lines[0] == "beta_deg,force_N"
         assert len(lines) == 1 + len(result.curve)
 
+    def test_passive_maximum_lies_on_the_lower_scan_bound(self, capsys):
+        # The passive force grows toward both ends of its domain, so the
+        # default scan's maximum sits on the bound the 0.1 degree margin sets.
+        argv = ["--depth", "0.3", "--width", "0.021", "--soil", "preset:dry", "--law", "passive"]
+        assert run("crescent", *argv) == 0
+        assert capsys.readouterr().out == "beta_star_deg=0.1 force_N=4.53987e+07\n"
+
     def test_zero_depth_prints_zero_force(self, capsys):
         assert run("crescent", "--depth", "0", "--width", "0.021", "--soil", "preset:dry") == 0
         assert "force_N=0" in capsys.readouterr().out
