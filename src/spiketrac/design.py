@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import (
     SpikeDesign, arm_rules, effective_sine, finite_rule, rotated_rake, sine_angle, sine_degrees,
-    spike_rules,
+    spike_rules, thrust_angles,
 )
 from .soilmech import CriticalDepthModel, critical_depth, critical_depths
 
@@ -271,13 +271,6 @@ def _axis(values, position: int) -> np.ndarray:
     return np.asarray(values).reshape(shape)
 
 
-def _thrust_angles(radius: np.ndarray, hinge: np.ndarray, depth) -> np.ndarray:
-    """:func:`thrust_angle` of each (radius, hinge) arm at its depth, bit for bit: ``np.degrees``
-    is the one multiplication ``math.degrees`` makes."""
-    arms = SimpleNamespace(radius_m=radius, hinge_height_m=hinge)
-    return np.degrees(list(map(sine_angle, effective_sine(arms, depth).tolist())))
-
-
 def _arm_table(radius: list[float], hinge: list[float], depth: list[float]):
     """Which (radius, hinge, depth) arms are valid, their thrust, and each (radius, hinge)'s
     surface thrust, as arrays of shape (radius, hinge, depth) and (radius, hinge, 1).
@@ -292,10 +285,12 @@ def _arm_table(radius: list[float], hinge: list[float], depth: list[float]):
         arm_ok = lever_ok & depth_ok
         ir, ih, iz = np.nonzero(arm_ok)
         thrust = np.full(arm_ok.shape, math.nan)
-        thrust[ir, ih, iz] = _thrust_angles(radius[ir], hinge[ih], depth[iz])
+        arms = SimpleNamespace(radius_m=radius[ir], hinge_height_m=hinge[ih])
+        thrust[ir, ih, iz] = thrust_angles(arms, depth[iz])
         gamma0 = np.full(arm_ok.shape[:2] + (1,), math.nan)
         ir, ih = np.nonzero(arm_ok.any(axis=2))
-        gamma0[ir, ih, 0] = _thrust_angles(radius[ir], hinge[ih], 0.0)
+        arms = SimpleNamespace(radius_m=radius[ir], hinge_height_m=hinge[ih])
+        gamma0[ir, ih, 0] = thrust_angles(arms, 0.0)
     return arm_ok, thrust, gamma0
 
 

@@ -175,6 +175,13 @@ def thrust_angle(design: SpikeDesign, depth_m: float) -> float:
     return sine_degrees(effective_sine(design, depth_m))
 
 
+def thrust_angles(design: SpikeDesign, depths_m: np.ndarray) -> np.ndarray:
+    """:func:`thrust_angle` of each depth, bit for bit and unchecked, ``design`` as
+    :func:`effective_sine` takes it: :func:`sine_angle` goes per element, since
+    ``np.arcsin`` may differ in the last bits, and ``np.degrees`` is ``math.degrees``."""
+    return np.degrees(list(map(sine_angle, effective_sine(design, depths_m).tolist())))
+
+
 def depth_from_inclination(design: SpikeDesign, arm_inclination_deg):
     """Tip depth implied by a measured lever-arm inclination.
 
@@ -215,6 +222,14 @@ def lifting_force(draft_n: float, thrust_deg: float) -> float:
     if not 0 <= thrust_deg < 90:
         raise ValueError(f"thrust_deg ({thrust_deg}) must lie in [0, 90)")
     return draft_n * math.tan(math.radians(thrust_deg))
+
+
+def lifting_forces(draft_n: np.ndarray, thrust_deg: np.ndarray) -> np.ndarray:
+    """:func:`lifting_force` of each pair, bit for bit and unchecked, with inf past the float
+    range and no warning.  ``np.radians`` is ``math.radians``' one multiplication, but ``np.tan``
+    differs from ``math.tan`` in the last bit on some angles, so tan goes per element."""
+    with np.errstate(over="ignore"):
+        return draft_n * np.array(list(map(math.tan, np.radians(thrust_deg).tolist())))
 
 
 def tip_displacement(

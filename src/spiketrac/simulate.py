@@ -28,9 +28,11 @@ from .geometry import (
     SpikeDesign,
     bisect,
     effective_sine,
+    lifting_forces,
     margins_hold,
     rotated_rake,
     thrust_angle,
+    thrust_angles,
 )
 from .soilmech import (
     CrescentKernel,
@@ -215,8 +217,6 @@ def predict_series(
     positive draft; the force never decreases with depth, so a draft
     above it is lateral or unsustained without a bisection.  The other
     positive drafts are bisected together, one lane per distinct draft.
-    A pose is computed once per new depth, and the lift is one product of
-    the drafts and the poses' tan(thrust).
     """
     z_lateral = lateral_onset_depth(design, cd_model)
     gamma0 = thrust_angle(design, 0.0)
@@ -244,33 +244,25 @@ def predict_series(
     lateral = ~crescent & (z_lateral is not None)
     depth = np.maximum.accumulate(np.minimum(z_eq, top))
 
-    n = drafts.size
-    rises = np.ones(n, dtype=bool)  # a new pose at the first step and where the depth rises
-    np.greater(depth[1:], depth[:-1], out=rises[1:])
+    thrust = thrust_angles(design, depth)
     overflowed = np.flatnonzero(~np.isnan(overflow))
-    stop = int(overflowed[0]) if overflowed.size else n  # the first draft whose lane overflowed
-    thrusts, tans = [], []
-    for i in np.flatnonzero(rises[:stop]).tolist():
-        z = float(depth[i])
-        thrust = thrust_angle(design, z)
-        if z >= design.max_depth_m or thrust >= 90.0:
-            raise ValueError(
-                f"draft_n ({float(drafts[i])}) stands the arm vertical at depth_m={z}: "
-                "the lift is unbounded"
-            )
-        thrusts.append(thrust)
-        tans.append(math.tan(math.radians(thrust)))
-    if stop < n:  # the scan at the depth where this draft's lane overflowed raises
+    stop = int(overflowed[0]) if overflowed.size else drafts.size  # the first overflowed draft
+    vertical = np.flatnonzero((depth[:stop] >= design.max_depth_m) | (thrust[:stop] >= 90.0))
+    if vertical.size:
+        i = int(vertical[0])
+        raise ValueError(
+            f"draft_n ({float(drafts[i])}) stands the arm vertical at depth_m={float(depth[i])}: "
+            "the lift is unbounded"
+        )
+    if overflowed.size:  # the scan at the depth where this draft's lane overflowed raises
         max_crescent_force(float(overflow[stop]), width, soil)
     if error is not None:
         raise error
 
-    pose = np.cumsum(rises) - 1
-    steps = np.empty(n, _STEP_DTYPE)
+    steps = np.empty(drafts.size, _STEP_DTYPE)
     steps["draft_n"], steps["depth_m"], steps["sustained"] = drafts, depth, crescent | lateral
     steps["regime"] = np.where(lateral, FailureMode.LATERAL, FailureMode.CRESCENT)
-    steps["thrust_deg"] = np.array(thrusts)[pose]
-    steps["rake_deg"] = rotated_rake(design.initial_rake_deg, steps["thrust_deg"], gamma0)
-    with np.errstate(over="ignore"):  # lifting_force's float product, bit for bit, inf included
-        steps["lift_n"] = drafts * np.array(tans)[pose]
+    steps["thrust_deg"] = thrust
+    steps["rake_deg"] = rotated_rake(design.initial_rake_deg, thrust, gamma0)
+    steps["lift_n"] = lifting_forces(drafts, thrust)
     return steps.view(np.recarray)

@@ -41,7 +41,9 @@ from .geometry import (
     depth_from_inclination,
     effective_sine,
     finite_rule,
+    lifting_forces,
     margins_hold,
+    sine_angle,
     thrust_angle,
     tip_displacement,
 )
@@ -439,18 +441,14 @@ def derive_series(log: TrialLog) -> DerivedSeries:
     tip_dx = np.zeros(len(log))
     advance_m = np.diff(motion_mm) / 1000.0
     tip_dx[1:] = tip_displacement(design, swing[:-1], swing[1:], advance_m)[0]
-    # lifting_force's draft * tan(radians(thrust)), bit for bit: np.radians
-    # is the same one multiply as math.radians, but np.tan differs from
-    # math.tan in the last bit on some angles, so tan goes per element.
     negative = np.flatnonzero(incl_deg < 0.0)
     if negative.size:
         raise ValueError(f"thrust_deg ({float(incl_deg[negative[0]])}) must lie in [0, 90)")
-    lift = draft * np.array(list(map(math.tan, np.radians(incl_deg).tolist())))
     series = DerivedSeries(
         draft_n=draft,
         depth_m=depth,
         thrust_deg=incl_deg,
-        lift_n=lift,
+        lift_n=lifting_forces(draft, incl_deg),
         tip_x_m=np.cumsum(tip_dx),
         motion_m=motion_mm / 1000.0,
         airborne=airborne,
@@ -567,7 +565,7 @@ def _applied_lift(design: SpikeDesign, kappa: float, draft: float, depth: float)
     sin_gamma = effective_sine(design, depth, kappa)
     if sin_gamma >= 1.0:
         return math.inf
-    return draft * math.tan(math.asin(sin_gamma))
+    return draft * math.tan(sine_angle(sin_gamma))
 
 
 # np.arcsin and np.tan may differ from math.asin and math.tan by a few ulps,

@@ -1,10 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spiketrac import (
@@ -19,7 +20,15 @@ from spiketrac import (
     tip_displacement,
 )
 from spiketrac import trials
-from spiketrac.geometry import bisect, effective_sine, rotated_rake, sine_angle, sine_degrees
+from spiketrac.geometry import (
+    bisect,
+    effective_sine,
+    lifting_forces,
+    rotated_rake,
+    sine_angle,
+    sine_degrees,
+    thrust_angles,
+)
 
 
 class TestSpikeDesign:
@@ -162,6 +171,48 @@ def test_effective_sine_keeps_the_inline_bits(radius, hinge_fraction, kappa, fra
 def test_sine_angle_is_asin_of_the_ratio_capped_at_1(ratio):
     assert repr(sine_angle(ratio)) == repr(math.asin(min(ratio, 1.0)))
     assert repr(sine_degrees(ratio)) == repr(math.degrees(math.asin(min(ratio, 1.0))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    radius=st.floats(0.2, 3.0),
+    hinge_fraction=st.floats(0.01, 0.9),
+    fractions=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=6),
+    pulls=st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, 1e308]),
+            st.floats(0.0, 90.0, exclude_max=True),
+        ),
+        max_size=6,
+    ),
+)
+# The depth at radius - hinge height, where the sine is 1 or, at this
+# radius and hinge, rounds past it to 1.0000000000000002: thrust 90.
+@example(radius=1.0, hinge_fraction=0.09, fractions=[1.0], pulls=[])
+@example(radius=0.3, hinge_fraction=0.1, fractions=[1.0, 0.5], pulls=[])
+# The largest thrust below 90, whose radians round below pi/2 and whose tan is 3.5e15.
+@example(radius=1.0, hinge_fraction=0.09, fractions=[], pulls=[(730.0, math.nextafter(90.0, 0.0))])
+# Angles whose np.tan differs from math.tan in the last bit (numpy 2.4, x86-64).
+@example(radius=1.0, hinge_fraction=0.09, fractions=[], pulls=[(1.0, 3.0), (1.0, 72.0)])
+# A lift past the float range: inf, with no warning.
+@example(radius=1.0, hinge_fraction=0.09, fractions=[], pulls=[(1e308, 60.0), (-1e308, 89.0)])
+# No depths and no pulls: empty float64 arrays.
+@example(radius=1.0, hinge_fraction=0.09, fractions=[], pulls=[])
+def test_array_twins_are_the_scalars_element_by_element(radius, hinge_fraction, fractions, pulls):
+    hinge = radius * hinge_fraction
+    design = SpikeDesign(radius_m=radius, hinge_height_m=hinge, design_depth_m=radius - hinge)
+    depths = [design.max_depth_m * fraction for fraction in fractions]
+    drafts, thrusts = np.array([pull[0] for pull in pulls]), np.array([pull[1] for pull in pulls])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        angles = thrust_angles(design, np.array(depths))
+        lifts = lifting_forces(drafts, thrusts)
+        expected_lifts = [lifting_force(*pull).hex() for pull in pulls]
+    assert angles.dtype == lifts.dtype == np.float64
+    assert [angle.hex() for angle in angles.tolist()] == [
+        thrust_angle(design, z).hex() for z in depths
+    ]
+    assert [lift.hex() for lift in lifts.tolist()] == expected_lifts
 
 
 # The two bisection loops geometry.bisect replaced, as their callers wrote

@@ -1,10 +1,13 @@
-"""The README against the code: its library example runs, its synopses list each
-subcommand's flags, and it quotes no measurement, which goes stale."""
+"""The README against the code: its library example runs, its Library table names
+live callables, its synopses list each subcommand's flags, and it quotes no
+measurement, which goes stale."""
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
+import spiketrac
 from spiketrac import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -16,6 +19,17 @@ def test_library_example_runs(capsys):
     (code,) = [body for lang, body in BLOCK.findall(example) if lang == "python"]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_each_library_call_resolves():
+    table = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    names = [name for cell in cells for name in re.findall(r"`([\w.]+)\(", cell)]
+    assert len(names) >= len(cells)
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        owner = importlib.import_module(f"spiketrac.{module}") if module else spiketrac
+        assert callable(getattr(owner, attr, None)), name
 
 
 def test_each_synopsis_lists_exactly_its_subcommands_flags():
